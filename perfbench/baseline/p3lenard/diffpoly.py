@@ -1,0 +1,245 @@
+"""Differential polynomials in one dependent function u of s.
+
+This is the coefficient algebra for the Lenard recursion: exact rational
+polynomials in s and the jet variables u, u', u'', ...  The total derivative
+treats s as the independent variable (s' = 1, u^(i) -> u^(i+1)).
+
+``formal_integral`` inverts the total derivative inside the ring when an
+antiderivative exists and raises :class:`NotExactDerivative` otherwise; no
+formal antiderivative symbols are ever introduced.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+
+from .jetring import MissingJetValue, Poly, Ring
+from . import render
+
+__all__ = [
+    "U_RING", "u", "s", "const", "normal_form", "total_derivative",
+    "formal_integral", "eval_numeric", "serialize", "parse",
+    "NotExactDerivative", "ParseError", "MissingJetValue",
+]
+
+U_RING = Ring(("u",))
+
+
+class NotExactDerivative(ArithmeticError):
+    """The polynomial is not the total derivative of any differential
+    polynomial (e.g. a bare u or u**2 term survives integration by parts)."""
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, position: int, expected: str):
+        super().__init__(f"{message} at position {position} (expected {expected})")
+        self.position = position
+        self.expected = expected
+
+
+def u(order: int = 0) -> Poly:
+    return U_RING.var("u", order)
+
+
+def s(power: int = 1) -> Poly:
+    return U_RING.s(power)
+
+
+def const(c) -> Poly:
+    return U_RING.const(c)
+
+
+def normal_form(p: Poly) -> Poly:
+    """Identity on the canonical representation (kept for API symmetry;
+    arithmetic always returns normal forms)."""
+    return Poly(p.ring, p.terms)
+
+
+def total_derivative(p: Poly) -> Poly:
+    return p.total_derivative()
+
+
+def formal_integral(p: Poly) -> Poly:
+    """Exact antiderivative with zero integration constant.
+
+    Repeated integration by parts on the highest jet order: a term
+    c*N*(u^(r-1))^a * u^(r) contributes c/(a+1)*N*(u^(r-1))^(a+1) and its
+    derivative remainder is pushed to lower order.  Terms where the top jet
+    appears nonlinearly, or leftover u-only terms, have no differential-
+    polynomial antiderivative.
+    """
+    if p.ring != U_RING:
+        raise ValueError("formal_integral is defined on the u-jet ring")
+    result = U_RING.zero()
+    work = p
+    while True:
+        r = work.max_order("u")
+        if r is None:
+            for (s_pow, _, _), c in work.terms.items():
+                result += U_RING.s(s_pow + 1) * (c / (s_pow + 1))
+            return result
+        if r == 0:
+            raise NotExactDerivative(
+                f"no differential-polynomial antiderivative (leftover {work!s})")
+        parts = work.collect("u", r)
+        if any(e >= 2 for e in parts):
+            raise NotExactDerivative(
+                f"u^({r}) appears nonlinearly at top order")
+        block = U_RING.zero()
+        for m, c in parts[1].terms.items():
+            s_pow, jets, pars = m
+            jets_d = dict(jets)
+            a = jets_d.pop((0, r - 1), 0)
+            jets_d[(0, r - 1)] = a + 1
+            mono = (s_pow, tuple(sorted(jets_d.items())), pars)
+            block += Poly(U_RING, {mono: c / (a + 1)})
+        result += block
+        work = work - block.total_derivative()
+        if not (work.max_order("u") is None or work.max_order("u") < r):
+            raise NotExactDerivative("integration by parts failed to reduce order")
+
+
+def eval_numeric(p: Poly, s_value: float, jet_values: list) -> float:
+    """Evaluate at s = s_value with jet_values[i] supplying u^(i)."""
+    return p.eval(float(s_value), {"u": [float(v) for v in jet_values]})
+
+
+def serialize(p: Poly, format: str = "json") -> str:
+    if format == "json":
+        return render.poly_to_json(p)
+    if format == "latex":
+        return render.poly_latex(p)
+    raise ValueError(f"unknown format {format!r}")
+
+
+# -- ASCII expression grammar --------------------------------------------------
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := unary ('*' unary)*
+#   unary  := '-' unary | factor
+#   factor := atom ('^' INT)?
+#   atom   := RATIONAL | 's' | 'u' QUOTE* | 'D' INT '(' 'u' ')' | '(' expr ')'
+#
+# RATIONAL is INT or INT/INT.  D3(u) denotes the third derivative of u.
+
+_TOKEN_RE = re.compile(r"\s*(\d+|D\d+\(u\)|u'*|s|[-+*^()\/])")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or not m.group(1):
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"unexpected character {text[pos]!r}", pos,
+                             "number, u, s, operator, or parenthesis")
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    tokens.append((None, len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def pos(self):
+        return self.tokens[self.i][1]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok[0]
+
+    def expect(self, token: str):
+        if self.peek() != token:
+            raise ParseError(f"unexpected token {self.peek()!r}", self.pos(), repr(token))
+        return self.take()
+
+    def parse(self) -> Poly:
+        p = self.expr()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input {self.peek()!r}", self.pos(), "end of input")
+        return p
+
+    def expr(self) -> Poly:
+        p = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            q = self.term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    def term(self) -> Poly:
+        p = self.unary()
+        while self.peek() == "*":
+            self.take()
+            p = p * self.unary()
+        return p
+
+    def unary(self) -> Poly:
+        if self.peek() == "-":
+            self.take()
+            return -self.unary()
+        return self.factor()
+
+    def factor(self) -> Poly:
+        p = self.atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.peek()
+            if tok is None or not tok.isdigit():
+                raise ParseError(f"bad exponent {tok!r}", self.pos(), "integer exponent")
+            self.take()
+            p = p ** int(tok)
+        return p
+
+    def atom(self) -> Poly:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos(),
+                             "number, u, s, or '('")
+        if tok == "(":
+            self.take()
+            p = self.expr()
+            self.expect(")")
+            return p
+        if tok.isdigit():
+            self.take()
+            num = int(tok)
+            if self.peek() == "/":
+                self.take()
+                den = self.peek()
+                if den is None or not den.isdigit():
+                    raise ParseError(f"bad denominator {den!r}", self.pos(),
+                                     "integer denominator")
+                self.take()
+                return const(Fraction(num, int(den)))
+            return const(num)
+        if tok == "s":
+            self.take()
+            return s()
+        if tok.startswith("u"):
+            self.take()
+            return u(len(tok) - 1)
+        if tok.startswith("D"):
+            self.take()
+            order = int(tok[1:tok.index("(")])
+            return u(order)
+        raise ParseError(f"unexpected token {tok!r}", self.pos(),
+                         "number, u, s, or '('")
+
+
+def parse(text: str) -> Poly:
+    """Parse a differential polynomial from JSON or the ASCII grammar."""
+    if text.lstrip().startswith("{"):
+        return render.poly_from_json(text, U_RING)
+    return _Parser(text).parse()
