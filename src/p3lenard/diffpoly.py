@@ -18,7 +18,7 @@ from .jetring import MissingJetValue, Poly, Ring
 from . import render
 
 __all__ = [
-    "U_RING", "u", "s", "const", "normal_form", "total_derivative",
+    "U_RING", "u", "s", "const", "total_derivative",
     "formal_integral", "eval_numeric", "serialize", "parse",
     "NotExactDerivative", "ParseError", "MissingJetValue",
 ]
@@ -50,12 +50,6 @@ def const(c) -> Poly:
     return U_RING.const(c)
 
 
-def normal_form(p: Poly) -> Poly:
-    """Identity on the canonical representation (kept for API symmetry;
-    arithmetic always returns normal forms)."""
-    return Poly(p.ring, p.terms)
-
-
 def total_derivative(p: Poly) -> Poly:
     return p.total_derivative()
 
@@ -76,9 +70,8 @@ def formal_integral(p: Poly) -> Poly:
     while True:
         r = work.max_order("u")
         if r is None:
-            for (s_pow, _, _), c in work.terms.items():
-                result += U_RING.s(s_pow + 1) * (c / (s_pow + 1))
-            return result
+            return result + Poly(U_RING, {(s_pow + 1, (), ()): c / (s_pow + 1)
+                                          for (s_pow, _, _), c in work.terms.items()})
         if r == 0:
             raise NotExactDerivative(
                 f"no differential-polynomial antiderivative (leftover {work!s})")
@@ -86,14 +79,14 @@ def formal_integral(p: Poly) -> Poly:
         if any(e >= 2 for e in parts):
             raise NotExactDerivative(
                 f"u^({r}) appears nonlinearly at top order")
-        block = U_RING.zero()
-        for m, c in parts[1].terms.items():
-            s_pow, jets, pars = m
+        # (u^(r-1))^a -> (u^(r-1))^(a+1) is injective: no terms merge.
+        terms = {}
+        for (s_pow, jets, pars), c in parts[1].terms.items():
             jets_d = dict(jets)
-            a = jets_d.pop((0, r - 1), 0)
+            a = jets_d.get((0, r - 1), 0)
             jets_d[(0, r - 1)] = a + 1
-            mono = (s_pow, tuple(sorted(jets_d.items())), pars)
-            block += Poly(U_RING, {mono: c / (a + 1)})
+            terms[(s_pow, tuple(sorted(jets_d.items())), pars)] = c / (a + 1)
+        block = Poly(U_RING, terms, prune=False)
         result += block
         work = work - block.total_derivative()
         if not (work.max_order("u") is None or work.max_order("u") < r):

@@ -5,7 +5,9 @@
     sum_{q=0}^{p} ( l_{k-p+q+1} l_{k-q} - (l_{k-p+q} l_{k-q})''
                     + 3 l_{k-p+q}' l_{k-q}' - 4 u l_{k-p+q} l_{k-q} ) - tau_p
 
-with the boundary entries l_0 = s/2 and l_{k+1} = 0, after eliminating u via
+that is, the constant of motion tau_p of ``conserved_tau`` minus the
+parameter tau_p, with the boundary entries l_0 = s/2 and l_{k+1} = 0, after
+eliminating u via
 
     u = -((l_k^2)'' - 3 (l_k')^2 + tau_0) / (4 l_k^2).
 
@@ -83,13 +85,9 @@ def build_p3_system(k: int) -> HierarchySystem:
     u_expr = u_elimination(k, ring)
     equations = []
     for p in range(1, k + 1):
-        acc = ring.zero()
-        for q in range(p + 1):
-            acc += (seq.ell(k - p + q + 1) * seq.ell(k - q)
-                    - omega(seq, k - p + q, k - q))
-        acc -= ring.param(f"tau{p}")
-        eq = RatExpr(acc).subs_var("u", 0, u_expr)
-        equations.append(eq)
+        # l_{k+1} = 0 in seq, so the boundary term of conserved_tau vanishes.
+        acc = conserved_tau(seq, k, p).expr - ring.param(f"tau{p}")
+        equations.append(RatExpr(acc).subs_var("u", 0, u_expr))
     return HierarchySystem(k, ring.params, equations, u_expr, ring)
 
 

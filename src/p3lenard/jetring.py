@@ -15,8 +15,7 @@ differ only in their dependent/parameter name tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 
@@ -59,6 +58,41 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     for k, e in pb:
         pars[k] = pars.get(k, 0) + e
     return (sa + sb, tuple(sorted(jets.items())), tuple(sorted(pars.items())))
+
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into ``out``, dropping zero sums."""
+    for m, c in pairs:
+        if m in out:
+            c += out[m]
+        if c:
+            out[m] = c
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _rational_content(coeffs) -> Fraction:
+    """gcd of numerators over lcm of denominators (positive), 0 if none."""
+    num, den = 0, 1
+    for c in coeffs:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _monomial_content(monomials: list) -> Monomial:
+    """Componentwise minimum monomial dividing every one of ``monomials``."""
+    if not monomials:
+        return UNIT_MONOMIAL
+    (s_min, jets, pars), *rest = monomials
+    jets, pars = dict(jets), dict(pars)
+    for s_pow, mj, mp in rest:
+        s_min = min(s_min, s_pow)
+        mj, mp = dict(mj), dict(mp)
+        jets = {k: min(e, mj[k]) for k, e in jets.items() if k in mj}
+        pars = {k: min(e, mp[k]) for k, e in pars.items() if k in mp}
+    return (s_min, tuple(sorted(jets.items())), tuple(sorted(pars.items())))
 
 
 class Ring:
@@ -164,18 +198,12 @@ class Poly:
         m = max(self.terms, key=monomial_sort_key)
         return m, self.terms[m]
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(UNIT_MONOMIAL, Fraction(0))
-
     def max_order(self, dep: str) -> int | None:
         """Highest derivative order of ``dep`` occurring, or None if absent."""
         d = self.ring.dependents.index(dep)
         orders = [o for (_, jets, _) in self.terms
                   for (dd, o), _e in jets if dd == d]
         return max(orders) if orders else None
-
-    def degree(self) -> int:
-        return max((_monomial_degree(m) for m in self.terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -187,14 +215,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, Fraction(0)) + c
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out, prune=False)
+        return Poly(self.ring, _accumulate(dict(self.terms), other.terms.items()),
+                    prune=False)
 
     __radd__ = __add__
 
@@ -216,16 +238,10 @@ class Poly:
                 return self.ring.zero()
             return Poly(self.ring, {m: k * c for m, k in self.terms.items()}, prune=False)
         self._check(other)
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mul_monomials(ma, mb)
-                nc = out.get(m, Fraction(0)) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return Poly(self.ring, out, prune=False)
+        pairs = ((_mul_monomials(ma, mb), ca * cb)
+                 for ma, ca in self.terms.items()
+                 for mb, cb in other.terms.items())
+        return Poly(self.ring, _accumulate({}, pairs), prune=False)
 
     __rmul__ = __mul__
 
@@ -254,32 +270,32 @@ class Poly:
         if rules:
             for name, poly in rules.items():
                 self._check(poly)
-                rule_idx[self.ring.dependents.index(name)] = poly
-        out = self.ring.zero()
-        for m, c in self.terms.items():
-            s_pow, jets, pars = m
-            # s-part
-            if s_pow:
-                out += Poly(self.ring, {(s_pow - 1, jets, pars): c * s_pow})
-            # jet parts, one factor at a time (Leibniz)
-            jets_d = dict(jets)
-            for (d, o), e in jets:
-                rest = dict(jets_d)
-                if e == 1:
-                    del rest[(d, o)]
-                else:
-                    rest[(d, o)] = e - 1
-                if d in rule_idx:
-                    if o != 0:
-                        raise ValueError(
-                            f"jet order {o} of rule-defined dependent "
-                            f"{self.ring.dependents[d]!r}")
-                    factor = Poly(self.ring, {(s_pow, tuple(sorted(rest.items())), pars): c * e})
-                    out += factor * rule_idx[d]
-                else:
-                    rest[(d, o + 1)] = rest.get((d, o + 1), 0) + 1
-                    out += Poly(self.ring, {(s_pow, tuple(sorted(rest.items())), pars): c * e})
-        return out
+                rule_idx[self.ring.dependents.index(name)] = poly.terms
+
+        def leibniz_terms():
+            for (s_pow, jets, pars), c in self.terms.items():
+                if s_pow:
+                    yield (s_pow - 1, jets, pars), c * s_pow
+                # jet parts, one factor at a time (Leibniz)
+                for (d, o), e in jets:
+                    rest = dict(jets)
+                    if e == 1:
+                        del rest[(d, o)]
+                    else:
+                        rest[(d, o)] = e - 1
+                    if d in rule_idx:
+                        if o != 0:
+                            raise ValueError(
+                                f"jet order {o} of rule-defined dependent "
+                                f"{self.ring.dependents[d]!r}")
+                        m = (s_pow, tuple(sorted(rest.items())), pars)
+                        for mr, cr in rule_idx[d].items():
+                            yield _mul_monomials(m, mr), c * e * cr
+                    else:
+                        rest[(d, o + 1)] = rest.get((d, o + 1), 0) + 1
+                        yield (s_pow, tuple(sorted(rest.items())), pars), c * e
+
+        return Poly(self.ring, _accumulate({}, leibniz_terms()), prune=False)
 
     # -- substitution ---------------------------------------------------------
 
@@ -299,50 +315,24 @@ class Poly:
         """Replace a constant parameter by an exact rational value."""
         p = self.ring.params.index(name)
         value = Fraction(value)
-        out: dict = {}
-        for (s_pow, jets, pars), c in self.terms.items():
-            pars_d = dict(pars)
-            e = pars_d.pop(p, 0)
-            m = (s_pow, jets, tuple(sorted(pars_d.items())))
-            nc = out.get(m, Fraction(0)) + c * value ** e
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out, prune=False)
+
+        def substituted():
+            for (s_pow, jets, pars), c in self.terms.items():
+                pars_d = dict(pars)
+                e = pars_d.pop(p, 0)
+                yield (s_pow, jets, tuple(sorted(pars_d.items()))), c * value ** e
+
+        return Poly(self.ring, _accumulate({}, substituted()), prune=False)
 
     # -- content and normalization ---------------------------------------------
 
     def rational_content(self) -> Fraction:
         """gcd of numerators over lcm of denominators (positive), 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return _rational_content(self.terms.values())
 
     def monomial_content(self) -> Monomial:
         """Componentwise minimum monomial dividing every term."""
-        if not self.terms:
-            return UNIT_MONOMIAL
-        ms = list(self.terms)
-        s_min = min(m[0] for m in ms)
-        jet_keys = set(k for _, jets, _ in ms for k, _ in jets)
-        par_keys = set(k for _, _, pars in ms for k, _ in pars)
-        jets = {}
-        for k in jet_keys:
-            e = min(dict(jets_).get(k, 0) for _, jets_, _ in ms)
-            if e:
-                jets[k] = e
-        pars = {}
-        for k in par_keys:
-            e = min(dict(pars_).get(k, 0) for _, _, pars_ in ms)
-            if e:
-                pars[k] = e
-        return (s_min, tuple(sorted(jets.items())), tuple(sorted(pars.items())))
+        return _monomial_content(list(self.terms))
 
     def divide_monomial(self, m: Monomial) -> "Poly":
         s_div, jets_div, pars_div = m
@@ -417,26 +407,6 @@ class Poly:
         return poly_ascii(self)
 
 
-def _joint_monomial_content(a: Poly, b: Poly) -> Monomial:
-    ca, cb = a.monomial_content(), b.monomial_content()
-    ja, jb = dict(ca[1]), dict(cb[1])
-    pa, pb = dict(ca[2]), dict(cb[2])
-    jets = {k: min(ja[k], jb[k]) for k in ja.keys() & jb.keys()}
-    pars = {k: min(pa[k], pb[k]) for k in pa.keys() & pb.keys()}
-    return (min(ca[0], cb[0]),
-            tuple(sorted((k, e) for k, e in jets.items() if e)),
-            tuple(sorted((k, e) for k, e in pars.items() if e)))
-
-
-def _joint_rational_content(a: Poly, b: Poly) -> Fraction:
-    num = 0
-    den = 1
-    for c in list(a.terms.values()) + list(b.terms.values()):
-        num = gcd(num, abs(c.numerator))
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
 class RatExpr:
     """Ratio of two polynomials, reduced by joint content on construction.
 
@@ -454,10 +424,10 @@ class RatExpr:
         if den.is_zero():
             raise ZeroDenominator("denominator normalizes to zero")
         if reduce_content and not num.is_zero():
-            mc = _joint_monomial_content(num, den)
+            mc = _monomial_content([*num.terms, *den.terms])
             num = num.divide_monomial(mc)
             den = den.divide_monomial(mc)
-            c = _joint_rational_content(num, den)
+            c = _rational_content([*num.terms.values(), *den.terms.values()])
             num = num * (1 / c)
             den = den * (1 / c)
         if den.leading()[1] < 0:
@@ -555,8 +525,3 @@ class RatExpr:
     def __repr__(self):
         return f"RatExpr(({self.num!s}) / ({self.den!s}))"
 
-
-def equation_core(expr: RatExpr) -> Poly:
-    """Primitive numerator of an equation ``expr = 0`` after clearing the
-    denominator: content-free, sign-normalized."""
-    return expr.num.primitive_core()

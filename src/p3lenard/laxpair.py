@@ -55,12 +55,6 @@ class LaurentPoly:
     def powers(self) -> list:
         return sorted(self.coeffs)
 
-    def min_degree(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def max_degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)

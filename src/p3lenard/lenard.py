@@ -118,11 +118,15 @@ def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence
                 f"polynomial ring: {exc}")
             err.step_index = j
             raise err from exc
+        if seq.D(nxt) != rhs:
+            err = NotExactDerivative(
+                f"recursion step {j} -> {j + 1}: the derivative of the formal "
+                f"integral differs from the recursion right-hand side")
+            err.step_index = j
+            raise err
         c = Fraction(constants[j])
         seq.ells.append(nxt + U_RING.const(c))
         seq.constants.append(c)
-    for j in range(count):
-        assert seq.D(seq.ells[j + 1]) == seq.recursion_rhs(j)
     return seq
 
 
@@ -191,19 +195,12 @@ def closed_form_standard(p: int) -> Poly:
 
 
 def _closed_form_list(count: int) -> list:
-    uu = U_RING.var("u", 0)
-
-    def om(a: Poly, b: Poly) -> Poly:
-        prod = a * b
-        return (prod.total_derivative().total_derivative()
-                - 3 * a.total_derivative() * b.total_derivative()
-                + 4 * uu * prod)
-
-    ells = [U_RING.const(Fraction(1, 2))]
+    seed = SeedCondition.standard()
+    seq = LenardSequence(seed, [seed.poly], [], U_RING)
     for p in range(1, count + 1):
         acc = U_RING.zero()
         for q in range(p - 1):
-            acc += om(ells[p - 1 - q], ells[q]) - ells[p - 1 - q] * ells[q + 1]
-        acc += om(ells[0], ells[p - 1])
-        ells.append(acc)
-    return ells
+            acc += omega(seq, p - 1 - q, q) - seq.ell(p - 1 - q) * seq.ell(q + 1)
+        acc += omega(seq, 0, p - 1)
+        seq.ells.append(acc)
+    return seq.ells

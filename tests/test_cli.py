@@ -124,6 +124,24 @@ class TestVerify:
         assert code == 0
         assert "0 failed" in out
 
+    def test_max_index_is_not_clamped(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "lax",
+                           "--max-index", "4")
+        assert code == 0
+        assert out.splitlines()[:-1] == [
+            f"PASS lax {kind} k={k}"
+            for k in range(1, 6) for kind in ("compat", "c-relation")]
+
+    @pytest.mark.parametrize("suite, max_index, last", [
+        ("closedform", 7, "PASS closedform p=8"),
+        ("conservation", 4, "PASS conservation custom tau k=4 p=4"),
+    ])
+    def test_max_index_reaches_every_suite(self, capsys, suite, max_index, last):
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--max-index", str(max_index))
+        assert code == 0
+        assert last in out.splitlines()
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_checks",
                             lambda suite, max_index: iter([(False, suite, "x")]))

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 
 from p3lenard.diffpoly import (U_RING, MissingJetValue, NotExactDerivative,
                                ParseError, const, eval_numeric,
-                               formal_integral, normal_form, parse, s,
-                               serialize, total_derivative, u)
+                               formal_integral, parse, s, serialize,
+                               total_derivative, u)
 
 from conftest import diffpolys
 
@@ -21,10 +21,6 @@ class TestNormalForm:
 
     def test_difference_of_squares(self):
         assert (u() + s()) * (u() - s()) == u() ** 2 - s() ** 2
-
-    @given(p=diffpolys())
-    def test_idempotent(self, p):
-        assert normal_form(normal_form(p)) == normal_form(p)
 
     @given(p=diffpolys(), q=diffpolys())
     def test_uniqueness_matches_serialization(self, p, q):

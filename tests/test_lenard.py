@@ -1,10 +1,16 @@
 """Lenard sequence generation, the closed-form route, and the lattice
 identities (master, shift, anti-diagonal transport)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fractions import Fraction
 
+import p3lenard
+from p3lenard import lenard
 from p3lenard.diffpoly import NotExactDerivative, u, s, const
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
@@ -52,6 +58,30 @@ class TestGenerate:
         with pytest.raises(NotExactDerivative) as exc:
             generate(SeedCondition.painleve3(), 1, [0])
         assert exc.value.step_index == 0
+
+    def test_wrong_antiderivative_is_rejected(self, monkeypatch):
+        exact = lenard.formal_integral
+        monkeypatch.setattr(lenard, "formal_integral", lambda p: exact(p) + u())
+        with pytest.raises(NotExactDerivative) as info:
+            generate(SeedCondition.standard(), 2, [0, 0])
+        assert info.value.step_index == 0
+
+    def test_wrong_antiderivative_is_rejected_under_optimize(self):
+        script = (
+            "from p3lenard import lenard\n"
+            "from p3lenard.diffpoly import NotExactDerivative, u\n"
+            "exact = lenard.formal_integral\n"
+            "lenard.formal_integral = lambda p: exact(p) + u()\n"
+            "print('debug', __debug__)\n"
+            "try:\n"
+            "    lenard.generate(lenard.SeedCondition.standard(), 2, [0, 0])\n"
+            "except NotExactDerivative:\n"
+            "    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(p3lenard.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.splitlines() == ["debug False", "raised"], done.stderr
 
     def test_count_constants_mismatch(self):
         with pytest.raises(ValueError):
