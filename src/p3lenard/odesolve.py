@@ -2,13 +2,18 @@
 
 The compiler starts from the symbolic equations of ``build_p3_system``,
 substitutes numeric tau values, solves the (linear) second-derivative block
-once, and emits plain float evaluators.  Monitors — u, u', the reconstructed
-next recursion step, and the re-evaluated constants of motion — come from
-symbolic differentiation of the compiled right-hand side, never from finite
+once, and generates one straight-line Python function for the right-hand side
+and one per monitor.  Monitors — u, u', the reconstructed next recursion
+step, and the re-evaluated constants of motion — come from symbolic
+differentiation of the compiled right-hand side, never from finite
 differences, so any drift observed is attributable to time stepping alone.
 
-Integration is fixed-step classical RK4: deterministic, bit-for-bit
-reproducible, and poles are reported rather than stepped over.
+Integration is fixed-step classical RK4, deterministic and bit-for-bit
+reproducible.  A run stops only at a non-finite or singular evaluation (a
+zero l_p or determinant, a vanishing denominator, an overflow).  A sign
+change of l1 between two steps is not detected: the k = 1 demo run on
+[1, 5] at h = 1e-3 records l1 = -6.9e-4 at s = 3.621, past the zero of l1,
+and stops only near s = 4.317 (ROADMAP open item 5).
 """
 
 from __future__ import annotations
@@ -43,51 +48,72 @@ class UnknownMonitor(KeyError):
 MAX_STEPS = 10 ** 8
 
 
-# -- float compilation of exact expressions ------------------------------------
+# -- float code generation for exact expressions --------------------------------
 
-def _compile_poly(p: Poly, layout: dict):
-    """Turn an exact polynomial into a float evaluator over (s, state).
+class _Emitter:
+    """Straight-line body of one generated evaluator ``(s, y) -> ...``.
 
-    ``layout`` maps (dependent name, order) to a state-vector slot.  The
-    term list is frozen in sorted monomial order for reproducible summation.
+    ``layout`` maps (dependent name, order) to a state-vector slot; the body
+    unpacks ``y`` into ``y0, y1, ...``.  Each distinct power is assigned once,
+    just before the first polynomial that uses it, so an ``OverflowError``
+    fires at the same point as in a term-by-term evaluation.  Source text is
+    built only from float reprs, integer exponents and slot indices.
     """
-    terms = []
-    for m, c in p.sorted_terms():
-        s_pow, jets, pars = m
-        if pars:
-            raise ValueError("unsubstituted parameter in compiled expression")
-        slots = []
-        for (d, o), e in jets:
-            key = (p.ring.dependents[d], o)
-            if key not in layout:
-                raise ValueError(f"no state slot for {key}")
-            slots.append((layout[key], e))
-        terms.append((float(c), s_pow, tuple(slots)))
-    terms = tuple(terms)
 
-    def ev(s: float, y) -> float:
-        total = 0.0
-        for coef, s_pow, slots in terms:
-            v = coef * s ** s_pow if s_pow else coef
-            for slot, e in slots:
-                v *= y[slot] ** e
-            total += v
-        return total
+    def __init__(self, layout: dict, dimension: int):
+        self.layout = layout
+        self.lines = [f"({', '.join(f'y{i}' for i in range(dimension))},) = y"]
+        self.powers = set()
 
-    return ev
+    def _power(self, base: str, e: int) -> str:
+        name = f"{base}_{e}"
+        if name not in self.powers:
+            self.powers.add(name)
+            self.lines.append(f"{name} = {base} ** {e}")
+        return name
+
+    def poly(self, p: Poly) -> str:
+        """Emit the powers ``p`` needs and return its float value as one
+        expression: terms in sorted monomial order summed from 0.0, each a
+        product, left to right, of coefficient, power of s and state powers."""
+        terms = ["0.0"]
+        for (s_pow, jets, pars), c in p.sorted_terms():
+            if pars:
+                raise ValueError("unsubstituted parameter in compiled expression")
+            factors = [repr(float(c))]
+            if s_pow:
+                factors.append(self._power("s", s_pow))
+            for (d, o), e in jets:
+                key = (p.ring.dependents[d], o)
+                if key not in self.layout:
+                    raise ValueError(f"no state slot for {key}")
+                factors.append(self._power(f"y{self.layout[key]}", e))
+            terms.append(f"({' * '.join(factors)})")
+        return " + ".join(terms)
+
+    def ratio(self, target: str, e: RatExpr) -> None:
+        """Emit ``target = num / den``; a zero denominator raises
+        ZeroDivisionError before the numerator is evaluated."""
+        den = self.poly(e.den)
+        self.lines += [f"{target}_den = {den}",
+                       f"if {target}_den == 0.0:",
+                       "    raise ZeroDivisionError("
+                       "f'denominator vanished at s = {s!r}')"]
+        num = self.poly(e.num)
+        self.lines.append(f"{target} = ({num}) / {target}_den")
+
+    def function(self, name: str, result: str) -> str:
+        body = "".join(f"    {line}\n" for line in self.lines)
+        return f"def {name}(s, y):\n{body}    return {result}\n"
 
 
-def _compile_ratexpr(e: RatExpr, layout: dict):
-    num = _compile_poly(e.num, layout)
-    den = _compile_poly(e.den, layout)
-
-    def ev(s: float, y) -> float:
-        d = den(s, y)
-        if d == 0.0:
-            raise ZeroDivisionError(f"denominator vanished at s = {s!r}")
-        return num(s, y) / d
-
-    return ev
+def _materialize(source: str) -> dict:
+    """The only place generated source becomes code.  Its globals hold the
+    one exception class it raises and no other builtins."""
+    namespace = {"__builtins__": {"ZeroDivisionError": ZeroDivisionError},
+                 "SingularMassMatrix": SingularMassMatrix}
+    exec(compile(source, "<p3lenard.odesolve generated>", "exec"), namespace)
+    return namespace
 
 
 @dataclass
@@ -105,6 +131,7 @@ class CompiledSystem:
     monitors: dict = field(default_factory=dict)
     accumulators: dict = field(default_factory=dict)
     csv_columns: tuple = ()
+    source: str = ""                  # generated Python of rhs and monitors
 
     def monitor_names(self) -> tuple:
         return tuple(self.monitors) + tuple(self.accumulators)
@@ -145,7 +172,19 @@ def _second_derivative_split(num: Poly, unknowns: list):
     return rest, coeffs
 
 
-def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
+@dataclass(frozen=True)
+class _ExactSystem:
+    """The exact expressions a compiled system is generated from."""
+
+    k: int
+    state_names: tuple
+    layout: dict                      # (dependent name, order) -> state slot
+    det: Poly                         # determinant of the l'' block
+    second: tuple                     # RatExpr of each l_p'', p = 1..k
+    monitors: dict                    # monitor name -> RatExpr
+
+
+def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
     if len(tau_values) != k + 1:
         raise ValueError(f"k = {k} needs {k + 1} tau values")
     taus = [Fraction(t) for t in tau_values]
@@ -206,28 +245,43 @@ def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
         layout[(name, 1)] = len(state_names)
         state_names.append(name + "p")
 
-    det_ev = _compile_poly(det, layout)
-    f_evs = [_compile_ratexpr(f, layout) for f in f_exprs]
+    monitors = {"u": u0, "u_prime": u1, "dl_next": dl_next, **tau_checks}
+    return _ExactSystem(k=k, state_names=tuple(state_names), layout=layout,
+                        det=det, second=tuple(f_exprs), monitors=monitors)
 
+
+def _generate(exact: _ExactSystem):
+    """Straight-line float evaluators of an exact system: returns
+    (source, rhs, {monitor name: evaluator})."""
+    dimension = len(exact.state_names)
+    em = _Emitter(exact.layout, dimension)
     # the pre-clearing equations divide by the l_p, so a zero component is a
     # pole even when the cleared determinant stays finite
-    if k == 1:
-        def rhs(s, y):
-            if y[0] == 0.0 or det_ev(s, y) == 0.0:
-                raise SingularMassMatrix(s)
-            return (y[1], f_evs[0](s, y))
-    else:
-        def rhs(s, y):
-            if y[0] == 0.0 or y[2] == 0.0 or det_ev(s, y) == 0.0:
-                raise SingularMassMatrix(s)
-            return (y[1], f_evs[0](s, y), y[3], f_evs[1](s, y))
+    for p in range(1, exact.k + 1):
+        em.lines += [f"if y{exact.layout[(f'l{p}', 0)]} == 0.0:",
+                     "    raise SingularMassMatrix(s)"]
+    det = em.poly(exact.det)
+    em.lines += [f"det = {det}", "if det == 0.0:",
+                 "    raise SingularMassMatrix(s)"]
+    result = []
+    for p, f in enumerate(exact.second, start=1):
+        em.ratio(f"f{p}", f)
+        result += [f"y{exact.layout[(f'l{p}', 1)]}", f"f{p}"]
+    parts = [em.function("rhs", f"({', '.join(result)})")]
+    for i, expr in enumerate(exact.monitors.values()):
+        em = _Emitter(exact.layout, dimension)
+        em.ratio("value", expr)
+        parts.append(em.function(f"monitor_{i}", "value"))
+    source = "\n\n".join(parts)
+    namespace = _materialize(source)
+    monitors = {name: namespace[f"monitor_{i}"]
+                for i, name in enumerate(exact.monitors)}
+    return source, namespace["rhs"], monitors
 
-    monitors = {"u": _compile_ratexpr(u0, layout),
-                "u_prime": _compile_ratexpr(u1, layout),
-                "dl_next": _compile_ratexpr(dl_next, layout)}
-    for name, expr in tau_checks.items():
-        monitors[name] = _compile_ratexpr(expr, layout)
 
+def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
+    exact = _exact_system(k, tau_values)
+    source, rhs, monitors = _generate(exact)
     if k == 1:
         accumulators = {"l2_reconstructed": "dl_next"}
         csv_columns = ("s", "l1", "l1p", "u", "tau1", "ell_next_drift")
@@ -236,10 +290,10 @@ def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
         csv_columns = ("s", "l1", "l1p", "l2", "l2p", "u", "tau1", "tau2",
                        "ell_next_drift")
 
-    return CompiledSystem(k=k, dimension=2 * k,
-                          state_names=tuple(state_names),
+    return CompiledSystem(k=k, dimension=2 * k, state_names=exact.state_names,
                           rhs=rhs, monitors=monitors,
-                          accumulators=accumulators, csv_columns=csv_columns)
+                          accumulators=accumulators, csv_columns=csv_columns,
+                          source=source)
 
 
 def compile_k1(tau0, tau1) -> CompiledSystem:
@@ -282,19 +336,18 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     status = "completed"
     abort_s = None
 
+    monitors = tuple(sys.monitors.items())
+    integrand_monitors = tuple((src, sys.monitors[src])
+                               for src in dict.fromkeys(sys.accumulators.values()))
+
     def monitor_row(si, yi, integrands):
-        row = []
-        for name in sys.monitors:
-            row.append(integrands[name] if name in integrands
-                       else sys.monitors[name](si, yi))
+        row = [integrands[name] if name in integrands else fn(si, yi)
+               for name, fn in monitors]
         row.extend(acc_values[name] for name in sys.accumulators)
         return tuple(row)
 
     def integrand_values(si, yi):
-        out = {}
-        for src in set(sys.accumulators.values()):
-            out[src] = sys.monitors[src](si, yi)
-        return out
+        return {src: fn(si, yi) for src, fn in integrand_monitors}
 
     try:
         s_i = cfg.s_start
@@ -347,10 +400,8 @@ def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(sys.csv_columns)
+        columns = [traj.monitor_names.index(name)
+                   for name in ("u", *tau_names, ell_next)]
         for s_i, y, mon in traj.samples:
-            row = [s_i, *y]
-            mon_map = dict(zip(traj.monitor_names, mon))
-            row.append(mon_map["u"])
-            row.extend(mon_map[t] for t in tau_names)
-            row.append(mon_map[ell_next])
-            writer.writerow(f"{v:.17g}" for v in row)
+            writer.writerow(f"{v:.17g}"
+                            for v in (s_i, *y, *(mon[c] for c in columns)))

@@ -125,8 +125,9 @@ def test_criterion_6_lax_coefficient_matching():
 
 def test_criterion_7_numerical_conservation_k1():
     # The stated demo data has a genuine zero of l1 at s ~ 3.611 (crossing
-    # slope -> -1), where the compiled rational form is singular; the solver
-    # reports the pole rather than stepping over it, by design.  The stated
+    # slope -> -1), where the compiled rational form is singular.  The solver
+    # does not detect the sign change: it steps through the zero and stops
+    # only at a later non-finite evaluation (ROADMAP open item 5).  The stated
     # tolerances are asserted on every recorded sample of the stated run and
     # on a completed run over the regular subinterval [1, 3.5].
     start = time.perf_counter()

@@ -63,6 +63,18 @@ CSV_GOLDENS = {
     ("integrate", "--k", "2", "--tau", "1,2,3", "--init", "1,0,1,0",
      "--s0", "1", "--s1", "2", "--step", "1e-3"):
         "8685b462c86a19c9799aeefc29b7709dede199acbcad849e613dd3f31dd55925",
+    ("integrate", "--k", "2", "--tau", "1,2,3", "--init", "1,0,1,0",
+     "--s0", "1", "--s1", "2", "--step", "1e-4"):
+        "f918409d29baef4a0e4908606bdd9c22d34c3c3addb66532166386f3c1b141cd",
+}
+
+# runs that stop early: (stderr, SHA-256 of the partial CSV), exit code 3
+ABORT_GOLDENS = {
+    ("integrate", "--k", "1", "--tau", "1,2", "--init", "1,0",
+     "--s0", "1", "--s1", "5", "--step", "1e-3"):
+        ("integration aborted near s = 4.317 (singular or non-finite); "
+         "partial CSV written\n",
+         "b927c40cfcc4a6a93b598f155a84332c85c348b481536d013e0b3fcc7a1725be"),
 }
 
 
@@ -83,3 +95,12 @@ def test_csv_bytes(capsys, tmp_path, argv):
     code = cli.run(list(argv) + ["--out", str(path)])
     capsys.readouterr()
     assert (code, _sha256(path.read_bytes())) == (cli.EXIT_OK, CSV_GOLDENS[argv])
+
+
+@pytest.mark.parametrize("argv", list(ABORT_GOLDENS), ids=" ".join)
+def test_aborted_csv_bytes(capsys, tmp_path, argv):
+    path = tmp_path / "run.csv"
+    code = cli.run(list(argv) + ["--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err, _sha256(path.read_bytes())) \
+        == (cli.EXIT_RUNTIME, "", *ABORT_GOLDENS[argv])

@@ -1,16 +1,22 @@
 """Numerical layer: compilation of the k=1 and k=2 systems, RK4 behaviour,
 drift reporting, and the trajectory CSV."""
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p3lenard.hierarchy import build_p3_system
+from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, DomainError, SingularMassMatrix,
                                SolverConfig, StepSizeUnderflow, Trajectory,
-                               UnknownMonitor, compile_k1, compile_k2,
-                               drift_report, integrate, write_csv)
+                               UnknownMonitor, _exact_system, _generate,
+                               compile_k1, compile_k2, drift_report, integrate,
+                               write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +200,145 @@ class TestWriteCsv:
         row = path.read_text().splitlines()[-1].split(",")
         # %.17g reparses to the exact float that was written
         assert float(row[1]) == traj.samples[-1][1][0]
+
+
+# -- reference evaluators: exact expressions evaluated term by term ------------
+
+def _ref_poly(p: Poly, layout):
+    terms = []
+    for (s_pow, jets, _), c in p.sorted_terms():
+        slots = tuple((layout[(p.ring.dependents[d], o)], e)
+                      for (d, o), e in jets)
+        terms.append((float(c), s_pow, slots))
+
+    def ev(s, y):
+        total = 0.0
+        for coef, s_pow, slots in terms:
+            v = coef * s ** s_pow if s_pow else coef
+            for slot, e in slots:
+                v *= y[slot] ** e
+            total += v
+        return total
+
+    return ev
+
+
+def _ref_ratexpr(e: RatExpr, layout):
+    num, den = _ref_poly(e.num, layout), _ref_poly(e.den, layout)
+
+    def ev(s, y):
+        d = den(s, y)
+        if d == 0.0:
+            raise ZeroDivisionError(f"denominator vanished at s = {s!r}")
+        return num(s, y) / d
+
+    return ev
+
+
+def _reference(exact):
+    """(rhs, monitors) of an exact system as term loops over its terms."""
+    layout = exact.layout
+    det = _ref_poly(exact.det, layout)
+    second = [_ref_ratexpr(f, layout) for f in exact.second]
+    values = [layout[(f"l{p}", 0)] for p in range(1, exact.k + 1)]
+    slopes = [layout[(f"l{p}", 1)] for p in range(1, exact.k + 1)]
+
+    def rhs(s, y):
+        if any(y[i] == 0.0 for i in values) or det(s, y) == 0.0:
+            raise SingularMassMatrix(s)
+        out = []
+        for slot, f in zip(slopes, second):
+            out += [y[slot], f(s, y)]
+        return tuple(out)
+
+    return rhs, {name: _ref_ratexpr(e, layout)
+                 for name, e in exact.monitors.items()}
+
+
+def _outcome(fn, s, y):
+    """Bit pattern of every returned float, or the exception raised."""
+    try:
+        value = fn(s, y)
+    except SingularMassMatrix as exc:
+        return ("SingularMassMatrix", exc.s.hex())
+    except (ZeroDivisionError, OverflowError) as exc:
+        return (type(exc).__name__,)
+    return tuple(v.hex() for v in (value if isinstance(value, tuple) else (value,)))
+
+
+_FINITE = st.one_of(st.floats(-4.0, 4.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _assert_parity(exact, rhs, monitors):
+    """Search random finite (s, y) for an evaluator whose result or exception
+    differs from the term-loop reference of ``exact``."""
+    ref_rhs, ref_monitors = _reference(exact)
+    assert set(monitors) == set(ref_monitors)
+    pairs = [("rhs", rhs, ref_rhs)] + [(name, monitors[name], ref_monitors[name])
+                                       for name in ref_monitors]
+    dimension = len(exact.state_names)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s=_FINITE, y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
+    def check(s, y):
+        y = tuple(y)
+        for name, generated, ref in pairs:
+            assert (name, _outcome(generated, s, y)) == (name, _outcome(ref, s, y))
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def exact_systems():
+    return {1: _exact_system(1, (1, 2)), 2: _exact_system(2, (1, 2, 3))}
+
+
+class TestGeneratedParity:
+    """The generated straight-line evaluators against the term loops."""
+
+    def test_k1_bit_parity(self, k1_demo, exact_systems):
+        _assert_parity(exact_systems[1], k1_demo.rhs, k1_demo.monitors)
+
+    def test_k2_bit_parity(self, k2_demo, exact_systems):
+        _assert_parity(exact_systems[2], k2_demo.rhs, k2_demo.monitors)
+
+    def test_one_ulp_coefficient_corruption_is_caught(self, exact_systems):
+        exact = exact_systems[1]
+        f = exact.second[0]
+        (m, c), *_ = f.num.sorted_terms()
+        bad_num = Poly(f.num.ring,
+                       {**f.num.terms,
+                        m: Fraction(math.nextafter(float(c), math.inf))})
+        bad = dataclasses.replace(
+            exact, second=(RatExpr(bad_num, f.den, reduce_content=False),))
+        _, rhs, monitors = _generate(bad)
+        with pytest.raises(AssertionError, match="'rhs'"):
+            _assert_parity(exact, rhs, monitors)
+
+    def test_zero_component_raises_with_s(self, k1_demo, k2_demo):
+        for system, y in ((k1_demo, (0.0, 0.3)), (k1_demo, (-0.0, 0.3)),
+                          (k2_demo, (0.0, 0.1, 1.0, 0.2)),
+                          (k2_demo, (1.0, 0.1, 0.0, 0.2))):
+            with pytest.raises(SingularMassMatrix) as info:
+                system.rhs(1.25, y)
+            assert info.value.s == 1.25
+
+    # (status, abort_s, sample count) as the term-loop evaluators gave them
+    @pytest.mark.parametrize("k, init, cfg, expected", [
+        (1, (1e120, 1e150), (1.0, 2.0, 1e-3), ("aborted-nonfinite", 1.0, 0)),
+        (1, (1e-200, 1.0), (1.0, 2.0, 1e-3), ("aborted-nonfinite", 1.0, 0)),
+        (1, (1e100, 0.0), (1.0, 2.0, 1e-3), ("aborted-nonfinite", 1.0, 1)),
+        (1, (1.0, -50.0), (1.0, 2.0, 1e-2),
+         ("aborted-nonfinite", 1.1400000000000001, 15)),
+        (2, (1e120, 0.0, 1.0, 0.0), (1.0, 2.0, 1e-3),
+         ("aborted-nonfinite", 1.0, 1)),
+        (2, (1.0, 0.0, 1e-200, 0.0), (1.0, 2.0, 1e-3),
+         ("aborted-nonfinite", 1.0, 0)),
+        (2, (1.0, 0.0, 1.0, -60.0), (1.0, 2.0, 1e-2),
+         ("aborted-nonfinite", 1.03, 4)),
+    ])
+    def test_abort_parity(self, k1_demo, k2_demo, k, init, cfg, expected):
+        system = k1_demo if k == 1 else k2_demo
+        traj = integrate(system, init, SolverConfig(*cfg))
+        assert (traj.status, traj.abort_s, len(traj.samples)) == expected

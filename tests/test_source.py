@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
+from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
 
@@ -17,3 +18,45 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _code_builtin_uses(tree):
+    """(enclosing function, name) of every reference to exec, eval or
+    compile, bare or through ``builtins``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("builtins", "__builtins__")):
+            name = node.attr
+        if name in ("exec", "eval", "compile"):
+            found.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_generated_code_enters_through_one_helper():
+    """Only ``odesolve._materialize`` turns source text into code."""
+    uses = {str(path.relative_to(PACKAGE)): _code_builtin_uses(
+                ast.parse(path.read_text(), str(path)))
+            for path in sorted(PACKAGE.rglob("*.py"))}
+    uses = {path: found for path, found in uses.items() if found}
+    assert uses == {"odesolve.py": [("_materialize", "exec"),
+                                    ("_materialize", "compile")]}
+
+
+def test_generated_source_has_no_assert():
+    for system in (compile_k1(1, 2), compile_k2((1, 2, 3))):
+        tree = ast.parse(system.source)
+        functions = [node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        assert functions[0] == "rhs" and len(functions) == 1 + len(system.monitors)
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
