@@ -5,7 +5,7 @@ associated Lax-pair coefficient identities."""
 from .jetring import Poly, RatExpr, Ring, ZeroDenominator, MissingJetValue
 from .diffpoly import (U_RING, NotExactDerivative, ParseError, eval_numeric,
                        formal_integral, parse, serialize, total_derivative)
-from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
+from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition, bracket,
                      closed_form_standard, generate, master_identity_residual,
                      omega, shift_identity_residual, symbolic,
                      transport_residual)

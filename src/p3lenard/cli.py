@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -250,8 +251,23 @@ def _cmd_integrate(args) -> int:
 
 # -- argument grammar ------------------------------------------------------------
 
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative number (``-1,2``,
+    ``-3/4,1``, ``-.5``) as a value, never as an option, so that
+    ``--tau -1,2`` parses like ``--tau=-1,2``.  No option is spelled that
+    way.  Subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="p3lenard",
         description="Generate, verify, and numerically integrate the Lenard "
                     "recursion hierarchy.")

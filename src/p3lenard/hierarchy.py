@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring, ZeroDenominator
-from .lenard import IndexOutOfRange, LenardSequence, SeedCondition, omega
+from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
+                     bracket, omega)
 
 __all__ = [
     "HierarchySystem", "ConservedQuantity", "hierarchy_ring",
@@ -133,7 +134,7 @@ def conserved_sigma(seq: LenardSequence, p: int) -> ConservedQuantity:
         raise IndexOutOfRange(f"sequence must extend through index {p}")
     acc = -seq.ell(0) * seq.ell(p)
     for q in range(p):
-        acc += omega(seq, p - 1 - q, q) - seq.ell(p - 1 - q) * seq.ell(q + 1)
+        acc += bracket(seq, p - 1 - q, q)
     return ConservedQuantity(p, "sigma", acc)
 
 

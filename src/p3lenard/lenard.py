@@ -14,6 +14,16 @@ representations:
   master, shift, anti-diagonal transport, and the conservation residuals —
   is a consequence of the recursion alone, so it normalizes to zero in this
   representation for any seed, including the nonlocal ones.
+
+The lattice identities share their pieces, so each ``LenardSequence`` keeps
+a private memo of the three values they reuse: D(l_j), Omega_{n,m}' (keyed
+by the unordered pair, since Omega is symmetric) and D(B_{a,b}) for the
+bracket B_{a,b} = Omega_{a,b} - l_a l_{b+1}.  Omega itself is not cached.
+Every constructor and ``with_entry`` start with an empty memo.  An entry
+records the sequence entries it was computed from and is reused only while
+``seq.ell(i)`` is still each of those objects, so replacing an entry, even
+in place through ``seq.ells[j] = ...``, makes the memo recompute it.  The
+derivative rules of a symbolic sequence are fixed when it is built.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ class LenardSequence:
     constants: list
     ring: Ring
     rules: dict = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __len__(self):
         return len(self.ells)
@@ -81,6 +93,21 @@ class LenardSequence:
     def D(self, p: Poly) -> Poly:
         """Total derivative, recursion-aware for symbolic entries."""
         return p.total_derivative(self.rules or None)
+
+    def _memoized(self, key, indices, compute):
+        """``compute()``, kept under ``key`` while each entry l_i, i in
+        ``indices``, is the object it was computed from."""
+        read = tuple(self.ell(i) for i in indices)
+        hit = self._memo.get(key)
+        if hit is not None and all(a is b for a, b in zip(hit[0], read)):
+            return hit[1]
+        value = compute()
+        self._memo[key] = (read, value)
+        return value
+
+    def D_ell(self, j: int) -> Poly:
+        """D(l_j), memoized."""
+        return self._memoized(("D", j), (j,), lambda: self.D(self.ell(j)))
 
     def recursion_rhs(self, j: int) -> Poly:
         """l_j''' + 4 u l_j' + 2 u' l_j."""
@@ -149,39 +176,55 @@ def omega(seq: LenardSequence, n: int, m: int) -> Poly:
     """(l_n l_m)'' - 3 l_n' l_m' + 4 u l_n l_m."""
     ln, lm = seq.ell(n), seq.ell(m)
     prod = ln * lm
-    return (seq.D(seq.D(prod)) - 3 * seq.D(ln) * seq.D(lm)
+    return (seq.D(seq.D(prod)) - 3 * seq.D_ell(n) * seq.D_ell(m)
             + 4 * seq.u * prod)
+
+
+def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
+    """B_{a,b} = Omega_{a,b} - l_a l_{b+1}."""
+    return omega(seq, a, b) - seq.ell(a) * seq.ell(b + 1)
+
+
+def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
+    """Omega_{n,m}', memoized per unordered pair."""
+    pair = (min(n, m), max(n, m))
+    return seq._memoized(("Omega'",) + pair, pair,
+                         lambda: seq.D(omega(seq, n, m)))
+
+
+def _bracket_prime(seq: LenardSequence, a: int, b: int) -> Poly:
+    """B_{a,b}', memoized."""
+    return seq._memoized(("B'", a, b), (a, b, b + 1),
+                         lambda: seq.D(bracket(seq, a, b)))
 
 
 def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
     """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}'; zero for any recursion-
     consistent sequence."""
-    lhs = seq.ell(m) * seq.D(seq.ell(n + 1)) + seq.ell(n) * seq.D(seq.ell(m + 1))
-    return lhs - seq.D(omega(seq, n, m))
+    lhs = seq.ell(m) * seq.D_ell(n + 1) + seq.ell(n) * seq.D_ell(m + 1)
+    return lhs - _omega_prime(seq, n, m)
 
 
 def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
-    """l_m l_n' - l_{m+1} l_{n-1}' - [Omega_{n-1,m} - l_{n-1} l_{m+1}]'."""
+    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}'."""
     if n < 1:
         raise IndexOutOfRange("shift identity needs n >= 1")
-    bracket = omega(seq, n - 1, m) - seq.ell(n - 1) * seq.ell(m + 1)
-    return (seq.ell(m) * seq.D(seq.ell(n))
-            - seq.ell(m + 1) * seq.D(seq.ell(n - 1))
-            - seq.D(bracket))
+    return (seq.ell(m) * seq.D_ell(n)
+            - seq.ell(m + 1) * seq.D_ell(n - 1)
+            - _bracket_prime(seq, n - 1, m))
 
 
 def transport_residual(seq: LenardSequence, m: int, n: int, r: int) -> Poly:
-    """Residual of moving l_m l_n' a distance r along an anti-diagonal."""
+    """Residual of moving l_m l_n' a distance r along an anti-diagonal:
+    l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}'."""
     if r < 0:
         raise IndexOutOfRange("transport distance must be nonnegative")
     if n - r < 0:
         raise IndexOutOfRange(f"transport distance {r} exceeds n = {n}")
-    bracket = seq.ring.zero()
+    acc = seq.ell(m) * seq.D_ell(n) - seq.ell(m + r) * seq.D_ell(n - r)
     for q in range(r):
-        bracket += omega(seq, n - q - 1, m + q) - seq.ell(n - q - 1) * seq.ell(m + q + 1)
-    return (seq.ell(m) * seq.D(seq.ell(n))
-            - seq.ell(m + r) * seq.D(seq.ell(n - r))
-            - seq.D(bracket))
+        acc -= _bracket_prime(seq, n - q - 1, m + q)
+    return acc
 
 
 # -- closed-form route for the classical seed ----------------------------------
@@ -200,7 +243,7 @@ def _closed_form_list(count: int) -> list:
     for p in range(1, count + 1):
         acc = U_RING.zero()
         for q in range(p - 1):
-            acc += omega(seq, p - 1 - q, q) - seq.ell(p - 1 - q) * seq.ell(q + 1)
+            acc += bracket(seq, p - 1 - q, q)
         acc += omega(seq, 0, p - 1)
         seq.ells.append(acc)
     return seq.ells

@@ -145,8 +145,9 @@ def test_criterion_7_numerical_conservation_k1():
     pole_note = ""
     if stated.status != "completed":
         ok &= stated.abort_s is not None and 3.5 < stated.abort_s < 5.0
-        pole_note = (f"; stated [1,5] run reports a pole at "
-                     f"s={stated.abort_s:.4g} (zero of l1 near s=3.61)")
+        pole_note = (f"; stated [1,5] run stepped through the zero of l1 "
+                     f"near s=3.61 and stopped at a non-finite evaluation "
+                     f"near s={stated.abort_s:.4g}")
     regular = integrate(system, (1.0, 0.0), SolverConfig(1.0, 3.5, 1e-4))
     reg_tau1, reg_l2 = bounds(regular)
     ok &= (regular.status == "completed" and reg_tau1 < 1e-8

@@ -51,6 +51,14 @@ class TestGenLenard:
         ell1 = render.poly_from_obj(obj["ells"][1], U_RING)
         assert ell1 == u() + U_RING.const("1/2")
 
+    def test_negative_constants_as_separate_value(self, capsys):
+        joined = run(capsys, "gen-lenard", "--count", "2",
+                     "--constants=-1/2,1")
+        separate = run(capsys, "gen-lenard", "--count", "2",
+                       "--constants", "-1/2,1")
+        assert separate == joined
+        assert joined[0] == 0
+
     def test_nonlocal_seed_is_runtime_error(self, capsys):
         code, _, err = run(capsys, "gen-lenard", "--seed", "p3", "--count", "1")
         assert code == cli.EXIT_RUNTIME
@@ -165,6 +173,27 @@ class TestIntegrate:
         assert lines[0] == "s,l1,l1p,u,tau1,ell_next_drift"
         final_tau1 = float(lines[-1].split(",")[4])
         assert abs(final_tau1 - 2.0) < 1e-8
+
+    @pytest.mark.parametrize("option, value", [("--tau", "-1,2"),
+                                               ("--init", "-1,0")],
+                             ids=["tau", "init"])
+    def test_negative_list_as_separate_value(self, capsys, tmp_path,
+                                             option, value):
+        values = {"--tau": "1,2", "--init": "1,0"}
+        results = []
+        for form in ("joined", "separate"):
+            out_file = tmp_path / f"{form}.csv"
+            argv = ["integrate", "--k", "1", "--s0", "1", "--s1", "1.1",
+                    "--step", "1e-3", "--out", str(out_file)]
+            for name, default in values.items():
+                given = value if name == option else default
+                argv += ([f"{name}={given}"] if form == "joined"
+                         else [name, given])
+            code, out, err = run(capsys, *argv)
+            results.append((code, out.replace(str(out_file), "OUT"), err,
+                            out_file.read_bytes()))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
 
     def test_tau_arity_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "integrate", "--k", "2", "--tau", "1,2",

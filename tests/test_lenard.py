@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 
 import p3lenard
-from p3lenard import lenard
+from p3lenard import jetring, lenard
 from p3lenard.diffpoly import NotExactDerivative, u, s, const
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
@@ -175,3 +175,118 @@ class TestIdentities:
     def test_corrupted_sequence_breaks_master(self, std_seq):
         bad = std_seq.with_entry(2, std_seq.ell(2) + u())
         assert not master_identity_residual(bad, 1, 1).is_zero()
+
+
+# -- memo ------------------------------------------------------------------------
+# Reference copies of the unmemoized formulas: every derivative is taken
+# afresh, and transport differentiates the summed bracket.
+
+def _ref_omega(seq, n, m):
+    ln, lm = seq.ell(n), seq.ell(m)
+    prod = ln * lm
+    return (seq.D(seq.D(prod)) - 3 * seq.D(ln) * seq.D(lm)
+            + 4 * seq.u * prod)
+
+
+def _ref_master(seq, n, m):
+    lhs = seq.ell(m) * seq.D(seq.ell(n + 1)) + seq.ell(n) * seq.D(seq.ell(m + 1))
+    return lhs - seq.D(_ref_omega(seq, n, m))
+
+
+def _ref_shift(seq, n, m):
+    bracket = _ref_omega(seq, n - 1, m) - seq.ell(n - 1) * seq.ell(m + 1)
+    return (seq.ell(m) * seq.D(seq.ell(n))
+            - seq.ell(m + 1) * seq.D(seq.ell(n - 1))
+            - seq.D(bracket))
+
+
+def _ref_transport(seq, m, n, r):
+    bracket = seq.ring.zero()
+    for q in range(r):
+        bracket += (_ref_omega(seq, n - q - 1, m + q)
+                    - seq.ell(n - q - 1) * seq.ell(m + q + 1))
+    return (seq.ell(m) * seq.D(seq.ell(n))
+            - seq.ell(m + r) * seq.D(seq.ell(n - r))
+            - seq.D(bracket))
+
+
+RESIDUALS = {
+    "master": (master_identity_residual, _ref_master),
+    "shift": (shift_identity_residual, _ref_shift),
+    "transport": (transport_residual, _ref_transport),
+}
+MAX_INDEX = 5
+
+
+def _lattice_cases():
+    """Every master, shift and transport check with indices <= MAX_INDEX on
+    a sequence l_0 .. l_{MAX_INDEX+1}."""
+    for n in range(MAX_INDEX):
+        for m in range(MAX_INDEX):
+            yield "master", (n, m)
+    for n in range(1, MAX_INDEX + 1):
+        for m in range(MAX_INDEX):
+            yield "shift", (n, m)
+    for n in range(MAX_INDEX + 1):
+        for m in range(MAX_INDEX):
+            for r in range(min(n, MAX_INDEX + 1 - m) + 1):
+                yield "transport", (m, n, r)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["exact", "corrupted"])
+    @pytest.mark.parametrize("label", sorted(SEEDS))
+    def test_residuals_equal_unmemoized_reference(self, label, corrupt):
+        seq = symbolic(SEEDS[label], MAX_INDEX + 1)
+        if corrupt:
+            seq = seq.with_entry(3, seq.ell(3) + seq.u)
+        nonzero = 0
+        for name, args in _lattice_cases():
+            memoized, reference = RESIDUALS[name]
+            got = memoized(seq, *args)
+            assert got == reference(seq, *args), (name, args)
+            nonzero += not got.is_zero()
+        assert (nonzero > 0) == corrupt
+
+    def test_with_entry_starts_an_empty_memo(self):
+        seq = symbolic(SEEDS["standard"], 4)
+        for name, args in (("master", (1, 1)), ("shift", (2, 1)),
+                           ("transport", (0, 3, 2))):
+            memoized, reference = RESIDUALS[name]
+            assert memoized(seq, *args).is_zero()
+            bad = seq.with_entry(2, seq.ell(2) + seq.u)
+            got = memoized(bad, *args)
+            assert not got.is_zero()
+            assert got == reference(bad, *args)
+            assert memoized(seq, *args).is_zero()
+
+    @pytest.mark.parametrize("name, args, j", [
+        ("master", (1, 1), 1), ("master", (1, 1), 2), ("shift", (2, 1), 2),
+        ("transport", (0, 3, 2), 1)])
+    def test_in_place_entry_change_is_recomputed(self, name, args, j):
+        memoized, reference = RESIDUALS[name]
+        seq = symbolic(SEEDS["painleve3"], 4)
+        assert memoized(seq, *args).is_zero()
+        seq.ells[j] = seq.ell(j) + seq.u
+        got = memoized(seq, *args)
+        assert not got.is_zero()
+        assert got == reference(seq, *args)
+
+    def test_transport_sweep_derivative_count(self, monkeypatch):
+        # The `verify --suite transport --max-index 4` sweep over one seed.
+        # It takes 62 total derivatives with the memo and 432 without.
+        max_index = 4
+        seq = symbolic(SeedCondition.painleve3(), max_index + 1)
+        calls = []
+        derivative = jetring.Poly.total_derivative
+
+        def counted(self, rules=None):
+            calls.append(None)
+            return derivative(self, rules)
+
+        monkeypatch.setattr(jetring.Poly, "total_derivative", counted)
+        for n in range(max_index + 1):
+            for m in range(max_index):
+                for r in range(min(n, max_index + 1 - m) + 1):
+                    assert transport_residual(seq, m, n, r).is_zero()
+        assert len(calls) <= 62
