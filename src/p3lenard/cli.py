@@ -135,15 +135,23 @@ def _cmd_gen_lax(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
-def _verify_checks(suite: str, max_index: int):
-    """Yield (ok, suite, indices-description) tuples, deterministic order."""
+def _verify_sequences(max_index: int) -> dict:
+    """The symbolic sequence of each seed that the lattice and conservation
+    suites check, by seed label."""
     seeds = {
         "standard": SeedCondition.standard(),
         "p3": SeedCondition.painleve3(),
         "custom": SeedCondition.custom(parse("1/2*s^2")),
     }
+    return {label: symbolic(seed, max_index + 2)
+            for label, seed in seeds.items()}
+
+
+def _verify_checks(suite: str, max_index: int, seqs: dict):
+    """Yield (ok, suite, indices-description) tuples, deterministic order.
+    ``seqs`` comes from ``_verify_sequences(max_index)``; suites that share
+    it reuse each sequence's memo of derivatives."""
     count = max_index + 2
-    seqs = {label: symbolic(seed, count) for label, seed in seeds.items()}
 
     if suite == "master":
         for label, seq in seqs.items():
@@ -194,9 +202,10 @@ def _cmd_verify(args) -> int:
     if args.max_index < 1:
         print("--max-index must be positive", file=sys.stderr)
         return EXIT_USAGE
+    seqs = _verify_sequences(args.max_index)
     passed = failed = 0
     for suite in suites:
-        for ok, name, desc in _verify_checks(suite, args.max_index):
+        for ok, name, desc in _verify_checks(suite, args.max_index, seqs):
             print(f"{'PASS' if ok else 'FAIL'} {name} {desc}")
             if ok:
                 passed += 1

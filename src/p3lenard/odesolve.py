@@ -9,11 +9,16 @@ differentiation of the compiled right-hand side, never from finite
 differences, so any drift observed is attributable to time stepping alone.
 
 Integration is fixed-step classical RK4, deterministic and bit-for-bit
-reproducible.  A run stops only at a non-finite or singular evaluation (a
-zero l_p or determinant, a vanishing denominator, an overflow).  A sign
-change of l1 between two steps is not detected: the k = 1 demo run on
-[1, 5] at h = 1e-3 records l1 = -6.9e-4 at s = 3.621, past the zero of l1,
-and stops only near s = 4.317 (ROADMAP open item 5).
+reproducible.  Each run generates one straight-line step function for the
+state dimension: it calls the right-hand side four times with literal stage
+tuples and returns the update as one tuple, with no per-step loop over the
+components.  The step size must split [s_start, s_end] into a whole number
+of steps; a range is never stretched or cut to fit.  A run stops only at a
+non-finite or singular evaluation (a zero l_p or determinant, a vanishing
+denominator, an overflow).  A sign change of l1 between two steps is not
+detected: the k = 1 demo run on [1, 5] at h = 1e-3 records l1 = -6.9e-4 at
+s = 3.621, past the zero of l1, and stops only near s = 4.317 (ROADMAP open
+item 5).
 """
 
 from __future__ import annotations
@@ -46,6 +51,9 @@ class UnknownMonitor(KeyError):
 
 
 MAX_STEPS = 10 ** 8
+# largest |n * step - (s_end - s_start)|, relative to the interval, at which
+# n steps still count as covering it exactly
+STEP_FIT_RTOL = 1e-9
 
 
 # -- float code generation for exact expressions --------------------------------
@@ -308,18 +316,59 @@ def compile_k2(tau) -> CompiledSystem:
 
 # -- integration ----------------------------------------------------------------
 
+def _step_source(dimension: int) -> str:
+    """Source of ``step(rhs, s, h, y)``, one classical RK4 step of a
+    ``dimension``-component state, returning the new state.
+
+    The stages are straight-line code on unpacked scalars: k1 = rhs(s, y),
+    then k2, k3 and k4 from literal tuples ``y_i + hh * k1_i`` and so on,
+    with hh = h / 2, and the update ``y_i + h6 * (k1_i + 2 * k2_i + 2 * k3_i
+    + k4_i)`` with h6 = h / 6.  Source text is built only from slot indices.
+    """
+    slots = range(dimension)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in slots)
+
+    def stage(weight, k):
+        return ", ".join(f"y{i} + {weight} * {k}_{i}" for i in slots)
+
+    update = ", ".join(
+        f"y{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in slots)
+    lines = [f"({', '.join(f'y{i}' for i in slots)},) = y",
+             "hh = h / 2",
+             f"({names('k1')},) = rhs(s, y)",
+             f"({names('k2')},) = rhs(s + hh, ({stage('hh', 'k1')},))",
+             f"({names('k3')},) = rhs(s + hh, ({stage('hh', 'k2')},))",
+             f"({names('k4')},) = rhs(s + h, ({stage('h', 'k3')},))",
+             "h6 = h / 6",
+             f"return ({update},)"]
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def step(rhs, s, h, y):\n{body}"
+
+
 def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     """Classical fixed-step RK4.  Deterministic bit-for-bit for a given
     configuration; halts with an aborted status at the first non-finite or
-    singular evaluation."""
+    singular evaluation.  The step size must split [s_start, s_end] into a
+    whole number of steps, to within a relative ``STEP_FIT_RTOL`` of the
+    interval."""
+    if not all(math.isfinite(v) for v in (cfg.s_start, cfg.s_end, cfg.step)):
+        raise DomainError("s_start, s_end and step must be finite")
     if cfg.step <= 0:
         raise StepSizeUnderflow(f"step {cfg.step!r} must be positive")
     if cfg.s_start <= 0:
         raise DomainError("s_start must be positive (equations have 1/s terms)")
     if cfg.s_end <= cfg.s_start:
         raise DomainError("s_end must exceed s_start")
-    if (cfg.s_end - cfg.s_start) / cfg.step > MAX_STEPS:
+    span = cfg.s_end - cfg.s_start
+    if span / cfg.step > MAX_STEPS:
         raise DomainError("step count exceeds the runaway guard")
+    n = round(span / cfg.step)
+    if abs(n * cfg.step - span) > STEP_FIT_RTOL * span:
+        raise DomainError(f"step {cfg.step!r} does not split "
+                          f"[{cfg.s_start!r}, {cfg.s_end!r}] into a whole "
+                          f"number of steps")
     if cfg.decimate < 1:
         raise ValueError("decimate must be >= 1")
     y = tuple(float(v) for v in init)
@@ -328,7 +377,7 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     if not all(math.isfinite(v) for v in y):
         raise ValueError("initial state must be finite")
 
-    n = max(1, round((cfg.s_end - cfg.s_start) / cfg.step))
+    step = _materialize(_step_source(sys.dimension))["step"]
     h = cfg.step
     names = sys.monitor_names()
     acc_values = {name: 0.0 for name in sys.accumulators}
@@ -354,12 +403,7 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
         prev_integrands = integrand_values(s_i, y)
         samples.append((s_i, y, monitor_row(s_i, y, prev_integrands)))
         for i in range(1, n + 1):
-            k1 = sys.rhs(s_i, y)
-            k2 = sys.rhs(s_i + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
-            k3 = sys.rhs(s_i + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
-            k4 = sys.rhs(s_i + h, tuple(a + h * b for a, b in zip(y, k3)))
-            y = tuple(a + h / 6 * (p + 2 * q + 2 * r + w)
-                      for a, p, q, r, w in zip(y, k1, k2, k3, k4))
+            y = step(sys.rhs, s_i, h, y)
             s_i = cfg.s_start + i * h
             if not all(math.isfinite(v) for v in y):
                 status, abort_s = "aborted-nonfinite", s_i

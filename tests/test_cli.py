@@ -152,7 +152,8 @@ class TestVerify:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_checks",
-                            lambda suite, max_index: iter([(False, suite, "x")]))
+                            lambda suite, max_index, seqs:
+                            iter([(False, suite, "x")]))
         code, out, _ = run(capsys, "verify", "--suite", "master")
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL master x" in out
@@ -213,6 +214,24 @@ class TestIntegrate:
                          "--init", "1,0", "--s0", "-1", "--s1", "2",
                          "--step", "1e-3", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("s0, s1, step, message", [
+        ("1", "2", "inf", "finite"),
+        ("1", "2", "nan", "finite"),
+        ("nan", "2", "1e-3", "finite"),
+        ("1", "nan", "1e-3", "finite"),
+        ("1", "2", "10", "whole number of steps"),
+        ("1", "2", "0.3", "whole number of steps"),
+    ])
+    def test_bad_range_usage_error(self, capsys, tmp_path, s0, s1, step,
+                                   message):
+        out_file = tmp_path / "x.csv"
+        code, _, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                           "--init", "1,0", "--s0", s0, "--s1", s1,
+                           "--step", step, "--out", str(out_file))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("bad configuration: ") and message in err
+        assert not out_file.exists()
 
 
 class TestTopLevel:

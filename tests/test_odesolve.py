@@ -15,8 +15,8 @@ from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, DomainError, SingularMassMatrix,
                                SolverConfig, StepSizeUnderflow, Trajectory,
                                UnknownMonitor, _exact_system, _generate,
-                               compile_k1, compile_k2, drift_report, integrate,
-                               write_csv)
+                               _materialize, _step_source, compile_k1,
+                               compile_k2, drift_report, integrate, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,16 @@ class TestIntegrate:
             integrate(k1_demo, (1.0, 0.0), SolverConfig(2.0, 1.0, 0.1))
         with pytest.raises(DomainError):
             integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 2.0, 1e-12))
+        inf, nan = math.inf, math.nan
+        for cfg in ((1.0, 2.0, inf), (1.0, 2.0, nan), (1.0, 2.0, -inf),
+                    (nan, 2.0, 0.1), (1.0, nan, 0.1), (1.0, inf, 0.1),
+                    (inf, inf, 0.1)):
+            with pytest.raises(DomainError, match="finite"):
+                integrate(k1_demo, (1.0, 0.0), SolverConfig(*cfg))
+        for cfg in ((1.0, 2.0, 10.0), (1.0, 2.0, 0.3), (1.0, 2.0, 0.6),
+                    (1.0, 1.5, 1e-3 * (1 + 1e-8))):
+            with pytest.raises(DomainError, match="whole number of steps"):
+                integrate(k1_demo, (1.0, 0.0), SolverConfig(*cfg))
         with pytest.raises(ValueError):
             integrate(k1_demo, (1.0,), SolverConfig(1.0, 2.0, 0.1))
         with pytest.raises(ValueError):
@@ -342,3 +352,66 @@ class TestGeneratedParity:
         system = k1_demo if k == 1 else k2_demo
         traj = integrate(system, init, SolverConfig(*cfg))
         assert (traj.status, traj.abort_s, len(traj.samples)) == expected
+
+
+# -- reference RK4 step: the zip stage loop the generated step replaced ------
+
+def _reference_step(rhs, s, h, y):
+    k1 = rhs(s, y)
+    k2 = rhs(s + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k1)))
+    k3 = rhs(s + h / 2, tuple(a + h / 2 * b for a, b in zip(y, k2)))
+    k4 = rhs(s + h, tuple(a + h * b for a, b in zip(y, k3)))
+    return tuple(a + h / 6 * (p + 2 * q + 2 * r + w)
+                 for a, p, q, r, w in zip(y, k1, k2, k3, k4))
+
+
+def _assert_step_parity(system, step):
+    """Search random finite (s, h, y) for a step of ``system`` whose new
+    state or exception differs from the reference stage loop."""
+    dimension = system.dimension
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s=_FINITE, h=st.one_of(st.floats(1e-6, 1.0), _FINITE),
+           y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
+    def check(s, h, y):
+        y = tuple(y)
+        got = _outcome(lambda s, y: step(system.rhs, s, h, y), s, y)
+        want = _outcome(lambda s, y: _reference_step(system.rhs, s, h, y),
+                        s, y)
+        assert got == want
+
+    check()
+
+
+class TestGeneratedStep:
+    """The generated RK4 step against the stage loop it replaced."""
+
+    def test_k1_bit_parity(self, k1_demo):
+        _assert_step_parity(k1_demo, _materialize(_step_source(2))["step"])
+
+    def test_k2_bit_parity(self, k2_demo):
+        _assert_step_parity(k2_demo, _materialize(_step_source(4))["step"])
+
+    def test_hand_written_rhs_bit_parity(self):
+        # y1 ** 2 can overflow, so exceptions are compared too
+        system = _double(lambda s, y: (y[1], s * y[0] - y[1] ** 2),
+                         dimension=2)
+        _assert_step_parity(system, _materialize(_step_source(2))["step"])
+
+    def test_swapped_weights_are_caught(self, k1_demo):
+        source = _step_source(2)
+        bad = source.replace("(k1_0 + 2 * k2_0 + 2 * k3_0 + k4_0)",
+                             "(2 * k1_0 + k2_0 + k3_0 + 2 * k4_0)")
+        assert bad != source
+        with pytest.raises(AssertionError):
+            _assert_step_parity(k1_demo, _materialize(bad)["step"])
+
+    def test_integrate_calls_rhs_four_times_per_step(self):
+        calls = []
+
+        def rhs(s, y):
+            calls.append(s)
+            return (y[0],)
+
+        integrate(_double(rhs), (1.0,), SolverConfig(1.0, 1.5, 0.25))
+        assert calls == [1.0, 1.125, 1.125, 1.25, 1.25, 1.375, 1.375, 1.5]

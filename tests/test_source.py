@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
+from p3lenard import odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -59,4 +60,26 @@ def test_generated_source_has_no_assert():
         functions = [node.name for node in tree.body
                      if isinstance(node, ast.FunctionDef)]
         assert functions[0] == "rhs" and len(functions) == 1 + len(system.monitors)
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+def test_step_source_enters_through_materialize(monkeypatch):
+    """``integrate`` turns the generated RK4 step into code only through
+    ``_materialize``, once per run, and the step holds no ``assert``."""
+    seen = []
+    materialize = odesolve._materialize
+
+    def record(source):
+        seen.append(source)
+        return materialize(source)
+
+    monkeypatch.setattr(odesolve, "_materialize", record)
+    for system, init in ((compile_k1(1, 2), (1.0, 0.0)),
+                         (compile_k2((1, 2, 3)), (1.0, 0.0, 1.0, 0.0))):
+        seen.clear()
+        odesolve.integrate(system, init,
+                           odesolve.SolverConfig(1.0, 1.01, 1e-3))
+        assert seen == [odesolve._step_source(system.dimension)]
+        tree = ast.parse(seen[0])
+        assert [node.name for node in tree.body] == ["step"]
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
