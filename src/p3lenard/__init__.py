@@ -15,9 +15,8 @@ from .hierarchy import (ConservedQuantity, HierarchySystem, build_p3_system,
 from .laxpair import (LaurentPoly, LaxMatrices, SeedMismatch, c_relation_residual,
                       build_b, build_lax_matrices, compatibility_residual,
                       derive_a_c)
-from .odesolve import (CompiledSystem, DomainError, SingularMassMatrix,
-                       SolverConfig, StepSizeUnderflow, Trajectory,
-                       UnknownMonitor, compile_k1, compile_k2, drift_report,
-                       integrate, write_csv)
+from .odesolve import (CompiledSystem, ConstantMismatch, DomainError,
+                       SingularMassMatrix, SolverConfig, StepSizeUnderflow,
+                       Trajectory, compile_k1, compile_k2, integrate, write_csv)
 
 __version__ = "0.1.0"

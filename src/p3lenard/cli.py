@@ -26,9 +26,9 @@ from .lenard import (SeedCondition, closed_form_standard, generate,
                      symbolic, transport_residual)
 from .hierarchy import conservation_residual
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
-from .odesolve import (DomainError, SingularMassMatrix, SolverConfig,
-                       StepSizeUnderflow, compile_k1, compile_k2, integrate,
-                       write_csv)
+from .odesolve import (ConstantMismatch, DomainError, SingularMassMatrix,
+                       SolverConfig, StepSizeUnderflow, compile_k1, compile_k2,
+                       integrate, write_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,12 +47,6 @@ def _seed_from_label(label: str, expr: str | None = None) -> SeedCondition:
     if expr is None:
         expr = "1/2*s^2"
     return SeedCondition.custom(parse(expr))
-
-
-def _poly_out(poly, fmt: str) -> str:
-    if fmt == "latex":
-        return render.poly_latex(poly)
-    return render.poly_to_json(poly)
 
 
 def _ratexpr_obj(expr: RatExpr) -> dict:
@@ -224,16 +218,11 @@ def _cmd_integrate(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"bad numeric list: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.k == 1:
-        if len(taus) != 2:
-            print("--k 1 needs --tau tau0,tau1", file=sys.stderr)
-            return EXIT_USAGE
-        system = compile_k1(*taus)
-    else:
-        if len(taus) != 3:
-            print("--k 2 needs --tau tau0,tau1,tau2", file=sys.stderr)
-            return EXIT_USAGE
-        system = compile_k2(taus)
+    if len(taus) != args.k + 1:
+        names = ",".join(f"tau{p}" for p in range(args.k + 1))
+        print(f"--k {args.k} needs --tau {names}", file=sys.stderr)
+        return EXIT_USAGE
+    system = compile_k1(*taus) if args.k == 1 else compile_k2(taus)
     if len(init) != system.dimension:
         print(f"--init needs {system.dimension} values "
               f"({', '.join(system.state_names)})", file=sys.stderr)
@@ -307,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-index", type=int, default=3)
     g.set_defaults(func=_cmd_verify)
 
-    g = sub.add_parser("integrate", help="RK4 run with conservation monitors")
+    g = sub.add_parser("integrate", help="fixed-step RK4 run written as CSV")
     g.add_argument("--k", type=int, choices=(1, 2), required=True)
     g.add_argument("--tau", required=True, metavar="t0,t1[,t2]")
     g.add_argument("--init", required=True, metavar="l1,l1p[,l2,l2p]")
@@ -329,7 +318,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (SingularMassMatrix, ZeroDenominator, OverflowError,
-            NotExactDerivative) as exc:
+            NotExactDerivative, ConstantMismatch) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,12 +1,17 @@
-"""Numerical integration of the k = 1 and k = 2 hierarchy systems.
+"""Numerical integration of the Painleve III hierarchy systems.
 
 The compiler starts from the symbolic equations of ``build_p3_system``,
 substitutes numeric tau values, solves the (linear) second-derivative block
-once, and generates one straight-line Python function for the right-hand side
-and one per monitor.  Monitors — u, u', the reconstructed next recursion
-step, and the re-evaluated constants of motion — come from symbolic
-differentiation of the compiled right-hand side, never from finite
-differences, so any drift observed is attributable to time stepping alone.
+once by cofactors (Cramer's rule), the same way for every k, and generates
+one straight-line Python function for the right-hand side and one for the
+monitor u.  The right-hand side guards the l_p that divide an equation
+denominator (l_k alone, for every k checked) and the block determinant.
+
+The constants of motion are proved at compile time, not sampled: the
+on-shell tau_p, p = 1..k, must reduce exactly to the literal tau_p, and the
+next recursion step l_{k+1}' = l_k''' + 4 u l_k' + 2 u' l_k to zero, or the
+compile raises ``ConstantMismatch``.  The CSV columns ``tau_p`` and
+``ell_next_drift`` hold these exact constants.
 
 Integration is fixed-step classical RK4, deterministic and bit-for-bit
 reproducible.  Each run generates one straight-line step function for the
@@ -14,11 +19,11 @@ state dimension: it calls the right-hand side four times with literal stage
 tuples and returns the update as one tuple, with no per-step loop over the
 components.  The step size must split [s_start, s_end] into a whole number
 of steps; a range is never stretched or cut to fit.  A run stops only at a
-non-finite or singular evaluation (a zero l_p or determinant, a vanishing
-denominator, an overflow).  A sign change of l1 between two steps is not
-detected: the k = 1 demo run on [1, 5] at h = 1e-3 records l1 = -6.9e-4 at
-s = 3.621, past the zero of l1, and stops only near s = 4.317 (ROADMAP open
-item 5).
+non-finite or singular evaluation (a guarded zero l_p or determinant, a
+vanishing denominator, an overflow).  A sign change of l1 between two steps
+is not detected: the k = 1 demo run on [1, 5] at h = 1e-3 records
+l1 = -6.9e-4 at s = 3.621, past the zero of l1, and stops only near
+s = 4.317 (ROADMAP open item 3).
 """
 
 from __future__ import annotations
@@ -46,8 +51,8 @@ class DomainError(ValueError):
     pass
 
 
-class UnknownMonitor(KeyError):
-    pass
+class ConstantMismatch(ArithmeticError):
+    """An on-shell constant of motion does not reduce to its literal value."""
 
 
 MAX_STEPS = 10 ** 8
@@ -126,23 +131,17 @@ def _materialize(source: str) -> dict:
 
 @dataclass
 class CompiledSystem:
-    """First-order vector field with named scalar monitors.
-
-    ``accumulators`` maps an accumulated-monitor name to the integrand
-    monitor whose trapezoid running integral it records.
-    """
+    """First-order vector field with named scalar monitors and the exact
+    constants of motion proved for it."""
 
     k: int
     dimension: int
     state_names: tuple
     rhs: object                       # callable (s, y) -> tuple
     monitors: dict = field(default_factory=dict)
-    accumulators: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)   # CSV column -> Fraction
     csv_columns: tuple = ()
     source: str = ""                  # generated Python of rhs and monitors
-
-    def monitor_names(self) -> tuple:
-        return tuple(self.monitors) + tuple(self.accumulators)
 
 
 @dataclass(frozen=True)
@@ -180,6 +179,18 @@ def _second_derivative_split(num: Poly, unknowns: list):
     return rest, coeffs
 
 
+def _determinant(rows: list) -> Poly:
+    """Cofactor expansion along the first row, skipping zero entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * entry * _determinant(minor)
+    return total
+
+
 @dataclass(frozen=True)
 class _ExactSystem:
     """The exact expressions a compiled system is generated from."""
@@ -187,12 +198,16 @@ class _ExactSystem:
     k: int
     state_names: tuple
     layout: dict                      # (dependent name, order) -> state slot
+    guarded: tuple                    # the l_p dividing an equation denominator
     det: Poly                         # determinant of the l'' block
     second: tuple                     # RatExpr of each l_p'', p = 1..k
     monitors: dict                    # monitor name -> RatExpr
+    constants: dict                   # CSV column -> value proved on shell
 
 
 def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
+    """Solve the l'' block of the k-th system and prove its constants of
+    motion; raises ``ConstantMismatch`` if one does not reduce exactly."""
     if len(tau_values) != k + 1:
         raise ValueError(f"k = {k} needs {k + 1} tau values")
     taus = [Fraction(t) for t in tau_values]
@@ -205,21 +220,16 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
             e = e.subs_param(f"tau{p}", t)
         return e
 
-    nums = [fix_params(eq).num for eq in sys.equations]
-    splits = [_second_derivative_split(n, unknowns) for n in nums]
-
-    if k == 1:
-        a1, (b1,) = splits[0]
-        det = b1
-        f_exprs = [RatExpr(-a1, b1)]
-    elif k == 2:
-        a1, (b1, c1) = splits[0]
-        a2, (b2, c2) = splits[1]
-        det = b1 * c2 - b2 * c1
-        f_exprs = [RatExpr(a2 * c1 - a1 * c2, det),
-                   RatExpr(a1 * b2 - a2 * b1, det)]
-    else:
-        raise ValueError("numerical compilation supports k = 1 and k = 2 only")
+    equations = [fix_params(eq) for eq in sys.equations]
+    guarded = tuple(name for name in unknowns
+                    if any(eq.den.max_order(name) is not None
+                           for eq in equations))
+    # equation p reads sum_q B_pq l_q'' = -A_p
+    splits = [_second_derivative_split(eq.num, unknowns) for eq in equations]
+    det = _determinant([coeffs for _, coeffs in splits])
+    f_exprs = [RatExpr(_determinant([coeffs[:q] + [-a] + coeffs[q + 1:]
+                                     for a, coeffs in splits]), det)
+               for q in range(k)]
 
     def subs_second(e: RatExpr) -> RatExpr:
         for name, f in zip(unknowns, f_exprs):
@@ -236,14 +246,18 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
     lk_var = RatExpr(ring.var(lk, 0))
     lk_p = RatExpr(ring.var(lk, 1))
     lk_ppp = on_shell_derivative(f_exprs[k - 1])
-    dl_next = lk_ppp + 4 * u0 * lk_p + 2 * u1 * lk_var
 
     seq = boundary_jet_sequence(k, ring)
-    tau_checks = {}
+    on_shell = {}
     for p in range(1, k + 1):
         expr = RatExpr(conserved_tau(seq, k, p).expr)
         expr = subs_second(fix_params(expr.subs_var("u", 0, sys.u_expr)))
-        tau_checks[f"tau{p}"] = expr
+        on_shell[f"tau{p}"] = (expr, taus[p])
+    on_shell["ell_next_drift"] = (lk_ppp + 4 * u0 * lk_p + 2 * u1 * lk_var,
+                                  Fraction(0))
+    for name, (expr, value) in on_shell.items():
+        if expr != value:
+            raise ConstantMismatch(f"on-shell {name} does not reduce to {value}")
 
     layout = {}
     state_names = []
@@ -253,9 +267,11 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
         layout[(name, 1)] = len(state_names)
         state_names.append(name + "p")
 
-    monitors = {"u": u0, "u_prime": u1, "dl_next": dl_next, **tau_checks}
     return _ExactSystem(k=k, state_names=tuple(state_names), layout=layout,
-                        det=det, second=tuple(f_exprs), monitors=monitors)
+                        guarded=guarded, det=det, second=tuple(f_exprs),
+                        monitors={"u": u0},
+                        constants={name: value
+                                   for name, (_, value) in on_shell.items()})
 
 
 def _generate(exact: _ExactSystem):
@@ -263,10 +279,10 @@ def _generate(exact: _ExactSystem):
     (source, rhs, {monitor name: evaluator})."""
     dimension = len(exact.state_names)
     em = _Emitter(exact.layout, dimension)
-    # the pre-clearing equations divide by the l_p, so a zero component is a
-    # pole even when the cleared determinant stays finite
-    for p in range(1, exact.k + 1):
-        em.lines += [f"if y{exact.layout[(f'l{p}', 0)]} == 0.0:",
+    # an equation that divides by l_p has a pole at l_p = 0 even where the
+    # cleared determinant stays finite
+    for name in exact.guarded:
+        em.lines += [f"if y{exact.layout[(name, 0)]} == 0.0:",
                      "    raise SingularMassMatrix(s)"]
     det = em.poly(exact.det)
     em.lines += [f"det = {det}", "if det == 0.0:",
@@ -290,18 +306,11 @@ def _generate(exact: _ExactSystem):
 def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
     exact = _exact_system(k, tau_values)
     source, rhs, monitors = _generate(exact)
-    if k == 1:
-        accumulators = {"l2_reconstructed": "dl_next"}
-        csv_columns = ("s", "l1", "l1p", "u", "tau1", "ell_next_drift")
-    else:
-        accumulators = {}
-        csv_columns = ("s", "l1", "l1p", "l2", "l2p", "u", "tau1", "tau2",
-                       "ell_next_drift")
-
-    return CompiledSystem(k=k, dimension=2 * k, state_names=exact.state_names,
-                          rhs=rhs, monitors=monitors,
-                          accumulators=accumulators, csv_columns=csv_columns,
-                          source=source)
+    return CompiledSystem(
+        k=k, dimension=2 * k, state_names=exact.state_names, rhs=rhs,
+        monitors=monitors, constants=exact.constants,
+        csv_columns=("s", *exact.state_names, *monitors, *exact.constants),
+        source=source)
 
 
 def compile_k1(tau0, tau1) -> CompiledSystem:
@@ -379,41 +388,22 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
 
     step = _materialize(_step_source(sys.dimension))["step"]
     h = cfg.step
-    names = sys.monitor_names()
-    acc_values = {name: 0.0 for name in sys.accumulators}
+    monitors = tuple(sys.monitors.values())
     samples = []
     status = "completed"
     abort_s = None
 
-    monitors = tuple(sys.monitors.items())
-    integrand_monitors = tuple((src, sys.monitors[src])
-                               for src in dict.fromkeys(sys.accumulators.values()))
-
-    def monitor_row(si, yi, integrands):
-        row = [integrands[name] if name in integrands else fn(si, yi)
-               for name, fn in monitors]
-        row.extend(acc_values[name] for name in sys.accumulators)
-        return tuple(row)
-
-    def integrand_values(si, yi):
-        return {src: fn(si, yi) for src, fn in integrand_monitors}
-
     try:
         s_i = cfg.s_start
-        prev_integrands = integrand_values(s_i, y)
-        samples.append((s_i, y, monitor_row(s_i, y, prev_integrands)))
+        samples.append((s_i, y, tuple([fn(s_i, y) for fn in monitors])))
         for i in range(1, n + 1):
             y = step(sys.rhs, s_i, h, y)
             s_i = cfg.s_start + i * h
             if not all(math.isfinite(v) for v in y):
                 status, abort_s = "aborted-nonfinite", s_i
                 break
-            integrands = integrand_values(s_i, y)
-            for name, src in sys.accumulators.items():
-                acc_values[name] += h * (prev_integrands[src] + integrands[src]) / 2
-            prev_integrands = integrands
             if i % cfg.decimate == 0 or i == n:
-                row = monitor_row(s_i, y, integrands)
+                row = tuple([fn(s_i, y) for fn in monitors])
                 if not all(math.isfinite(v) for v in row):
                     status, abort_s = "aborted-nonfinite", s_i
                     break
@@ -422,30 +412,17 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
         status = "aborted-nonfinite"
         abort_s = getattr(exc, "s", s_i)
 
-    return Trajectory(monitor_names=names, samples=samples,
+    return Trajectory(monitor_names=tuple(sys.monitors), samples=samples,
                       status=status, abort_s=abort_s)
 
 
-def drift_report(traj: Trajectory, monitor: str):
-    """(max absolute drift, relative drift) of a monitor against its value at
-    the first sample; relative drift is normalized by |initial| + 1."""
-    if monitor not in traj.monitor_names:
-        raise UnknownMonitor(monitor)
-    idx = traj.monitor_names.index(monitor)
-    v0 = traj.samples[0][2][idx]
-    max_abs = max(abs(sample[2][idx] - v0) for sample in traj.samples)
-    return max_abs, max_abs / (abs(v0) + 1.0)
-
-
 def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
-    """Trajectory CSV with 17-significant-digit decimal values."""
-    ell_next = "l2_reconstructed" if sys.k == 1 else "dl_next"
-    tau_names = [f"tau{p}" for p in range(1, sys.k + 1)]
+    """Trajectory CSV with 17-significant-digit decimal values: s, the state
+    and the monitors of each sample, then the exact constants of ``sys``."""
+    constants = [f"{float(v):.17g}" for v in sys.constants.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(sys.csv_columns)
-        columns = [traj.monitor_names.index(name)
-                   for name in ("u", *tau_names, ell_next)]
         for s_i, y, mon in traj.samples:
-            writer.writerow(f"{v:.17g}"
-                            for v in (s_i, *y, *(mon[c] for c in columns)))
+            writer.writerow([*(f"{v:.17g}" for v in (s_i, *y, *mon)),
+                             *constants])

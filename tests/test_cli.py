@@ -7,11 +7,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from p3lenard import cli, render
+from p3lenard import cli, odesolve, render
 from p3lenard.diffpoly import U_RING, u
 from p3lenard.hierarchy import (build_p3_system, equation_equivalent,
                                 hierarchy_ring)
 from p3lenard.jetring import RatExpr
+
+from test_odesolve import _flip_tau_sign
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,26 @@ class TestIntegrate:
                            "--step", step, "--out", str(out_file))
         assert code == cli.EXIT_USAGE
         assert err.startswith("bad configuration: ") and message in err
+        assert not out_file.exists()
+
+    def test_k2_start_at_zero_l1_completes(self, capsys, tmp_path):
+        # no k = 2 equation divides by l1, so a zero l1 is not a stop
+        out_file = tmp_path / "run.csv"
+        code, out, err = run(capsys, "integrate", "--k", "2", "--tau", "1,2,3",
+                             "--init", "0,1,1,0", "--s0", "1", "--s1", "1.1",
+                             "--step", "1e-3", "--out", str(out_file))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.endswith("(101 samples)\n")
+
+    def test_constant_mismatch_is_runtime_error(self, capsys, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(odesolve, "build_p3_system", _flip_tau_sign)
+        out_file = tmp_path / "run.csv"
+        code, _, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                           "--init", "1,0", "--s0", "1", "--s1", "1.1",
+                           "--step", "1e-3", "--out", str(out_file))
+        assert code == cli.EXIT_RUNTIME
+        assert err == "runtime error: on-shell tau1 does not reduce to 2\n"
         assert not out_file.exists()
 
 

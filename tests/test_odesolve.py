@@ -1,22 +1,30 @@
-"""Numerical layer: compilation of the k=1 and k=2 systems, RK4 behaviour,
-drift reporting, and the trajectory CSV."""
+"""Numerical layer: the generic compile path (exact constants, Cramer solve,
+derived guard), RK4 behaviour, and the trajectory CSV."""
 
+import ast
 import dataclasses
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p3lenard
+from p3lenard import odesolve
 from p3lenard.hierarchy import build_p3_system
 from p3lenard.jetring import Poly, RatExpr
-from p3lenard.odesolve import (CompiledSystem, DomainError, SingularMassMatrix,
-                               SolverConfig, StepSizeUnderflow, Trajectory,
-                               UnknownMonitor, _exact_system, _generate,
-                               _materialize, _step_source, compile_k1,
-                               compile_k2, drift_report, integrate, write_csv)
+from p3lenard.odesolve import (CompiledSystem, ConstantMismatch, DomainError,
+                               SingularMassMatrix, SolverConfig,
+                               StepSizeUnderflow, _compile_system,
+                               _exact_system, _generate, _materialize,
+                               _step_source, compile_k1, compile_k2, integrate,
+                               write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -48,32 +56,32 @@ class TestCompileK1:
         assert ddl1 == pytest.approx(0.0, abs=1e-14)
 
     def test_monitors_present(self, k1_demo):
-        assert set(k1_demo.monitor_names()) >= {"u", "u_prime", "dl_next",
-                                                "tau1", "l2_reconstructed"}
+        assert tuple(k1_demo.monitors) == ("u",)
 
     def test_u_monitor_finite_off_zero(self, k1_demo):
         assert math.isfinite(k1_demo.monitors["u"](1.3, (0.7, 0.2)))
 
     def test_tau_monitor_matches_parameter(self, k1_demo):
-        # tau1 re-evaluated from the conserved expression is an algebraic
-        # consequence of the equation; at an arbitrary state it need not be 2,
-        # but at any state it must satisfy the defining relation, so check a
-        # state on the isocline where l1'' vanishes
-        assert k1_demo.monitors["tau1"](1.0, (1.0, 0.0)) == pytest.approx(2.0)
+        # the on-shell tau1 is proved equal to the parameter at compile time,
+        # so it is carried as an exact constant, not a float monitor
+        assert k1_demo.constants == {"tau1": 2, "ell_next_drift": 0}
 
 
 class TestCompileK2:
     def test_dimension_and_monitors(self, k2_demo):
         assert k2_demo.dimension == 4
-        assert set(k2_demo.monitor_names()) >= {"u", "dl_next", "tau1", "tau2"}
+        assert tuple(k2_demo.monitors) == ("u",)
+        assert k2_demo.constants == {"tau1": 2, "tau2": 3, "ell_next_drift": 0}
 
     def test_determinant_nonzero_at_generic_state(self, k2_demo):
         out = k2_demo.rhs(1.0, (1.0, 0.0, 1.0, 0.0))
         assert all(math.isfinite(v) for v in out)
 
-    def test_l1_zero_is_singular(self, k2_demo):
-        with pytest.raises((SingularMassMatrix, ZeroDivisionError)):
-            k2_demo.rhs(1.0, (0.0, 0.0, 1.0, 0.0))
+    def test_only_l2_zero_is_singular(self, k2_demo):
+        # no k = 2 equation divides by l1, so l1 = 0 is a regular state
+        assert all(math.isfinite(v) for v in k2_demo.rhs(1.0, (0.0, 0.0, 1.0, 0.0)))
+        with pytest.raises(SingularMassMatrix):
+            k2_demo.rhs(1.0, (1.0, 0.0, 0.0, 0.0))
 
     def test_round_trip_residual(self, k2_demo):
         # compiled (l1'', l2'') substituted back into the symbolic equations
@@ -164,25 +172,6 @@ class TestIntegrate:
             integrate(k1_demo, (float("nan"), 0.0), SolverConfig(1.0, 2.0, 0.1))
 
 
-class TestDriftReport:
-    def test_constant_monitor(self):
-        traj = Trajectory(monitor_names=("c",),
-                          samples=[(1.0, (0.0,), (5.0,)),
-                                   (1.1, (0.0,), (5.0,))],
-                          status="completed")
-        assert drift_report(traj, "c") == (0.0, 0.0)
-
-    def test_unknown_monitor(self):
-        traj = Trajectory(monitor_names=("c",), samples=[], status="completed")
-        with pytest.raises(UnknownMonitor):
-            drift_report(traj, "missing")
-
-    def test_k1_short_run_drift(self, k1_demo):
-        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 2.0, 1e-3))
-        _, rel = drift_report(traj, "tau1")
-        assert rel < 1e-8
-
-
 class TestWriteCsv:
     def test_k1_layout(self, k1_demo, tmp_path):
         traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.1, 1e-3,
@@ -202,6 +191,8 @@ class TestWriteCsv:
         write_csv(traj, k2_demo, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "s,l1,l1p,l2,l2p,u,tau1,tau2,ell_next_drift"
+        assert len(lines) == len(traj.samples) + 1
+        assert all(line.endswith(",2,3,0") for line in lines[1:])
 
     def test_seventeen_significant_digits(self, k1_demo, tmp_path):
         traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.01, 1e-3))
@@ -246,11 +237,12 @@ def _ref_ratexpr(e: RatExpr, layout):
 
 
 def _reference(exact):
-    """(rhs, monitors) of an exact system as term loops over its terms."""
+    """(rhs, monitors) of an exact system as term loops over its terms; the
+    guard covers the l_p that divide an equation denominator."""
     layout = exact.layout
     det = _ref_poly(exact.det, layout)
     second = [_ref_ratexpr(f, layout) for f in exact.second]
-    values = [layout[(f"l{p}", 0)] for p in range(1, exact.k + 1)]
+    values = [layout[(name, 0)] for name in exact.guarded]
     slopes = [layout[(f"l{p}", 1)] for p in range(1, exact.k + 1)]
 
     def rhs(s, y):
@@ -328,11 +320,13 @@ class TestGeneratedParity:
 
     def test_zero_component_raises_with_s(self, k1_demo, k2_demo):
         for system, y in ((k1_demo, (0.0, 0.3)), (k1_demo, (-0.0, 0.3)),
-                          (k2_demo, (0.0, 0.1, 1.0, 0.2)),
-                          (k2_demo, (1.0, 0.1, 0.0, 0.2))):
+                          (k2_demo, (1.0, 0.1, 0.0, 0.2)),
+                          (k2_demo, (1.0, 0.1, -0.0, 0.2))):
             with pytest.raises(SingularMassMatrix) as info:
                 system.rhs(1.25, y)
             assert info.value.s == 1.25
+        # only l_k is guarded: a zero l1 of the k = 2 system is regular
+        assert all(math.isfinite(v) for v in k2_demo.rhs(1.25, (0.0, 0.1, 1.0, 0.2)))
 
     # (status, abort_s, sample count) as the term-loop evaluators gave them
     @pytest.mark.parametrize("k, init, cfg, expected", [
@@ -415,3 +409,132 @@ class TestGeneratedStep:
 
         integrate(_double(rhs), (1.0,), SolverConfig(1.0, 1.5, 0.25))
         assert calls == [1.0, 1.125, 1.125, 1.25, 1.25, 1.375, 1.375, 1.5]
+
+
+# -- the generic compile path, k = 1..4 --------------------------------------
+
+GENERIC_KS = (1, 2, 3, 4)
+
+
+def _taus(k):
+    return tuple(range(1, k + 2))
+
+
+def _flip_tau_sign(k):
+    """``build_p3_system`` with the sign of tau_k flipped in equation k."""
+    system = build_p3_system(k)
+    tau = RatExpr(system.ring.param(f"tau{k}"))
+    system.equations[k - 1] = system.equations[k - 1] + 2 * tau
+    return system
+
+
+@pytest.fixture(scope="module")
+def generic_exact():
+    return {k: _exact_system(k, _taus(k)) for k in GENERIC_KS}
+
+
+class TestGenericCompile:
+    """One cofactor solve, one derived guard and one exact constant check
+    for every k."""
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_constants_proved_exactly(self, generic_exact, k):
+        # _exact_system returns only after every on-shell constant reduced
+        assert generic_exact[k].constants == {
+            **{f"tau{p}": p + 1 for p in range(1, k + 1)}, "ell_next_drift": 0}
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_determinant_is_one_monomial(self, generic_exact, k):
+        det = generic_exact[k].det
+        monomial = (2 ** (k - 1) * det.ring.s()
+                    * det.ring.var(f"l{k}", 0) ** (3 * k - 2))
+        assert det == monomial or det == -monomial
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_guard_is_derived_from_denominators(self, generic_exact, k):
+        assert generic_exact[k].guarded == (f"l{k}",)
+
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_round_trip_residual(self, generic_exact, k):
+        # the solved l'' substituted back into the symbolic equations
+        _, rhs, _ = _generate(generic_exact[k])
+        equations = build_p3_system(k).equations
+        taus = {f"tau{p}": float(t) for p, t in enumerate(_taus(k))}
+        rng = random.Random(k)
+        for _ in range(20):
+            s = rng.uniform(0.5, 3.0)
+            state = []
+            for _ in range(k):
+                state += [rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)]
+            out = rhs(s, tuple(state))
+            jets = {f"l{p}": [state[2 * p - 2], state[2 * p - 1], out[2 * p - 1]]
+                    for p in range(1, k + 1)}
+            for eq in equations:
+                assert abs(eq.eval(s, jets, taus)) < 1e-11
+
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_higher_k_run_completes(self, k):
+        system = _compile_system(k, _taus(k))
+        traj = integrate(system, (1.0, 0.0) * k, SolverConfig(1.0, 1.1, 1e-3))
+        assert traj.status == "completed" and len(traj.samples) == 101
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_flipped_tau_sign_fails_the_compile(self, monkeypatch, k):
+        monkeypatch.setattr(odesolve, "build_p3_system", _flip_tau_sign)
+        with pytest.raises(ConstantMismatch,
+                           match=f"on-shell tau{k} does not reduce to {k + 1}"):
+            _compile_system(k, _taus(k))
+
+    def test_flipped_tau_sign_fails_under_optimize(self):
+        script = (
+            "from p3lenard import odesolve\n"
+            "from p3lenard.hierarchy import build_p3_system\n"
+            "from p3lenard.jetring import RatExpr\n"
+            "def flipped(k):\n"
+            "    system = build_p3_system(k)\n"
+            "    tau = RatExpr(system.ring.param(f'tau{k}'))\n"
+            "    system.equations[k - 1] = system.equations[k - 1] + 2 * tau\n"
+            "    return system\n"
+            "odesolve.build_p3_system = flipped\n"
+            "print('debug', __debug__)\n"
+            "for k in (1, 2, 3, 4):\n"
+            "    try:\n"
+            "        odesolve._compile_system(k, tuple(range(1, k + 2)))\n"
+            "    except odesolve.ConstantMismatch as exc:\n"
+            "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(p3lenard.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines() == [
+            "debug False",
+            *(f"on-shell tau{k} does not reduce to {k + 1}" for k in GENERIC_KS),
+        ], done.stderr
+
+
+# SHA-256 of each generated function's text (its ast source segment),
+# recorded before the compile path became generic
+RECORDED_SHA256 = {
+    ("k1", "rhs"):
+        "d6bdc1befdefdebd88d6bad183b267427570888f1cb88b71dc5a7bea103e6ac8",
+    ("k1", "monitor_0"):
+        "e74d06b86284865461e09dadcfd45c99efa13dd09777eb251ff6c655bcdbdc98",
+    ("k2", "rhs"):
+        "6d3985fd23fa44eca7caa1183c0f687f3f831bdbb8c4ad0534f924331b0997cc",
+    ("k2", "monitor_0"):
+        "2f3b9a590ab8cdf8db253d57af6847902dbc6d9a1224815805680bb6c0258ffb",
+}
+# the recorded k = 2 rhs also guarded l1, which no k = 2 equation divides by
+_L1_GUARD = "    if y0 == 0.0:\n        raise SingularMassMatrix(s)\n"
+
+
+def test_generated_text_matches_recorded():
+    found = {}
+    for label, system in (("k1", compile_k1(1, 2)), ("k2", compile_k2((1, 2, 3)))):
+        for node in ast.parse(system.source).body:
+            text = ast.get_source_segment(system.source, node)
+            if (label, node.name) == ("k2", "rhs"):
+                assert _L1_GUARD not in text
+                text = text.replace("= y\n", "= y\n" + _L1_GUARD, 1)
+            found[(label, node.name)] = hashlib.sha256(text.encode()).hexdigest()
+    assert found == RECORDED_SHA256

@@ -21,6 +21,41 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _int_literal(node) -> bool:
+    """An integer literal, or a tuple, list or set display of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_int_literal(e) for e in node.elts)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _k_literal_comparisons(tree):
+    """Line numbers of comparisons between the name ``k`` and an integer
+    literal, such as ``k == 1`` or ``k in (1, 2)``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Name) and o.id == "k" for o in operands)
+                    and any(_int_literal(o) for o in operands)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_odesolve_has_one_compile_path_for_every_k():
+    """No branch on a particular k in ``odesolve``: every k takes the same
+    solve, guard, monitors and CSV columns."""
+    path = Path(odesolve.__file__)
+    assert _k_literal_comparisons(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_k_literal_rule_can_fail():
+    sample = "if k == 1:\n    pass\nelif 2 == k:\n    pass\nok = k in (1, 2)\n"
+    assert _k_literal_comparisons(ast.parse(sample)) == [1, 3, 5]
+    assert _k_literal_comparisons(ast.parse("ok = len(t) != k + 1\n")) == []
+
+
 def _code_builtin_uses(tree):
     """(enclosing function, name) of every reference to exec, eval or
     compile, bare or through ``builtins``."""
