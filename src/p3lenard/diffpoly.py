@@ -65,13 +65,8 @@ def formal_integral(p: Poly) -> Poly:
     """
     if p.ring != U_RING:
         raise ValueError("formal_integral is defined on the u-jet ring")
-    result = U_RING.zero()
-    work = p
-    while True:
-        r = work.max_order("u")
-        if r is None:
-            return result + Poly(U_RING, {(s_pow + 1, (), ()): c / (s_pow + 1)
-                                          for (s_pow, _, _), c in work.terms.items()})
+    result, work, r = U_RING.zero(), p, p.max_order("u")
+    while r is not None:
         if r == 0:
             raise NotExactDerivative(
                 f"no differential-polynomial antiderivative (leftover {work!s})")
@@ -80,17 +75,21 @@ def formal_integral(p: Poly) -> Poly:
             raise NotExactDerivative(
                 f"u^({r}) appears nonlinearly at top order")
         # (u^(r-1))^a -> (u^(r-1))^(a+1) is injective: no terms merge.
-        terms = {}
-        for (s_pow, jets, pars), c in parts[1].terms.items():
+        def raise_lower(m, key=(0, r - 1)):
+            s_pow, jets, pars = m
             jets_d = dict(jets)
-            a = jets_d.get((0, r - 1), 0)
-            jets_d[(0, r - 1)] = a + 1
-            terms[(s_pow, tuple(sorted(jets_d.items())), pars)] = c / (a + 1)
-        block = Poly(U_RING, terms, prune=False)
+            a = jets_d.get(key, 0)
+            jets_d[key] = a + 1
+            return (s_pow, tuple(sorted(jets_d.items())), pars), 1, a + 1
+
+        block = parts[1].map_terms(raise_lower)
         result += block
         work = work - block.total_derivative()
-        if not (work.max_order("u") is None or work.max_order("u") < r):
+        top, r = r, work.max_order("u")
+        if r is not None and r >= top:
             raise NotExactDerivative("integration by parts failed to reduce order")
+    # only powers of s remain: s^n -> s^(n+1) / (n+1)
+    return result + work.map_terms(lambda m: ((m[0] + 1, (), ()), 1, m[0] + 1))
 
 
 def eval_numeric(p: Poly, s_value: float, jet_values: list) -> float:

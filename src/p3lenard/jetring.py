@@ -3,9 +3,11 @@
 A monomial is a triple (s_power, jets, params) where jets maps the jet
 variable of dependent d at derivative order i to a positive exponent, and
 params maps constant symbols (which the total derivative kills) to positive
-exponents.  Polynomials are dicts from monomials to nonzero Fractions, so
-every mathematical element has exactly one representation and identity
-checks reduce to dict equality.
+exponents.  A polynomial maps monomials to nonzero int numerators over one
+positive int denominator ``den`` with ``gcd(den, *numerators) == 1`` (zero
+has ``den == 1``), so every element has exactly one representation, identity
+checks reduce to dict equality, and the arithmetic runs on ints.
+Coefficients leave the kernel as Fractions (``sorted_terms``, ``leading``).
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -61,7 +63,7 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _accumulate(out: dict, pairs) -> dict:
-    """Add (monomial, coefficient) pairs into ``out``, dropping zero sums."""
+    """Add (monomial, numerator) pairs into ``out``, dropping zero sums."""
     for m, c in pairs:
         if m in out:
             c += out[m]
@@ -72,13 +74,31 @@ def _accumulate(out: dict, pairs) -> dict:
     return out
 
 
-def _rational_content(coeffs) -> Fraction:
-    """gcd of numerators over lcm of denominators (positive), 0 if none."""
-    num, den = 0, 1
-    for c in coeffs:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    return Fraction(num, den)
+def _make(ring: "Ring", nums: dict, den: int) -> "Poly":
+    """The polynomial ``nums / den`` (nonzero int numerators, positive int
+    ``den``) in canonical form: one gcd removes the common factor."""
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    p = object.__new__(Poly)
+    p.ring, p.terms, p.den = ring, nums, den
+    return p
+
+
+def _divide_exponents(exponents: tuple, divisor: dict) -> tuple:
+    """Sorted (key, exponent) pairs less those of ``divisor``, zeros dropped."""
+    out = []
+    for k, e in exponents:
+        e -= divisor.get(k, 0)
+        if e < 0:
+            raise ValueError("monomial does not divide")
+        if e:
+            out.append((k, e))
+    return tuple(out)
 
 
 def _monomial_content(monomials: list) -> Monomial:
@@ -120,32 +140,29 @@ class Ring:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _make(self, {}, 1)
 
     def one(self) -> "Poly":
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Poly(self, {UNIT_MONOMIAL: c})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _make(self, {UNIT_MONOMIAL: c.numerator} if c else {}, c.denominator)
 
     def s(self, power: int = 1) -> "Poly":
         if power < 0:
             raise ValueError("negative s power")
-        if power == 0:
-            return self.one()
-        return Poly(self, {(power, (), ()): Fraction(1)})
+        return _make(self, {(power, (), ()): 1}, 1)
 
     def var(self, name: str, order: int = 0) -> "Poly":
         """The jet variable ``name^(order)`` as a polynomial."""
         d = self.dependents.index(name)
-        return Poly(self, {(0, (((d, order), 1),), ()): Fraction(1)})
+        return _make(self, {(0, (((d, order), 1),), ()): 1}, 1)
 
     def param(self, name: str) -> "Poly":
         p = self.params.index(name)
-        return Poly(self, {(0, (), ((p, 1),)): Fraction(1)})
+        return _make(self, {(0, (), ((p, 1),)): 1}, 1)
 
     def embed(self, poly: "Poly") -> "Poly":
         """Map a polynomial from another ring into this one by symbol names."""
@@ -157,20 +174,20 @@ class Ring:
             jets2 = tuple(sorted(((dep_map[d], o), e) for (d, o), e in jets))
             pars2 = tuple(sorted((par_map[p], e) for p, e in pars))
             terms[(s_pow, jets2, pars2)] = c
-        return Poly(self, terms)
+        return _make(self, terms, poly.den)
 
 
 class Poly:
-    """Immutable polynomial in canonical normal form (no zero coefficients)."""
+    """Immutable polynomial: nonzero int numerators ``terms`` over one
+    positive int ``den`` sharing no factor with them (``den == 1`` for zero).
+    ``Poly(ring, mapping)`` takes int or Fraction coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "den")
 
-    def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction], prune: bool = True):
-        self.ring = ring
-        if prune:
-            self.terms = {m: c for m, c in terms.items() if c != 0}
-        else:
-            self.terms = dict(terms)
+    def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
+        coeffs = [(m, Fraction(c)) for m, c in terms.items() if c]
+        self.ring, self.den = ring, lcm(*(c.denominator for _, c in coeffs))
+        self.terms = {m: c.numerator * (self.den // c.denominator) for m, c in coeffs}
 
     # -- basic queries ------------------------------------------------------
 
@@ -183,20 +200,24 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        return (isinstance(other, Poly) and self.ring == other.ring
+                and self.den == other.den and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.den, tuple(sorted(self.terms.items()))))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        """(monomial, Fraction coefficient) pairs, greatest monomial first."""
+        return [(m, Fraction(c, self.den)) for m, c in sorted(
+            self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)]
 
     def leading(self):
-        """(monomial, coefficient) of the greatest monomial, or None if zero."""
+        """(monomial, Fraction coefficient) of the greatest monomial, or None
+        if zero."""
         if not self.terms:
             return None
         m = max(self.terms, key=monomial_sort_key)
-        return m, self.terms[m]
+        return m, Fraction(self.terms[m], self.den)
 
     def max_order(self, dep: str) -> int | None:
         """Highest derivative order of ``dep`` occurring, or None if absent."""
@@ -215,17 +236,18 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
-        return Poly(self.ring, _accumulate(dict(self.terms), other.terms.items()),
-                    prune=False)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = dict(self.terms) if fa == 1 else {m: c * fa for m, c in self.terms.items()}
+        pairs = other.terms.items() if fb == 1 else ((m, c * fb) for m, c in other.terms.items())
+        return _make(self.ring, _accumulate(out, pairs), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()}, prune=False)
+        return _make(self.ring, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -233,15 +255,16 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            n = other.numerator
+            if not n:
                 return self.ring.zero()
-            return Poly(self.ring, {m: k * c for m, k in self.terms.items()}, prune=False)
+            return _make(self.ring, {m: c * n for m, c in self.terms.items()},
+                         self.den * other.denominator)
         self._check(other)
         pairs = ((_mul_monomials(ma, mb), ca * cb)
                  for ma, ca in self.terms.items()
                  for mb, cb in other.terms.items())
-        return Poly(self.ring, _accumulate({}, pairs), prune=False)
+        return _make(self.ring, _accumulate({}, pairs), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -264,18 +287,22 @@ class Poly:
 
         ``rules`` may give the derivative of a dependent's order-0 symbol as a
         polynomial (used for recursion-defined sequence entries); higher jets
-        of such a dependent must not occur.
+        of such a dependent must not occur.  The rule polynomials are scaled
+        to one common denominator ``rule_den``.
         """
-        rule_idx = {}
-        if rules:
-            for name, poly in rules.items():
-                self._check(poly)
-                rule_idx[self.ring.dependents.index(name)] = poly.terms
+        rules = rules or {}
+        for poly in rules.values():
+            self._check(poly)
+        rule_den = lcm(*(poly.den for poly in rules.values()))
+        rule_idx = {self.ring.dependents.index(name):
+                    [(m, c * (rule_den // poly.den)) for m, c in poly.terms.items()]
+                    for name, poly in rules.items()}
 
         def leibniz_terms():
             for (s_pow, jets, pars), c in self.terms.items():
+                cl = c * rule_den
                 if s_pow:
-                    yield (s_pow - 1, jets, pars), c * s_pow
+                    yield (s_pow - 1, jets, pars), cl * s_pow
                 # jet parts, one factor at a time (Leibniz)
                 for (d, o), e in jets:
                     rest = dict(jets)
@@ -289,13 +316,14 @@ class Poly:
                                 f"jet order {o} of rule-defined dependent "
                                 f"{self.ring.dependents[d]!r}")
                         m = (s_pow, tuple(sorted(rest.items())), pars)
-                        for mr, cr in rule_idx[d].items():
-                            yield _mul_monomials(m, mr), c * e * cr
+                        ce = c * e
+                        for mr, cr in rule_idx[d]:
+                            yield _mul_monomials(m, mr), ce * cr
                     else:
                         rest[(d, o + 1)] = rest.get((d, o + 1), 0) + 1
-                        yield (s_pow, tuple(sorted(rest.items())), pars), c * e
+                        yield (s_pow, tuple(sorted(rest.items())), pars), cl * e
 
-        return Poly(self.ring, _accumulate({}, leibniz_terms()), prune=False)
+        return _make(self.ring, _accumulate({}, leibniz_terms()), self.den * rule_den)
 
     # -- substitution ---------------------------------------------------------
 
@@ -309,26 +337,38 @@ class Poly:
             e = jets_d.pop(key, 0)
             m = (s_pow, tuple(sorted(jets_d.items())), pars)
             out.setdefault(e, {})[m] = c
-        return {e: Poly(self.ring, t) for e, t in out.items()}
+        return {e: _make(self.ring, t, self.den) for e, t in out.items()}
 
     def subs_param(self, name: str, value) -> "Poly":
-        """Replace a constant parameter by an exact rational value."""
+        """Replace a constant parameter by an exact rational value vn / vd: a
+        term with the parameter to the power e gains vn**e / vd**e."""
         p = self.ring.params.index(name)
         value = Fraction(value)
+        vn, vd = value.numerator, value.denominator
 
-        def substituted():
-            for (s_pow, jets, pars), c in self.terms.items():
-                pars_d = dict(pars)
-                e = pars_d.pop(p, 0)
-                yield (s_pow, jets, tuple(sorted(pars_d.items()))), c * value ** e
+        def substituted(m):
+            s_pow, jets, pars = m
+            pars_d = dict(pars)
+            e = pars_d.pop(p, 0)
+            return (s_pow, jets, tuple(sorted(pars_d.items()))), vn ** e, vd ** e
 
-        return Poly(self.ring, _accumulate({}, substituted()), prune=False)
+        return self.map_terms(substituted)
+
+    def map_terms(self, fn) -> "Poly":
+        """The sum of c * q / k times m2 over the terms c * m, where
+        ``fn(m) = (m2, q, k)`` with int q and positive int k; terms that land
+        on one monomial add."""
+        triples = [(fn(m), c) for m, c in self.terms.items()]
+        scale = lcm(*(k for (_, _, k), _ in triples))
+        return _make(self.ring, _accumulate({}, ((m, c * q * (scale // k))
+                                                 for (m, q, k), c in triples)),
+                     self.den * scale)
 
     # -- content and normalization ---------------------------------------------
 
     def rational_content(self) -> Fraction:
-        """gcd of numerators over lcm of denominators (positive), 0 for zero."""
-        return _rational_content(self.terms.values())
+        """gcd of the numerators over ``den`` (positive), 0 for zero."""
+        return Fraction(gcd(*self.terms.values()), self.den)
 
     def monomial_content(self) -> Monomial:
         """Componentwise minimum monomial dividing every term."""
@@ -337,24 +377,9 @@ class Poly:
     def divide_monomial(self, m: Monomial) -> "Poly":
         s_div, jets_div, pars_div = m
         jd, pd = dict(jets_div), dict(pars_div)
-        out = {}
-        for (s_pow, jets, pars), c in self.terms.items():
-            jets2 = {}
-            for k, e in jets:
-                e2 = e - jd.get(k, 0)
-                if e2 < 0:
-                    raise ValueError("monomial does not divide")
-                if e2:
-                    jets2[k] = e2
-            pars2 = {}
-            for k, e in pars:
-                e2 = e - pd.get(k, 0)
-                if e2 < 0:
-                    raise ValueError("monomial does not divide")
-                if e2:
-                    pars2[k] = e2
-            out[(s_pow - s_div, tuple(sorted(jets2.items())), tuple(sorted(pars2.items())))] = c
-        return Poly(self.ring, out, prune=False)
+        out = {(s_pow - s_div, _divide_exponents(jets, jd), _divide_exponents(pars, pd)): c
+               for (s_pow, jets, pars), c in self.terms.items()}
+        return _make(self.ring, out, self.den)
 
     def primitive_core(self) -> "Poly":
         """Strip monomial and rational content; make the leading coefficient
@@ -427,9 +452,12 @@ class RatExpr:
             mc = _monomial_content([*num.terms, *den.terms])
             num = num.divide_monomial(mc)
             den = den.divide_monomial(mc)
-            c = _rational_content([*num.terms.values(), *den.terms.values()])
-            num = num * (1 / c)
-            den = den * (1 / c)
+            # num / den == (num.terms * den.den) / (den.terms * num.den):
+            # cross-scale, then divide both by the gcd of all those numerators
+            fn, fd = den.den, num.den
+            g = gcd(fn * gcd(*num.terms.values()), fd * gcd(*den.terms.values()))
+            num = _make(num.ring, {m: c * fn // g for m, c in num.terms.items()}, 1)
+            den = _make(den.ring, {m: c * fd // g for m, c in den.terms.items()}, 1)
         if den.leading()[1] < 0:
             num, den = -num, -den
         self.num = num
@@ -504,17 +532,22 @@ class RatExpr:
     def subs_var(self, name: str, order: int, repl: "RatExpr") -> "RatExpr":
         """Replace one jet variable (polynomial occurrences in the numerator
         and denominator) by a rational expression."""
-        def subs_poly(p: Poly) -> "RatExpr":
-            if p.is_zero():
-                return RatExpr(p)
-            parts = p.collect(name, order)
-            top = max(parts)
-            num = p.ring.zero()
-            for e, coeff in parts.items():
-                num += coeff * repl.num ** e * repl.den ** (top - e)
-            return RatExpr(num, repl.den ** top)
+        splits = [p.collect(name, order) for p in (self.num, self.den)]
+        highest = max(max(parts, default=0) for parts in splits)
+        num_pows, den_pows = [self.ring.one()], [self.ring.one()]
+        for _ in range(highest):
+            num_pows.append(num_pows[-1] * repl.num)
+            den_pows.append(den_pows[-1] * repl.den)
 
-        return subs_poly(self.num) / subs_poly(self.den)
+        def subs_poly(parts: dict) -> "RatExpr":
+            top = max(parts, default=0)
+            num = self.ring.zero()
+            for e, coeff in parts.items():
+                num += coeff * num_pows[e] * den_pows[top - e]
+            return RatExpr(num, den_pows[top])
+
+        num, den = map(subs_poly, splits)
+        return num / den
 
     def eval(self, s_value, jet_values=None, param_values=None) -> float:
         d = self.den.eval(s_value, jet_values, param_values)

@@ -359,7 +359,8 @@ def _step_source(dimension: int) -> str:
 def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     """Classical fixed-step RK4.  Deterministic bit-for-bit for a given
     configuration; halts with an aborted status at the first non-finite or
-    singular evaluation.  The step size must split [s_start, s_end] into a
+    singular evaluation, that of the initial sample included, and writes no
+    sample with a non-finite value.  The step size must split [s_start, s_end] into a
     whole number of steps, to within a relative ``STEP_FIT_RTOL`` of the
     interval."""
     if not all(math.isfinite(v) for v in (cfg.s_start, cfg.s_end, cfg.step)):
@@ -395,13 +396,13 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
 
     try:
         s_i = cfg.s_start
-        samples.append((s_i, y, tuple([fn(s_i, y) for fn in monitors])))
-        for i in range(1, n + 1):
-            y = step(sys.rhs, s_i, h, y)
-            s_i = cfg.s_start + i * h
-            if not all(math.isfinite(v) for v in y):
-                status, abort_s = "aborted-nonfinite", s_i
-                break
+        for i in range(n + 1):
+            if i:
+                y = step(sys.rhs, s_i, h, y)
+                s_i = cfg.s_start + i * h
+                if not all(math.isfinite(v) for v in y):
+                    status, abort_s = "aborted-nonfinite", s_i
+                    break
             if i % cfg.decimate == 0 or i == n:
                 row = tuple([fn(s_i, y) for fn in monitors])
                 if not all(math.isfinite(v) for v in row):

@@ -244,6 +244,18 @@ class TestIntegrate:
         assert (code, err) == (cli.EXIT_OK, "")
         assert out.endswith("(101 samples)\n")
 
+    def test_nonfinite_first_sample_is_runtime_error(self, capsys, tmp_path):
+        # u = -inf at s0 from a finite state: no row holds it
+        out_file = tmp_path / "run.csv"
+        code, out, err = run(capsys, "integrate", "--k", "2", "--tau", "1,2,3",
+                             "--init=6.53e98,-0.844,1.73e-51,-1.2e-315",
+                             "--s0", "8.78e-39", "--s1", "1e-3",
+                             "--step", "1e-4", "--out", str(out_file))
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err.startswith("integration aborted near s = 8.78e-39 ")
+        assert out_file.read_text().splitlines() == [
+            "s,l1,l1p,l2,l2p,u,tau1,tau2,ell_next_drift"]
+
     def test_constant_mismatch_is_runtime_error(self, capsys, tmp_path,
                                                 monkeypatch):
         monkeypatch.setattr(odesolve, "build_p3_system", _flip_tau_sign)

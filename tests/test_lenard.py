@@ -95,7 +95,7 @@ class TestGenerate:
         # entry p is graded of weight 2p with u^(i) carrying weight i+2;
         # coefficients are positive integers
         for p in range(1, 5):
-            for (s_pow, jets, _), c in std_seq.ell(p).terms.items():
+            for (s_pow, jets, _), c in std_seq.ell(p).sorted_terms():
                 assert s_pow == 0
                 assert sum(e * (o + 2) for (_, o), e in jets) == 2 * p
                 assert c.denominator == 1 and c > 0

@@ -147,6 +147,15 @@ class TestIntegrate:
         assert traj.status == "aborted-nonfinite"
         assert traj.abort_s == pytest.approx(1.55, abs=0.1)
 
+    def test_nonfinite_first_sample_aborts(self, k2_demo):
+        # u is -inf at the start although the state is finite: the initial
+        # row is checked like every later one and is not written
+        init = (6.53e98, -0.844, 1.73e-51, -1.2e-315)
+        traj = integrate(k2_demo, init, SolverConfig(8.78e-39, 1e-3, 1e-4))
+        assert k2_demo.monitors["u"](8.78e-39, init) == -math.inf
+        assert (traj.status, traj.abort_s, traj.samples) == (
+            "aborted-nonfinite", 8.78e-39, [])
+
     def test_config_validation(self, k1_demo):
         with pytest.raises(StepSizeUnderflow):
             integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 2.0, 0.0))
@@ -310,7 +319,7 @@ class TestGeneratedParity:
         f = exact.second[0]
         (m, c), *_ = f.num.sorted_terms()
         bad_num = Poly(f.num.ring,
-                       {**f.num.terms,
+                       {**dict(f.num.sorted_terms()),
                         m: Fraction(math.nextafter(float(c), math.inf))})
         bad = dataclasses.replace(
             exact, second=(RatExpr(bad_num, f.den, reduce_content=False),))

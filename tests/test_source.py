@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
-from p3lenard import odesolve
+from p3lenard import jetring, odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -54,6 +54,64 @@ def test_k_literal_rule_can_fail():
     sample = "if k == 1:\n    pass\nelif 2 == k:\n    pass\nok = k in (1, 2)\n"
     assert _k_literal_comparisons(ast.parse(sample)) == [1, 3, 5]
     assert _k_literal_comparisons(ast.parse("ok = len(t) != k + 1\n")) == []
+
+
+# The jetring kernel's hot paths: they work on int numerators only.
+INTEGER_PATHS = ("_accumulate", "_make", "Poly.__add__", "Poly.__mul__",
+                 "Poly.total_derivative")
+
+
+def _fraction_uses(tree, qualnames):
+    """{qualified name: line numbers of references to ``Fraction``} for the
+    module-level functions and class methods of ``tree`` named in
+    ``qualnames``, nested functions included.  A ``Fraction`` in the type
+    argument of ``isinstance`` is a type test, not arithmetic, and is not
+    counted."""
+    def functions(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from functions(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{node.name}", node
+
+    def uses(fn):
+        type_tests = {id(node) for call in ast.walk(fn)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id == "isinstance" and len(call.args) == 2
+                      for node in ast.walk(call.args[1])}
+        return sorted(node.lineno for node in ast.walk(fn)
+                      if id(node) not in type_tests
+                      and ((isinstance(node, ast.Name) and node.id == "Fraction")
+                           or (isinstance(node, ast.Attribute)
+                               and node.attr == "Fraction")))
+
+    return {name: uses(fn) for name, fn in functions(tree.body, "") if name in qualnames}
+
+
+def test_jetring_hot_paths_have_no_fraction():
+    """Term merging, normalization, +, * and d/ds run on integer numerators
+    over one denominator: no Fraction arithmetic."""
+    path = Path(jetring.__file__)
+    assert _fraction_uses(ast.parse(path.read_text(), str(path)), INTEGER_PATHS) == {
+        name: [] for name in INTEGER_PATHS}
+
+
+def test_fraction_rule_can_fail():
+    sample = ("class Poly:\n"
+              "    def __add__(self, other):\n"
+              "        return Fraction(1) + other\n"
+              "    def __mul__(self, other):\n"
+              "        if isinstance(other, (int, Fraction)):\n"
+              "            return other\n"
+              "        return isinstance(other, int) and Fraction(other)\n"
+              "    def sorted_terms(self):\n"
+              "        return Fraction(2)\n"
+              "def _make(ring, nums, den):\n"
+              "    def inner():\n"
+              "        return fractions.Fraction(3)\n"
+              "    return inner\n")
+    assert _fraction_uses(ast.parse(sample), INTEGER_PATHS) == {
+        "Poly.__add__": [3], "Poly.__mul__": [7], "_make": [12]}
 
 
 def _code_builtin_uses(tree):
