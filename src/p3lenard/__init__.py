@@ -2,7 +2,8 @@
 the Painleve III hierarchy it generates, its constants of motion, and the
 associated Lax-pair coefficient identities."""
 
-from .jetring import Poly, RatExpr, Ring, ZeroDenominator, MissingJetValue
+from .jetring import (ExponentOverflow, MissingJetValue, Poly, RatExpr, Ring,
+                      ZeroDenominator)
 from .diffpoly import (U_RING, NotExactDerivative, ParseError, eval_numeric,
                        formal_integral, parse, serialize, total_derivative)
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition, bracket,

@@ -1,13 +1,28 @@
 """Exact-rational polynomials in s, jet variables, and constant parameters.
 
-A monomial is a triple (s_power, jets, params) where jets maps the jet
-variable of dependent d at derivative order i to a positive exponent, and
-params maps constant symbols (which the total derivative kills) to positive
-exponents.  A polynomial maps monomials to nonzero int numerators over one
-positive int denominator ``den`` with ``gcd(den, *numerators) == 1`` (zero
-has ``den == 1``), so every element has exactly one representation, identity
+Inside the kernel a monomial is one packed int.  Slot i holds an exponent
+in bits [16*i, 16*i + 16).  Slot 0 is s, slots 1..P are the ring's P
+parameters, and slot 1 + P + order*D + dep is the jet variable of
+dependent ``dep`` (one of D) at derivative ``order``.  A product of
+monomials is one integer addition; d/ds of a jet takes one unit from its
+slot and adds one D slots up; a monomial divides another iff subtracting it
+borrows from no slot.  Exponents stay below 2**15, so the top bit of every
+slot is a guard that no valid monomial sets: one ``&`` with the module's
+guard mask finds an exponent that reached 2**15, and the operation raises
+:class:`ExponentOverflow`.  The mask covers 4096 slots; a jet variable
+beyond them raises the same error where its slot is created.
+
+A polynomial maps monomials to nonzero int numerators over one positive int
+denominator ``den`` with ``gcd(den, *numerators) == 1`` (zero has
+``den == 1``), so every element has exactly one representation, identity
 checks reduce to dict equality, and the arithmetic runs on ints.
-Coefficients leave the kernel as Fractions (``sorted_terms``, ``leading``).
+
+Outside the kernel a monomial is the triple (s_power, jets, params): jets
+is a sorted tuple of ((dependent, order), exponent), params a sorted tuple
+of (parameter, exponent), every exponent positive.  ``Poly(ring, mapping)``,
+``sorted_terms``, ``leading``, ``monomial_content``, ``divide_monomial``
+and the ``fn`` of ``map_terms`` speak triples, and coefficients leave the
+kernel as Fractions.
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -16,8 +31,12 @@ differ only in their dependent/parameter name tuples.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 
@@ -29,37 +48,75 @@ class MissingJetValue(KeyError):
     """Numeric evaluation referenced a jet order beyond the supplied values."""
 
 
-# Monomial layout: (s_pow, jets, pars)
+class ExponentOverflow(OverflowError):
+    """An exponent reached 2**15, or a jet variable lies beyond the slots of
+    the packed monomial layout."""
+
+
+# Monomial at the boundary: (s_pow, jets, pars)
 #   jets: tuple of ((dep_index, order), exponent), sorted
 #   pars: tuple of (param_index, exponent), sorted
 Monomial = tuple
 
-UNIT_MONOMIAL: Monomial = (0, (), ())
+_W = 16                                    # bits per slot
+_SLOT = (1 << _W) - 1
+_SLOTS = 4096                              # slots the guard mask covers
+_GUARD = int.from_bytes(b"\x00\x80" * _SLOTS, "little")   # top bit of each
+_ORDER = sys.byteorder
 
 
-def _monomial_degree(m: Monomial) -> int:
+def _overflow(what) -> ExponentOverflow:
+    return ExponentOverflow(f"{what}: packed monomials hold exponents below "
+                            f"2**15 in {_SLOTS} slots")
+
+
+def _exponents(key: int) -> memoryview:
+    """The slots of ``key``, slot 0 first."""
+    ex = memoryview(key.to_bytes((key.bit_length() + _W - 1) // _W * 2, _ORDER)).cast("H")
+    return ex if _ORDER == "little" else ex[::-1]
+
+
+def _encode(ring: "Ring", m: Monomial) -> int:
+    """The packed key of the triple ``m``."""
     s_pow, jets, pars = m
-    return s_pow + sum(e for _, e in jets) + sum(e for _, e in pars)
+    n_par, n_dep = len(ring.params), len(ring.dependents)
+    if not (all(0 <= p < n_par for p, _ in pars)
+            and all(0 <= d < n_dep and o >= 0 for (d, o), _ in jets)):
+        raise ValueError(f"monomial {m!r} names a symbol outside {ring!r}")
+    key = 0
+    for slot, e in chain(((0, s_pow),), ((1 + p, e) for p, e in pars),
+                         ((1 + n_par + o * n_dep + d, e) for (d, o), e in jets)):
+        if not 0 <= e < 1 << (_W - 1) or slot >= _SLOTS:
+            raise _overflow(f"exponent {e} in slot {slot}")
+        key += e << (slot * _W)
+    return _guarded((key,))[0]            # a slot given twice may overflow
+
+
+def _decode(ring: "Ring", key: int) -> Monomial:
+    """The triple of the packed ``key``."""
+    n_par, n_dep = len(ring.params), len(ring.dependents)
+    ex = _exponents(key)
+    first = 1 + n_par
+    pars = tuple((j - 1, ex[j]) for j in compress(range(1, first), ex[1:first]))
+    jets = sorted((divmod(j - first, n_dep)[::-1], ex[j])
+                  for j in compress(range(first, len(ex)), ex[first:]))
+    return (key & _SLOT, tuple(jets), pars)
+
+
+def _guarded(keys):
+    """``keys``, after one ``&`` of their union with the guard mask."""
+    if reduce(or_, keys, 0) & _GUARD:
+        raise _overflow("an exponent reached 2**15")
+    return keys
 
 
 def monomial_sort_key(m: Monomial):
     """Graded order: total degree, then jets by (dependent, order descending),
     then parameters, with s_power as the final tie-break."""
     s_pow, jets, pars = m
+    degree = s_pow + sum(e for _, e in jets) + sum(e for _, e in pars)
     jet_key = tuple(((d, -o), e) for (d, o), e in jets)
-    return (_monomial_degree(m), jet_key, pars, s_pow)
-
-
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    sa, ja, pa = a
-    sb, jb, pb = b
-    jets = dict(ja)
-    for k, e in jb:
-        jets[k] = jets.get(k, 0) + e
-    pars = dict(pa)
-    for k, e in pb:
-        pars[k] = pars.get(k, 0) + e
-    return (sa + sb, tuple(sorted(jets.items())), tuple(sorted(pars.items())))
+    return (degree, jet_key, pars, s_pow)
 
 
 def _accumulate(out: dict, pairs) -> dict:
@@ -89,30 +146,31 @@ def _make(ring: "Ring", nums: dict, den: int) -> "Poly":
     return p
 
 
-def _divide_exponents(exponents: tuple, divisor: dict) -> tuple:
-    """Sorted (key, exponent) pairs less those of ``divisor``, zeros dropped."""
-    out = []
-    for k, e in exponents:
-        e -= divisor.get(k, 0)
-        if e < 0:
-            raise ValueError("monomial does not divide")
-        if e:
-            out.append((k, e))
-    return tuple(out)
+def _content_key(keys: Iterable[int]) -> int:
+    """Slotwise minimum of packed ``keys`` (0 for none): the greatest
+    monomial dividing every one of them."""
+    keys = iter(keys)
+    c = next(keys, 0)
+    low = (1 << ((c.bit_length() + _W - 1) // _W * _W)) - 1
+    guard = _GUARD & low
+    for k in keys:
+        if not c:
+            break
+        k &= low
+        ge = ((c | guard) - k) & guard        # guard bit set where c >= k
+        c ^= (c ^ k) & (ge - (ge >> (_W - 1)))
+    return c
 
 
-def _monomial_content(monomials: list) -> Monomial:
-    """Componentwise minimum monomial dividing every one of ``monomials``."""
-    if not monomials:
-        return UNIT_MONOMIAL
-    (s_min, jets, pars), *rest = monomials
-    jets, pars = dict(jets), dict(pars)
-    for s_pow, mj, mp in rest:
-        s_min = min(s_min, s_pow)
-        mj, mp = dict(mj), dict(mp)
-        jets = {k: min(e, mj[k]) for k, e in jets.items() if k in mj}
-        pars = {k: min(e, mp[k]) for k, e in pars.items() if k in mp}
-    return (s_min, tuple(sorted(jets.items())), tuple(sorted(pars.items())))
+def _divided(p: "Poly", c: int) -> "Poly":
+    """``p`` over the monomial with key ``c``: a borrow from any slot of a
+    difference means that ``c`` does not divide that term."""
+    if not c:
+        return p
+    nums = {k - c: v for k, v in p.terms.items()}
+    if reduce(or_, nums, 0) & _GUARD:
+        raise ValueError("monomial does not divide")
+    return _make(p.ring, nums, p.den)
 
 
 class Ring:
@@ -148,21 +206,21 @@ class Ring:
     def const(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        return _make(self, {UNIT_MONOMIAL: c.numerator} if c else {}, c.denominator)
+        return _make(self, {0: c.numerator} if c else {}, c.denominator)
 
     def s(self, power: int = 1) -> "Poly":
         if power < 0:
             raise ValueError("negative s power")
-        return _make(self, {(power, (), ()): 1}, 1)
+        return _make(self, {_encode(self, (power, (), ())): 1}, 1)
 
     def var(self, name: str, order: int = 0) -> "Poly":
         """The jet variable ``name^(order)`` as a polynomial."""
         d = self.dependents.index(name)
-        return _make(self, {(0, (((d, order), 1),), ()): 1}, 1)
+        return _make(self, {_encode(self, (0, (((d, order), 1),), ())): 1}, 1)
 
     def param(self, name: str) -> "Poly":
         p = self.params.index(name)
-        return _make(self, {(0, (), ((p, 1),)): 1}, 1)
+        return _make(self, {_encode(self, (0, (), ((p, 1),))): 1}, 1)
 
     def embed(self, poly: "Poly") -> "Poly":
         """Map a polynomial from another ring into this one by symbol names."""
@@ -170,24 +228,32 @@ class Ring:
         dep_map = {i: self.dependents.index(n) for i, n in enumerate(src.dependents)}
         par_map = {i: self.params.index(n) for i, n in enumerate(src.params)}
         terms = {}
-        for (s_pow, jets, pars), c in poly.terms.items():
-            jets2 = tuple(sorted(((dep_map[d], o), e) for (d, o), e in jets))
-            pars2 = tuple(sorted((par_map[p], e) for p, e in pars))
-            terms[(s_pow, jets2, pars2)] = c
+        for key, c in poly.terms.items():
+            s_pow, jets, pars = _decode(src, key)
+            m = (s_pow, [((dep_map[d], o), e) for (d, o), e in jets],
+                 [(par_map[p], e) for p, e in pars])
+            terms[_encode(self, m)] = c
         return _make(self, terms, poly.den)
 
 
 class Poly:
     """Immutable polynomial: nonzero int numerators ``terms`` over one
     positive int ``den`` sharing no factor with them (``den == 1`` for zero).
-    ``Poly(ring, mapping)`` takes int or Fraction coefficients."""
+    ``terms`` is keyed by packed monomials (see the module docstring):
+    exponents in 16-bit slots, s first, then the parameters, then the jet
+    variables by order and dependent.  An operation whose result has an
+    exponent of 2**15 or more raises :class:`ExponentOverflow`.
+    ``Poly(ring, mapping)`` takes triple monomials with int or Fraction
+    coefficients."""
 
     __slots__ = ("ring", "terms", "den")
 
     def __init__(self, ring: Ring, terms: Mapping[Monomial, Fraction]):
-        coeffs = [(m, Fraction(c)) for m, c in terms.items() if c]
-        self.ring, self.den = ring, lcm(*(c.denominator for _, c in coeffs))
-        self.terms = {m: c.numerator * (self.den // c.denominator) for m, c in coeffs}
+        coeffs = [(_encode(ring, m), Fraction(c)) for m, c in terms.items() if c]
+        den = lcm(*(c.denominator for _, c in coeffs))
+        p = _make(ring, _accumulate({}, ((k, c.numerator * (den // c.denominator))
+                                         for k, c in coeffs)), den)
+        self.ring, self.terms, self.den = ring, p.terms, p.den
 
     # -- basic queries ------------------------------------------------------
 
@@ -208,23 +274,27 @@ class Poly:
 
     def sorted_terms(self):
         """(monomial, Fraction coefficient) pairs, greatest monomial first."""
-        return [(m, Fraction(c, self.den)) for m, c in sorted(
-            self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)]
+        ring, den = self.ring, self.den
+        return sorted(((_decode(ring, k), Fraction(c, den)) for k, c in self.terms.items()),
+                      key=lambda t: monomial_sort_key(t[0]), reverse=True)
 
     def leading(self):
         """(monomial, Fraction coefficient) of the greatest monomial, or None
         if zero."""
         if not self.terms:
             return None
-        m = max(self.terms, key=monomial_sort_key)
-        return m, Fraction(self.terms[m], self.den)
+        ring = self.ring
+        k = max(self.terms, key=lambda k: monomial_sort_key(_decode(ring, k)))
+        return _decode(ring, k), Fraction(self.terms[k], self.den)
 
     def max_order(self, dep: str) -> int | None:
         """Highest derivative order of ``dep`` occurring, or None if absent."""
-        d = self.ring.dependents.index(dep)
-        orders = [o for (_, jets, _) in self.terms
-                  for (dd, o), _e in jets if dd == d]
-        return max(orders) if orders else None
+        ring = self.ring
+        d, n_dep = ring.dependents.index(dep), len(ring.dependents)
+        first = 1 + len(ring.params)
+        ex = _exponents(reduce(or_, self.terms, 0))    # nonzero where any term is
+        used = list(compress(range(first + d, len(ex), n_dep), ex[first + d::n_dep]))
+        return (used[-1] - first) // n_dep if used else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -261,10 +331,10 @@ class Poly:
             return _make(self.ring, {m: c * n for m, c in self.terms.items()},
                          self.den * other.denominator)
         self._check(other)
-        pairs = ((_mul_monomials(ma, mb), ca * cb)
-                 for ma, ca in self.terms.items()
-                 for mb, cb in other.terms.items())
-        return _make(self.ring, _accumulate({}, pairs), self.den * other.den)
+        pairs = ((ka + kb, ca * cb)
+                 for ka, ca in self.terms.items()
+                 for kb, cb in other.terms.items())
+        return _make(self.ring, _guarded(_accumulate({}, pairs)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -294,70 +364,80 @@ class Poly:
         for poly in rules.values():
             self._check(poly)
         rule_den = lcm(*(poly.den for poly in rules.values()))
-        rule_idx = {self.ring.dependents.index(name):
-                    [(m, c * (rule_den // poly.den)) for m, c in poly.terms.items()]
+        ring = self.ring
+        rule_idx = {ring.dependents.index(name): poly.terms.items() if poly.den == rule_den
+                    else [(k, c * (rule_den // poly.den)) for k, c in poly.terms.items()]
                     for name, poly in rules.items()}
+        n_dep = len(ring.dependents)
+        first = 1 + len(ring.params)
+        last = _SLOTS - n_dep          # a jet in a slot from here on has no next order
+        up = n_dep * _W                # shift from one order to the next
 
         def leibniz_terms():
-            for (s_pow, jets, pars), c in self.terms.items():
+            for key, c in self.terms.items():
                 cl = c * rule_den
+                s_pow = key & _SLOT
                 if s_pow:
-                    yield (s_pow - 1, jets, pars), cl * s_pow
+                    yield key - 1, cl * s_pow
                 # jet parts, one factor at a time (Leibniz)
-                for (d, o), e in jets:
-                    rest = dict(jets)
-                    if e == 1:
-                        del rest[(d, o)]
-                    else:
-                        rest[(d, o)] = e - 1
+                ex = _exponents(key)
+                for j in compress(range(first, len(ex)), ex[first:]):
+                    e, unit, d = ex[j], 1 << (j * _W), (j - first) % n_dep
                     if d in rule_idx:
-                        if o != 0:
+                        if j - first >= n_dep:
                             raise ValueError(
-                                f"jet order {o} of rule-defined dependent "
-                                f"{self.ring.dependents[d]!r}")
-                        m = (s_pow, tuple(sorted(rest.items())), pars)
-                        ce = c * e
-                        for mr, cr in rule_idx[d]:
-                            yield _mul_monomials(m, mr), ce * cr
+                                f"jet order {(j - first) // n_dep} of rule-defined "
+                                f"dependent {ring.dependents[d]!r}")
+                        rest, ce = key - unit, c * e
+                        for kr, cr in rule_idx[d]:
+                            yield rest + kr, ce * cr
+                    elif j < last:
+                        yield key - unit + (unit << up), cl * e
                     else:
-                        rest[(d, o + 1)] = rest.get((d, o + 1), 0) + 1
-                        yield (s_pow, tuple(sorted(rest.items())), pars), cl * e
+                        raise _overflow(f"the derivative of slot {j}")
 
-        return _make(self.ring, _accumulate({}, leibniz_terms()), self.den * rule_den)
+        return _make(ring, _guarded(_accumulate({}, leibniz_terms())), self.den * rule_den)
 
     # -- substitution ---------------------------------------------------------
 
     def collect(self, name: str, order: int) -> dict[int, "Poly"]:
         """Split into coefficient polynomials of powers of one jet variable."""
-        d = self.ring.dependents.index(name)
-        key = (d, order)
+        ring = self.ring
+        d = ring.dependents.index(name)
+        shift = (1 + len(ring.params) + order * len(ring.dependents) + d) * _W
         out: dict[int, dict] = {}
-        for (s_pow, jets, pars), c in self.terms.items():
-            jets_d = dict(jets)
-            e = jets_d.pop(key, 0)
-            m = (s_pow, tuple(sorted(jets_d.items())), pars)
-            out.setdefault(e, {})[m] = c
-        return {e: _make(self.ring, t, self.den) for e, t in out.items()}
+        for key, c in self.terms.items():
+            e = (key >> shift) & _SLOT
+            out.setdefault(e, {})[key - (e << shift)] = c
+        return {e: _make(ring, t, self.den) for e, t in out.items()}
 
     def subs_param(self, name: str, value) -> "Poly":
         """Replace a constant parameter by an exact rational value vn / vd: a
         term with the parameter to the power e gains vn**e / vd**e."""
-        p = self.ring.params.index(name)
+        shift = (1 + self.ring.params.index(name)) * _W
         value = Fraction(value)
         vn, vd = value.numerator, value.denominator
 
-        def substituted(m):
-            s_pow, jets, pars = m
-            pars_d = dict(pars)
-            e = pars_d.pop(p, 0)
-            return (s_pow, jets, tuple(sorted(pars_d.items()))), vn ** e, vd ** e
+        def substituted(key):
+            e = (key >> shift) & _SLOT
+            return key - (e << shift), vn ** e, vd ** e
 
-        return self.map_terms(substituted)
+        return self._map_keys(substituted)
 
     def map_terms(self, fn) -> "Poly":
         """The sum of c * q / k times m2 over the terms c * m, where
-        ``fn(m) = (m2, q, k)`` with int q and positive int k; terms that land
-        on one monomial add."""
+        ``fn(m) = (m2, q, k)`` with triple monomials m and m2, int q and
+        positive int k; terms that land on one monomial add."""
+        ring = self.ring
+
+        def packed(key):
+            m2, q, k = fn(_decode(ring, key))
+            return _encode(ring, m2), q, k
+
+        return self._map_keys(packed)
+
+    def _map_keys(self, fn) -> "Poly":
+        """:meth:`map_terms` on packed keys."""
         triples = [(fn(m), c) for m, c in self.terms.items()]
         scale = lcm(*(k for (_, _, k), _ in triples))
         return _make(self.ring, _accumulate({}, ((m, c * q * (scale // k))
@@ -372,14 +452,10 @@ class Poly:
 
     def monomial_content(self) -> Monomial:
         """Componentwise minimum monomial dividing every term."""
-        return _monomial_content(list(self.terms))
+        return _decode(self.ring, _content_key(self.terms))
 
     def divide_monomial(self, m: Monomial) -> "Poly":
-        s_div, jets_div, pars_div = m
-        jd, pd = dict(jets_div), dict(pars_div)
-        out = {(s_pow - s_div, _divide_exponents(jets, jd), _divide_exponents(pars, pd)): c
-               for (s_pow, jets, pars), c in self.terms.items()}
-        return _make(self.ring, out, self.den)
+        return _divided(self, _encode(self.ring, m))
 
     def primitive_core(self) -> "Poly":
         """Strip monomial and rational content; make the leading coefficient
@@ -387,7 +463,7 @@ class Poly:
         hyperplanes iff their cores coincide."""
         if not self.terms:
             return self
-        p = self.divide_monomial(self.monomial_content())
+        p = _divided(self, _content_key(self.terms))
         c = p.rational_content()
         p = p * (1 / c)
         if p.leading()[1] < 0:
@@ -449,9 +525,8 @@ class RatExpr:
         if den.is_zero():
             raise ZeroDenominator("denominator normalizes to zero")
         if reduce_content and not num.is_zero():
-            mc = _monomial_content([*num.terms, *den.terms])
-            num = num.divide_monomial(mc)
-            den = den.divide_monomial(mc)
+            c = _content_key(chain(num.terms, den.terms))
+            num, den = _divided(num, c), _divided(den, c)
             # num / den == (num.terms * den.den) / (den.terms * num.den):
             # cross-scale, then divide both by the gcd of all those numerators
             fn, fd = den.den, num.den

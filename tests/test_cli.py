@@ -66,6 +66,12 @@ class TestGenLenard:
         assert code == cli.EXIT_RUNTIME
         assert "differential-polynomial" in err
 
+    def test_exponent_overflow_is_runtime_error(self, capsys):
+        code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
+                             "--custom", "u^16384*u^16384", "--count", "1")
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err.startswith("runtime error: an exponent reached 2**15")
+
     def test_constants_count_mismatch(self, capsys):
         code, _, err = run(capsys, "gen-lenard", "--count", "2",
                            "--constants", "1")

@@ -1,12 +1,18 @@
 """The integer kernel of ``jetring`` against a plain reference.
 
-Every ``Poly`` holds integer numerators over one common denominator.  Each
-operation is compared here with the same operation on plain
-``{monomial: Fraction}`` dicts, written out in this file, and every result
-is checked for the canonical form: int numerators, none zero, a positive
-int ``den`` sharing no factor with them, and ``den == 1`` for zero.
+Every ``Poly`` holds integer numerators over one common denominator, keyed
+by packed monomials.  Each operation is compared here with the same
+operation on plain ``{triple monomial: Fraction}`` dicts, written out in
+this file, and every result is checked for the canonical form: int
+numerators, none zero, a positive int ``den`` sharing no factor with them,
+and ``den == 1`` for zero.  The packed layout is checked against the triples
+on a wide ring, with parameters, jet orders and exponents far beyond the
+first slots, and every way an exponent can reach 2**15 must raise.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p3lenard.jetring import Poly, RatExpr, Ring, monomial_sort_key
+import p3lenard
+from p3lenard.hierarchy import hierarchy_ring
+from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring, _decode,
+                              _encode, monomial_sort_key)
 
 RING = Ring(("u", "v"), ("a", "b"))
 U, V = 0, 1
@@ -29,6 +38,8 @@ def mono(s_pow=0, jets=None, pars=None):
 
 
 def mono_mul(a, b):
+    """The product of two triples, as the kernel formed it before monomials
+    were packed: dicts of exponents, then sorted tuples."""
     jets, pars = dict(a[1]), dict(a[2])
     for k, e in b[1]:
         jets[k] = jets.get(k, 0) + e
@@ -190,7 +201,7 @@ def refs(max_v_order=2, max_size=4):
 
 
 def as_ref(p: Poly) -> dict:
-    return {m: Fraction(c, p.den) for m, c in p.terms.items()}
+    return dict(p.sorted_terms())
 
 
 def assert_canonical(p: Poly):
@@ -364,3 +375,176 @@ class TestSubstitutionAndContent:
         assert (e.num, e.den) == (RING.const(-3), x * 2 + 3)
         with pytest.raises(ZeroDivisionError):
             RatExpr(x, RING.zero())
+
+
+# -- the packed layout --------------------------------------------------------
+
+# 9 parameters and 5 dependents: a jet of order o sits in slot 10 + 5*o + d
+WIDE = Ring(tuple(f"x{d}" for d in range(5)), tuple(f"c{p}" for p in range(9)))
+LIMIT = 2 ** 15
+
+
+@st.composite
+def wide_monomials(draw, top=LIMIT - 1, max_order=800):
+    exponents = st.integers(1, top)
+    jets = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, max_order)),
+                                exponents, max_size=4))
+    pars = draw(st.dictionaries(st.integers(0, 8), exponents, max_size=3))
+    return mono(draw(st.integers(0, top)), jets, pars)
+
+
+def wide_refs(top):
+    return st.lists(st.tuples(wide_monomials(top), coefficients),
+                    max_size=4).map(ref_clean)
+
+
+class TestPackedLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(m=wide_monomials())
+    def test_decode_inverts_encode(self, m):
+        assert _decode(WIDE, _encode(WIDE, m)) == m
+
+    @EXAMPLES
+    @given(a=wide_monomials(LIMIT // 2 - 1), b=wide_monomials(LIMIT // 2 - 1))
+    def test_product_of_keys_is_the_triple_product(self, a, b):
+        assert _decode(WIDE, _encode(WIDE, a) + _encode(WIDE, b)) == mono_mul(a, b)
+        check(Poly(WIDE, {a: 1}) * Poly(WIDE, {b: 1}), {mono_mul(a, b): Fraction(1)})
+
+    @EXAMPLES
+    @given(r=wide_refs(LIMIT // 2 - 1), q=wide_refs(LIMIT // 2 - 1))
+    def test_mul_and_derivative_on_a_wide_ring(self, r, q):
+        p, o = Poly(WIDE, r), Poly(WIDE, q)
+        check(p * o, ref_mul(r, q))
+        check(p.total_derivative(), ref_derivative(r))
+
+    @EXAMPLES
+    @given(r=wide_refs(LIMIT - 1).filter(bool))
+    def test_monomial_content_on_a_wide_ring(self, r):
+        p = Poly(WIDE, r)
+        content = ref_monomial_content(list(r))
+        assert p.monomial_content() == content
+        check(p.divide_monomial(content), ref_divide(r, content))
+
+    @EXAMPLES
+    @given(r=refs().filter(bool), m=monomials())
+    def test_divide_monomial_refuses_a_non_divisor(self, r, m):
+        p = Poly(RING, r)
+        if ref_monomial_content([*r, m]) == m:
+            check(p.divide_monomial(m), ref_divide(r, m))
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                p.divide_monomial(m)
+
+    def test_max_order_reads_every_term(self):
+        p = Poly(WIDE, {mono(jets={(3, 700): 1}): 1, mono(jets={(2, 799): 2}): 1})
+        assert [p.max_order(f"x{d}") for d in range(5)] == [None, None, 799, 700, None]
+
+    def test_a_symbol_outside_the_ring_is_refused(self):
+        for m in (mono(jets={(5, 0): 1}), mono(pars={9: 1}), mono(jets={(0, -1): 1})):
+            with pytest.raises(ValueError, match="outside"):
+                Poly(WIDE, {m: 1})
+
+
+# -- exponents that reach 2**15 -------------------------------------------------
+
+def single(ring, m):
+    return Poly(ring, {m: 1})
+
+
+class TestExponentOverflow:
+    def test_is_an_overflow_error_exported_by_the_package(self):
+        assert p3lenard.ExponentOverflow is ExponentOverflow
+        assert issubclass(ExponentOverflow, OverflowError)
+
+    @pytest.mark.parametrize("slot", ["s", "jet", "param"])
+    def test_product(self, slot):
+        def power(e):
+            return {"s": mono(e), "jet": mono(jets={(V, 3): e}),
+                    "param": mono(pars={B: e})}[slot]
+
+        half = single(RING, power(LIMIT // 2))
+        with pytest.raises(ExponentOverflow):
+            half * half
+        check(half * single(RING, power(LIMIT // 2 - 1)), {power(LIMIT - 1): 1})
+
+    def test_power(self):
+        with pytest.raises(ExponentOverflow):
+            RING.var("u", 2) ** LIMIT
+        check(RING.var("u", 2) ** (LIMIT - 1), {mono(jets={(U, 2): LIMIT - 1}): 1})
+
+    def test_constructor(self):
+        for m in (mono(LIMIT), mono(jets={(U, 0): LIMIT}), mono(pars={A: LIMIT}),
+                  mono(jets={(U, 0): 2 * LIMIT}), (0, (((U, 1), LIMIT - 1), ((U, 1), 1)), ())):
+            with pytest.raises(ExponentOverflow):
+                Poly(RING, {m: 1})
+        with pytest.raises(ExponentOverflow):
+            RING.s(LIMIT)
+        check(single(RING, mono(pars={A: LIMIT - 1})), {mono(pars={A: LIMIT - 1}): 1})
+
+    def test_rule_substitution(self):
+        # with the rule u' = v, d/ds of u * v^(2**15 - 1) holds v^(2**15)
+        r = {mono(jets={(U, 0): 1, (V, 0): LIMIT - 1}): Fraction(1)}
+        with pytest.raises(ExponentOverflow):
+            Poly(RING, r).total_derivative({"u": RING.var("v")})
+        check(Poly(RING, r).total_derivative({"u": RING.s()}),
+              ref_derivative(r, {U: {mono(1): Fraction(1)}}))
+
+    def test_order_shift(self):
+        # d/ds turns one factor u^(2) into u^(3); beside u^(3) to the power
+        # 2**15 - 1 that makes 2**15
+        fine = {mono(jets={(U, 1): LIMIT - 1, (U, 2): 1}): Fraction(1)}
+        check(Poly(RING, fine).total_derivative(), ref_derivative(fine))
+        with pytest.raises(ExponentOverflow):
+            single(RING, mono(jets={(U, 2): 1, (U, 3): LIMIT - 1})).total_derivative()
+
+    def test_order_beyond_the_last_slot(self):
+        ring = Ring(("u",))               # order o sits in slot 1 + o
+        top = ring.var("u", 4094)         # the last slot the guard covers
+        with pytest.raises(ExponentOverflow):
+            top.total_derivative()
+        with pytest.raises(ExponentOverflow):
+            ring.var("u", 4095)
+        assert ring.var("u", 4093).total_derivative() == top
+
+    def test_equal_rings_built_apart_share_the_guard(self):
+        a, b = hierarchy_ring(3), hierarchy_ring(3)
+        assert a == b and a is not b
+        l3 = a.dependents.index("l3")
+        x = single(a, mono(jets={(l3, 900): LIMIT // 2}))
+        y = single(b, mono(jets={(l3, 900): LIMIT // 2}))
+        with pytest.raises(ExponentOverflow):
+            x * y
+        with pytest.raises(ExponentOverflow):
+            y * x
+        z = single(b, mono(jets={(l3, 900): LIMIT // 2 - 1}))
+        check(x * z, {mono(jets={(l3, 900): LIMIT - 1}): 1})
+
+    def test_raises_under_python_O(self):
+        script = (
+            "from p3lenard.jetring import ExponentOverflow, Ring\n"
+            "print('debug', __debug__)\n"
+            "ring = Ring(('u',))\n"
+            "u2, u3 = ring.var('u', 2), ring.var('u', 3)\n"
+            "x = u3 ** (2 ** 14)\n"
+            "for step in (lambda: x * x, lambda: x * x.total_derivative(),\n"
+            "             lambda: (u2 * x * u3 ** (2 ** 14 - 1)).total_derivative()):\n"
+            "    try:\n"
+            "        step()\n"
+            "        print('passed')\n"
+            "    except ExponentOverflow:\n"
+            "        print('raised')\n")
+        src = os.path.dirname(os.path.dirname(p3lenard.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout.splitlines() == [
+            "debug False", "raised", "passed", "raised"], done.stderr
+
+
+def test_rule_defined_dependent_above_order_zero_is_refused():
+    ring = Ring(("u", "l1", "l2"))
+    rules = {"l1": ring.var("u", 1), "l2": ring.var("l1") * ring.var("u")}
+    with pytest.raises(ValueError, match="jet order 1 of rule-defined dependent 'l2'"):
+        (ring.var("l2", 1) * ring.var("l1")).total_derivative(rules)
+    with pytest.raises(ValueError, match="jet order 3 of rule-defined dependent 'l1'"):
+        ring.var("l1", 3).total_derivative(rules)

@@ -61,19 +61,22 @@ INTEGER_PATHS = ("_accumulate", "_make", "Poly.__add__", "Poly.__mul__",
                  "Poly.total_derivative")
 
 
+def _functions(body, prefix=""):
+    """(qualified name, node) of the module-level functions and class
+    methods in ``body``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+
+
 def _fraction_uses(tree, qualnames):
     """{qualified name: line numbers of references to ``Fraction``} for the
     module-level functions and class methods of ``tree`` named in
     ``qualnames``, nested functions included.  A ``Fraction`` in the type
     argument of ``isinstance`` is a type test, not arithmetic, and is not
     counted."""
-    def functions(body, prefix):
-        for node in body:
-            if isinstance(node, ast.ClassDef):
-                yield from functions(node.body, f"{prefix}{node.name}.")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}{node.name}", node
-
     def uses(fn):
         type_tests = {id(node) for call in ast.walk(fn)
                       if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
@@ -85,7 +88,7 @@ def _fraction_uses(tree, qualnames):
                            or (isinstance(node, ast.Attribute)
                                and node.attr == "Fraction")))
 
-    return {name: uses(fn) for name, fn in functions(tree.body, "") if name in qualnames}
+    return {name: uses(fn) for name, fn in _functions(tree.body) if name in qualnames}
 
 
 def test_jetring_hot_paths_have_no_fraction():
@@ -112,6 +115,44 @@ def test_fraction_rule_can_fail():
               "    return inner\n")
     assert _fraction_uses(ast.parse(sample), INTEGER_PATHS) == {
         "Poly.__add__": [3], "Poly.__mul__": [7], "_make": [12]}
+
+
+# Term merging, products and d/ds work on packed int monomials: no
+# container of exponents is rebuilt or sorted per term.
+PACKED_PATHS = ("_accumulate", "Poly.__mul__", "Poly.total_derivative")
+CONTAINER_CALLS = ("sorted", "dict", "tuple")
+
+
+def _container_calls(tree, qualnames):
+    """{qualified name: line numbers of calls to sorted, dict or tuple} for
+    the functions and methods of ``tree`` named in ``qualnames``, nested
+    functions included."""
+    return {name: sorted(node.lineno for node in ast.walk(fn)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id in CONTAINER_CALLS)
+            for name, fn in _functions(tree.body) if name in qualnames}
+
+
+def test_jetring_packed_paths_build_no_containers():
+    path = Path(jetring.__file__)
+    assert _container_calls(ast.parse(path.read_text(), str(path)), PACKED_PATHS) == {
+        name: [] for name in PACKED_PATHS}
+
+
+def test_container_rule_can_fail():
+    sample = ("def _accumulate(out, pairs):\n"
+              "    return dict(out)\n"
+              "class Poly:\n"
+              "    def __mul__(self, other):\n"
+              "        return {**self.terms}, list(other)\n"
+              "    def total_derivative(self, rules=None):\n"
+              "        def leibniz_terms():\n"
+              "            yield tuple(sorted(self.terms))\n"
+              "        return leibniz_terms\n"
+              "    def sorted_terms(self):\n"
+              "        return sorted(self.terms)\n")
+    assert _container_calls(ast.parse(sample), PACKED_PATHS) == {
+        "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8]}
 
 
 def _code_builtin_uses(tree):
