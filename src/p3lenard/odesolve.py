@@ -6,6 +6,13 @@ once by cofactors (Cramer's rule), the same way for every k, and generates
 one straight-line Python function for the right-hand side and one for the
 monitor u.  The right-hand side guards the l_p that divide an equation
 denominator (l_k alone, for every k checked) and the block determinant.
+The generated code evaluates each polynomial term by term, bit for bit as
+a loop over its terms would, but skips three exact no-ops: a first power
+is read directly, a coefficient of 1.0 is dropped from a term with a
+factor, and a term with coefficient -1.0 is subtracted without it.  The
+leading ``0.0 +`` of each sum stays, because it turns -0.0 into +0.0, and
+``**`` stays for exponents of 2 or more, because it raises
+``OverflowError`` where a product would give inf.
 
 The constants of motion are proved at compile time, not sampled: the
 on-shell tau_p, p = 1..k, must reduce exactly to the literal tau_p, and the
@@ -28,7 +35,6 @@ s = 4.317 (ROADMAP open item 3).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,10 +73,22 @@ class _Emitter:
     """Straight-line body of one generated evaluator ``(s, y) -> ...``.
 
     ``layout`` maps (dependent name, order) to a state-vector slot; the body
-    unpacks ``y`` into ``y0, y1, ...``.  Each distinct power is assigned once,
-    just before the first polynomial that uses it, so an ``OverflowError``
-    fires at the same point as in a term-by-term evaluation.  Source text is
-    built only from float reprs, integer exponents and slot indices.
+    unpacks ``y`` into ``y0, y1, ...``.  Each distinct power of exponent 2 or
+    more is assigned once, just before the first polynomial that uses it, so
+    an ``OverflowError`` fires at the same point as in a term-by-term
+    evaluation.  Source text is built only from float reprs, integer
+    exponents and slot indices.
+
+    Three rewrites drop float operations that IEEE 754 makes exact no-ops,
+    so every result and exception is that of the term-by-term evaluation:
+    a first power is read directly (``y0``, not ``y0 ** 1``); a coefficient
+    of exactly 1.0 is dropped from a term with at least one factor; and a
+    coefficient of exactly -1.0 is dropped the same way, the term being
+    subtracted (``- (a * b)``), since rounding is symmetric in sign and
+    x - y is x + (-y).  The leading ``0.0 +`` stays, because it turns a
+    lone -0.0 term into +0.0.  ``**`` stays for every exponent of 2 or
+    more, because ``x ** 2`` raises ``OverflowError`` where ``x * x`` gives
+    inf, and a run must stop where it stopped before.
     """
 
     def __init__(self, layout: dict, dimension: int):
@@ -79,6 +97,8 @@ class _Emitter:
         self.powers = set()
 
     def _power(self, base: str, e: int) -> str:
+        if e == 1:
+            return base
         name = f"{base}_{e}"
         if name not in self.powers:
             self.powers.add(name)
@@ -88,12 +108,17 @@ class _Emitter:
     def poly(self, p: Poly) -> str:
         """Emit the powers ``p`` needs and return its float value as one
         expression: terms in sorted monomial order summed from 0.0, each a
-        product, left to right, of coefficient, power of s and state powers."""
-        terms = ["0.0"]
+        product, left to right, of coefficient, power of s and state powers.
+
+        A first power is its base, a coefficient of 1.0 before a factor is
+        left out, and a term with coefficient -1.0 and a factor is
+        subtracted without it; see the class docstring for why the result
+        is bit for bit that of the full product."""
+        expr = "0.0"
         for (s_pow, jets, pars), c in p.sorted_terms():
             if pars:
                 raise ValueError("unsubstituted parameter in compiled expression")
-            factors = [repr(float(c))]
+            factors = []
             if s_pow:
                 factors.append(self._power("s", s_pow))
             for (d, o), e in jets:
@@ -101,8 +126,14 @@ class _Emitter:
                 if key not in self.layout:
                     raise ValueError(f"no state slot for {key}")
                 factors.append(self._power(f"y{self.layout[key]}", e))
-            terms.append(f"({' * '.join(factors)})")
-        return " + ".join(terms)
+            coef = float(c)
+            if factors and abs(coef) == 1.0:
+                sign = "-" if coef < 0 else "+"
+            else:
+                sign = "+"
+                factors.insert(0, repr(coef))
+            expr += f" {sign} ({' * '.join(factors)})"
+        return expr
 
     def ratio(self, target: str, e: RatExpr) -> None:
         """Emit ``target = num / den``; a zero denominator raises
@@ -360,9 +391,9 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     """Classical fixed-step RK4.  Deterministic bit-for-bit for a given
     configuration; halts with an aborted status at the first non-finite or
     singular evaluation, that of the initial sample included, and writes no
-    sample with a non-finite value.  The step size must split [s_start, s_end] into a
-    whole number of steps, to within a relative ``STEP_FIT_RTOL`` of the
-    interval."""
+    sample with a non-finite value.  The step size must split
+    [s_start, s_end] into a whole number of steps, to within a relative
+    ``STEP_FIT_RTOL`` of the interval."""
     if not all(math.isfinite(v) for v in (cfg.s_start, cfg.s_end, cfg.step)):
         raise DomainError("s_start, s_end and step must be finite")
     if cfg.step <= 0:
@@ -400,12 +431,12 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
             if i:
                 y = step(sys.rhs, s_i, h, y)
                 s_i = cfg.s_start + i * h
-                if not all(math.isfinite(v) for v in y):
+                if not all(map(math.isfinite, y)):
                     status, abort_s = "aborted-nonfinite", s_i
                     break
             if i % cfg.decimate == 0 or i == n:
                 row = tuple([fn(s_i, y) for fn in monitors])
-                if not all(math.isfinite(v) for v in row):
+                if not all(map(math.isfinite, row)):
                     status, abort_s = "aborted-nonfinite", s_i
                     break
                 samples.append((s_i, y, row))
@@ -418,12 +449,13 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
 
 
 def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
-    """Trajectory CSV with 17-significant-digit decimal values: s, the state
-    and the monitors of each sample, then the exact constants of ``sys``."""
-    constants = [f"{float(v):.17g}" for v in sys.constants.values()]
+    """Trajectory CSV: s, the state and the monitors of each sample as
+    ``%.17g`` decimals, then the exact constants of ``sys``; every row,
+    the header included, ends in ``\\r\\n``.  Rows are formatted from one
+    template per run and streamed to the file, never held all at once."""
+    fields = ["%.17g"] * (1 + sys.dimension + len(traj.monitor_names))
+    fields += [f"{float(v):.17g}" for v in sys.constants.values()]
+    row = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sys.csv_columns)
-        for s_i, y, mon in traj.samples:
-            writer.writerow([*(f"{v:.17g}" for v in (s_i, *y, *mon)),
-                             *constants])
+        fh.write(",".join(sys.csv_columns) + "\r\n")
+        fh.writelines(row % (s_i, *y, *mon) for s_i, y, mon in traj.samples)

@@ -2,6 +2,7 @@
 derived guard), RK4 behaviour, and the trajectory CSV."""
 
 import ast
+import csv
 import dataclasses
 import hashlib
 import math
@@ -9,10 +10,11 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import p3lenard
@@ -21,7 +23,7 @@ from p3lenard.hierarchy import build_p3_system
 from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, ConstantMismatch, DomainError,
                                SingularMassMatrix, SolverConfig,
-                               StepSizeUnderflow, _compile_system,
+                               StepSizeUnderflow, Trajectory, _compile_system,
                                _exact_system, _generate, _materialize,
                                _step_source, compile_k1, compile_k2, integrate,
                                write_csv)
@@ -211,6 +213,65 @@ class TestWriteCsv:
         # %.17g reparses to the exact float that was written
         assert float(row[1]) == traj.samples[-1][1][0]
 
+    @pytest.mark.parametrize("k, tau", [(1, (1, 2)), (2, (1, 2, 3)),
+                                        (1, (-2, "-1/3"))])
+    def test_bytes_match_csv_writer(self, k, tau, tmp_path_factory):
+        _assert_csv_parity(_compile_system(k, tau),
+                           tmp_path_factory.mktemp("csv"))
+
+    def test_rows_are_streamed(self, k1_demo, tmp_path):
+        # the dense k = 1 demo run on [1, 3]: 1.5 MB of rows.  Streamed, the
+        # write peaks near 28 kB of traced memory; a list of every row
+        # first peaks near 2.8 MB.
+        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 3.0, 1e-4))
+        assert len(traj.samples) == 20001
+        tracemalloc.start()
+        try:
+            write_csv(traj, k1_demo, tmp_path / "dense.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
+def _reference_write_csv(traj, sys, path):
+    """The trajectory CSV as ``csv.writer`` wrote it before rows were
+    formatted from one template."""
+    constants = [f"{float(v):.17g}" for v in sys.constants.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sys.csv_columns)
+        for s_i, y, mon in traj.samples:
+            writer.writerow([*(f"{v:.17g}" for v in (s_i, *y, *mon)),
+                             *constants])
+
+
+# signed zeros, the smallest subnormal, the largest subnormal and the
+# largest finite float
+_EXTREME = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+            -2.225073858507201e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308)
+
+
+def _assert_csv_parity(system, directory):
+    """Search trajectories of finite floats for one whose ``write_csv``
+    bytes differ from the ``csv.writer`` reference."""
+    width, monitors = system.dimension, len(system.monitors)
+    sample = st.tuples(_FINITE, st.tuples(*[_FINITE] * width),
+                       st.tuples(*[_FINITE] * monitors))
+    fast, ref = directory / "fast.csv", directory / "ref.csv"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(samples=st.lists(sample, max_size=6))
+    @example(samples=[(v, (v,) * width, (v,) * monitors) for v in _EXTREME])
+    def check(samples):
+        traj = Trajectory(tuple(system.monitors), samples, "completed")
+        write_csv(traj, system, fast)
+        _reference_write_csv(traj, system, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    check()
+
 
 # -- reference evaluators: exact expressions evaluated term by term ------------
 
@@ -281,6 +342,24 @@ _FINITE = st.one_of(st.floats(-4.0, 4.0),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _edge_examples(dimension, **fixed):
+    """Explicit (s, y) examples that every parity search runs first: all
+    -0.0; -0.0 slopes beside unit values, so signed zeros reach the
+    polynomials; all subnormal; y ** 3 overflowing; and slopes whose
+    square alone overflows.  Even slots hold values, odd slots slopes."""
+    def interleave(value, slope):
+        return [value if i % 2 == 0 else slope for i in range(dimension)]
+
+    def decorate(check):
+        for s, y in ((-0.0, [-0.0] * dimension), (1.0, interleave(1.0, -0.0)),
+                     (1.0, [1e-310] * dimension), (1.0, [1e120] * dimension),
+                     (1.0, interleave(1.0, 1e200))):
+            check = example(s=s, y=y, **fixed)(check)
+        return check
+
+    return decorate
+
+
 def _assert_parity(exact, rhs, monitors):
     """Search random finite (s, y) for an evaluator whose result or exception
     differs from the term-loop reference of ``exact``."""
@@ -292,6 +371,7 @@ def _assert_parity(exact, rhs, monitors):
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(s=_FINITE, y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
+    @_edge_examples(dimension)
     def check(s, y):
         y = tuple(y)
         for name, generated, ref in pairs:
@@ -376,6 +456,7 @@ def _assert_step_parity(system, step):
     @settings(max_examples=300, deadline=None, database=None)
     @given(s=_FINITE, h=st.one_of(st.floats(1e-6, 1.0), _FINITE),
            y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
+    @_edge_examples(dimension, h=1e-3)
     def check(s, h, y):
         y = tuple(y)
         got = _outcome(lambda s, y: step(system.rhs, s, h, y), s, y)
@@ -460,6 +541,20 @@ class TestGenericCompile:
         assert det == monomial or det == -monomial
 
     @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_generated_source_skips_exact_no_ops(self, generic_exact, k):
+        # no first power and no factor of 1.0 or -1.0 reaches the float code
+        source, _, _ = _generate(generic_exact[k])
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                assert node.right.value >= 2, ast.unparse(node)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                for side in (node.left, node.right):
+                    if isinstance(side, ast.UnaryOp):
+                        side = side.operand
+                    assert not (isinstance(side, ast.Constant)
+                                and abs(side.value) == 1), ast.unparse(node)
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
     def test_guard_is_derived_from_denominators(self, generic_exact, k):
         assert generic_exact[k].guarded == (f"l{k}",)
 
@@ -522,18 +617,21 @@ class TestGenericCompile:
 
 
 # SHA-256 of each generated function's text (its ast source segment),
-# recorded before the compile path became generic
+# recorded when the emitter began to skip first powers and factors of
+# 1.0 and -1.0
 RECORDED_SHA256 = {
     ("k1", "rhs"):
-        "d6bdc1befdefdebd88d6bad183b267427570888f1cb88b71dc5a7bea103e6ac8",
+        "6eebf03efbf4a4d366dc037858a09c345938feaaef580752a33d63fd40b0d15b",
     ("k1", "monitor_0"):
-        "e74d06b86284865461e09dadcfd45c99efa13dd09777eb251ff6c655bcdbdc98",
+        "a950ab01cf976cbbd572b486674c5709c9df9388a02cdb2bb8513f7972ec796d",
     ("k2", "rhs"):
-        "6d3985fd23fa44eca7caa1183c0f687f3f831bdbb8c4ad0534f924331b0997cc",
+        "dc0a4b8c91f905861db331fd702eab1c2938592143174b176839a6bd082b7298",
     ("k2", "monitor_0"):
-        "2f3b9a590ab8cdf8db253d57af6847902dbc6d9a1224815805680bb6c0258ffb",
+        "a93bb5106d79a99af051a041737dfad2774341ddd5dff6e26570382e28dd9951",
 }
-# the recorded k = 2 rhs also guarded l1, which no k = 2 equation divides by
+# the k = 2 rhs is hashed with the l1 guard that the first recording, made
+# before the compile path became generic, carried; no k = 2 equation
+# divides by l1
 _L1_GUARD = "    if y0 == 0.0:\n        raise SingularMassMatrix(s)\n"
 
 
