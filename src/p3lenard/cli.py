@@ -19,12 +19,11 @@ from fractions import Fraction
 
 from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
-from .hierarchy import build_p3_system
-from .jetring import RatExpr, ZeroDenominator
+from .hierarchy import build_p3_system, conservation_residual
+from .jetring import ZeroDenominator
 from .lenard import (SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
                      symbolic, transport_residual)
-from .hierarchy import conservation_residual
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, DomainError, SingularMassMatrix,
                        SolverConfig, StepSizeUnderflow, compile_k1, compile_k2,
@@ -47,10 +46,6 @@ def _seed_from_label(label: str, expr: str | None = None) -> SeedCondition:
     if expr is None:
         expr = "1/2*s^2"
     return SeedCondition.custom(parse(expr))
-
-
-def _ratexpr_obj(expr: RatExpr) -> dict:
-    return render.ratexpr_to_obj(expr)
 
 
 # -- gen-lenard ------------------------------------------------------------------
@@ -96,8 +91,8 @@ def _cmd_gen_hierarchy(args) -> int:
     else:
         print(json.dumps({
             "k": args.k,
-            "u": _ratexpr_obj(system.u_expr),
-            "equations": [_ratexpr_obj(eq) for eq in system.equations],
+            "u": render.ratexpr_to_obj(system.u_expr),
+            "equations": [render.ratexpr_to_obj(eq) for eq in system.equations],
         }))
     return EXIT_OK
 

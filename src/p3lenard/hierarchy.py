@@ -11,9 +11,14 @@ eliminating u via
 
     u = -((l_k^2)'' - 3 (l_k')^2 + tau_0) / (4 l_k^2).
 
-The constants of motion tau_p / sigma_p are built from a Lenard sequence in
-the u-jet ring; their conservation residuals vanish identically for any
-seed, because they follow from the recursion alone.
+The constants of motion tau_p / sigma_p are anti-diagonal sums of brackets
+B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a Lenard sequence in the u-jet ring
+(Omega is symmetric), so each conservation residual is one transport
+residual T(m, n, r) = ``transport_residual(seq, m, n, r)`` and vanishes for
+any seed, by the recursion alone:
+
+    D(tau_p) + 2 l_{k-p} D(l_{k+1}) =  T(k-p, k+1, p+1),
+    D(sigma_p) + 2 l_p D(l_0)       = -T(0, p, p).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring, ZeroDenominator
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
-                     bracket, omega)
+                     bracket, transport_residual)
 
 __all__ = [
     "HierarchySystem", "ConservedQuantity", "hierarchy_ring",
@@ -114,16 +119,17 @@ class ConservedQuantity:
 
 
 def conserved_tau(seq: LenardSequence, k: int, p: int) -> ConservedQuantity:
-    """-l_{k+1} l_{k-p} + sum_{q=0}^{p} (l_{k-q} l_{k-p+q+1} - Omega_{k-p+q,k-q})."""
+    """-(l_{k+1} l_{k-p} + sum_{q=0}^{p} B_{k-q,k-p+q}), the anti-diagonal
+    sum that ``transport_residual`` differentiates with (m, n, r) =
+    (k-p, k+1, p+1); sigma_p is the one with (m, n, r) = (0, p, p)."""
     if not 0 <= p <= k:
         raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
     if len(seq) < k + 2:
         raise IndexOutOfRange(f"sequence must extend through index {k + 1}")
-    acc = -seq.ell(k + 1) * seq.ell(k - p)
+    acc = seq.ell(k + 1) * seq.ell(k - p)
     for q in range(p + 1):
-        acc += (seq.ell(k - q) * seq.ell(k - p + q + 1)
-                - omega(seq, k - p + q, k - q))
-    return ConservedQuantity(p, "tau", acc)
+        acc += bracket(seq, k - q, k - p + q)
+    return ConservedQuantity(p, "tau", -acc)
 
 
 def conserved_sigma(seq: LenardSequence, p: int) -> ConservedQuantity:
@@ -139,12 +145,13 @@ def conserved_sigma(seq: LenardSequence, p: int) -> ConservedQuantity:
 
 
 def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:
-    """D(tau_p) + 2 l_{k-p} D(l_{k+1})  or  D(sigma_p) + 2 l_p D(l_0);
-    normalizes to zero for every recursion-consistent sequence."""
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}), the transport residual with
+    (m, n, r) = (k-p, k+1, p+1), or D(sigma_p) + 2 l_p D(l_0), minus the one
+    with (m, n, r) = (0, p, p); zero for every recursion-consistent sequence."""
     if kind == "tau":
-        expr = conserved_tau(seq, k, p).expr
-        return seq.D(expr) + 2 * seq.ell(k - p) * seq.D(seq.ell(k + 1))
+        if not 0 <= p <= k:
+            raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
+        return transport_residual(seq, k - p, k + 1, p + 1)
     if kind == "sigma":
-        expr = conserved_sigma(seq, p).expr
-        return seq.D(expr) + 2 * seq.ell(p) * seq.D(seq.ell(0))
+        return -transport_residual(seq, 0, p, p)
     raise ValueError(f"unknown kind {kind!r}")

@@ -122,10 +122,6 @@ def derive_a_c(b: LaurentPoly, u: Poly, seq: LenardSequence | None = None):
     return a, c
 
 
-def _half(ring: Ring) -> Poly:
-    return ring.const(Fraction(1, 2))
-
-
 def compatibility_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     """z b' - (b''' + 4 u b' + 2 u' b)/4 - 1/2, expanded through l_{k+1} and
     truncated to the orders z^(-(k+1))..z^0 the series determines.
@@ -148,7 +144,8 @@ def _b_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     lin = (db.derivative(seq).derivative(seq)
            + db * (4 * seq.u)
            + b_ext * (2 * seq.D(seq.u)))
-    resid = db.shift(1) - lin * Fraction(1, 4) - LaurentPoly(ring, {0: _half(ring)})
+    half = LaurentPoly(ring, {0: ring.const(Fraction(1, 2))})
+    resid = db.shift(1) - lin * Fraction(1, 4) - half
     return resid.truncate(-(k + 1))
 
 

@@ -135,16 +135,21 @@ class _Emitter:
             expr += f" {sign} ({' * '.join(factors)})"
         return expr
 
-    def ratio(self, target: str, e: RatExpr) -> None:
+    def ratio(self, target: str, e: RatExpr, det: Poly | None = None) -> None:
         """Emit ``target = num / den``; a zero denominator raises
-        ZeroDivisionError before the numerator is evaluated."""
-        den = self.poly(e.den)
-        self.lines += [f"{target}_den = {den}",
-                       f"if {target}_den == 0.0:",
-                       "    raise ZeroDivisionError("
-                       "f'denominator vanished at s = {s!r}')"]
+        ZeroDivisionError before the numerator is evaluated.  A denominator
+        equal to ``det``, already emitted as ``det`` and found nonzero, is
+        read by that name and not tested again."""
+        den = "det"
+        if e.den != det:
+            den = f"{target}_den"
+            value = self.poly(e.den)
+            self.lines += [f"{den} = {value}",
+                           f"if {den} == 0.0:",
+                           "    raise ZeroDivisionError("
+                           "f'denominator vanished at s = {s!r}')"]
         num = self.poly(e.num)
-        self.lines.append(f"{target} = ({num}) / {target}_den")
+        self.lines.append(f"{target} = ({num}) / {den}")
 
     def function(self, name: str, result: str) -> str:
         body = "".join(f"    {line}\n" for line in self.lines)
@@ -320,7 +325,7 @@ def _generate(exact: _ExactSystem):
                  "    raise SingularMassMatrix(s)"]
     result = []
     for p, f in enumerate(exact.second, start=1):
-        em.ratio(f"f{p}", f)
+        em.ratio(f"f{p}", f, exact.det)
         result += [f"y{exact.layout[(f'l{p}', 1)]}", f"f{p}"]
     parts = [em.function("rhs", f"({', '.join(result)})")]
     for i, expr in enumerate(exact.monitors.values()):

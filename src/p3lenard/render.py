@@ -49,10 +49,6 @@ def _jet_latex(name: str, order: int) -> str:
     return f"{sym}^{{({order})}}"
 
 
-def _coef_ascii(c: Fraction) -> str:
-    return str(c)
-
-
 def _coef_latex(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
@@ -60,11 +56,11 @@ def _coef_latex(c: Fraction) -> str:
     return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def _term_factors(poly: Poly, m, jet_fmt, s_name="s", pow_fmt=None):
+def _term_factors(poly: Poly, m, jet_fmt):
     s_pow, jets, pars = m
     factors = []
     if s_pow:
-        factors.append((s_name, s_pow))
+        factors.append(("s", s_pow))
     for (d, o), e in jets:
         factors.append((jet_fmt(poly.ring.dependents[d], o), e))
     for p, e in pars:
@@ -80,11 +76,11 @@ def poly_ascii(poly: Poly) -> str:
         factors = _term_factors(poly, m, _jet_ascii)
         body = "*".join(f"{f}^{e}" if e > 1 else f for f, e in factors)
         if not factors:
-            text = _coef_ascii(abs(c))
+            text = str(abs(c))
         elif abs(c) == 1:
             text = body
         else:
-            text = f"{_coef_ascii(abs(c))}*{body}"
+            text = f"{abs(c)}*{body}"
         chunks.append(("- " if c < 0 else "+ ") + text)
     out = " ".join(chunks)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]

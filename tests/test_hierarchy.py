@@ -5,6 +5,7 @@ import pytest
 
 from fractions import Fraction
 
+from p3lenard import jetring
 from p3lenard.diffpoly import s as s_poly
 from p3lenard.hierarchy import (boundary_jet_sequence, build_p3_system,
                                 conservation_residual, conserved_sigma,
@@ -181,6 +182,58 @@ class TestConservationResiduals:
         with pytest.raises(ValueError):
             conservation_residual(seq, 1, 0, "rho")
 
+    def test_index_errors(self):
+        # transport with r = 0 is a literal zero, so tau p = -1 must be
+        # refused before it gets there
+        seq = _seed_sequence("painleve3", 4)
+        for k, p in ((2, -1), (2, 3), (0, -1), (0, 1)):
+            with pytest.raises(IndexOutOfRange):
+                conservation_residual(seq, k, p, "tau")
+        with pytest.raises(IndexOutOfRange):
+            conservation_residual(seq, 0, -1, "sigma")
+
+    @pytest.mark.parametrize("seed", ["standard", "painleve3", "custom"])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_equals_derivative_of_whole_sum(self, seed, corrupt):
+        # the residuals are transport residuals; compare them with D of the
+        # spelled-out sums, on exact and corrupted sequences
+        seq = _seed_sequence(seed, 6)
+        if corrupt:
+            seq = seq.with_entry(2, seq.ell(2) + seq.u)
+        nonzero = 0
+        for k in range(5):
+            for p in range(k + 1):
+                got = conservation_residual(seq, k, p, "tau")
+                assert got == _reference_residual(seq, k, p, "tau")
+                assert conserved_tau(seq, k, p).expr == _reference_tau(seq, k, p)
+                nonzero += not got.is_zero()
+        for p in range(6):
+            got = conservation_residual(seq, 0, p, "sigma")
+            assert got == _reference_residual(seq, 0, p, "sigma")
+            nonzero += not got.is_zero()
+        assert (nonzero > 0) == corrupt
+
+    def test_sweep_derivative_count(self, monkeypatch):
+        # The `verify --suite conservation --max-index 4` sweep over one
+        # seed.  It takes 81 total derivatives through the transport memo
+        # and 143 when each whole sum is differentiated.
+        max_index = 4
+        seq = symbolic(SeedCondition.painleve3(), max_index + 2)
+        calls = []
+        derivative = jetring.Poly.total_derivative
+
+        def counted(self, rules=None):
+            calls.append(None)
+            return derivative(self, rules)
+
+        monkeypatch.setattr(jetring.Poly, "total_derivative", counted)
+        for k in range(1, max_index + 1):
+            for p in range(k + 1):
+                assert conservation_residual(seq, k, p, "tau").is_zero()
+        for p in range(max_index + 2):
+            assert conservation_residual(seq, 0, p, "sigma").is_zero()
+        assert len(calls) <= 81
+
 
 def _seed_sequence(label, count):
     seeds = {
@@ -189,6 +242,25 @@ def _seed_sequence(label, count):
         "custom": SeedCondition.custom(s_poly() ** 2 * Fraction(1, 2)),
     }
     return symbolic(seeds[label], count)
+
+
+def _reference_tau(seq, k, p):
+    """tau_p with each Omega spelled out, a second form of the bracket sum
+    of ``conserved_tau``."""
+    acc = -seq.ell(k + 1) * seq.ell(k - p)
+    for q in range(p + 1):
+        acc += (seq.ell(k - q) * seq.ell(k - p + q + 1)
+                - omega(seq, k - p + q, k - q))
+    return acc
+
+
+def _reference_residual(seq, k, p, kind):
+    """D of the whole tau_p or sigma_p sum plus its boundary term."""
+    if kind == "tau":
+        return (seq.D(_reference_tau(seq, k, p))
+                + 2 * seq.ell(k - p) * seq.D(seq.ell(k + 1)))
+    return (seq.D(conserved_sigma(seq, p).expr)
+            + 2 * seq.ell(p) * seq.D(seq.ell(0)))
 
 
 class TestRecoveryProperty:

@@ -618,10 +618,11 @@ class TestGenericCompile:
 
 # SHA-256 of each generated function's text (its ast source segment),
 # recorded when the emitter began to skip first powers and factors of
-# 1.0 and -1.0
+# 1.0 and -1.0; the k = 1 rhs again when a denominator equal to the block
+# determinant began to be read as ``det``
 RECORDED_SHA256 = {
     ("k1", "rhs"):
-        "6eebf03efbf4a4d366dc037858a09c345938feaaef580752a33d63fd40b0d15b",
+        "775ed34ed2a8ff4c2d90df6893ddb66a3be27360097e0f1df4eb3ce6849ff0f0",
     ("k1", "monitor_0"):
         "a950ab01cf976cbbd572b486674c5709c9df9388a02cdb2bb8513f7972ec796d",
     ("k2", "rhs"):

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
-from p3lenard import jetring, odesolve
+from p3lenard import hierarchy, jetring, odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -153,6 +153,49 @@ def test_container_rule_can_fail():
               "        return sorted(self.terms)\n")
     assert _container_calls(ast.parse(sample), PACKED_PATHS) == {
         "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8]}
+
+
+# The constants of motion and their residuals differentiate nothing
+# themselves: each residual is one transport residual of ``lenard``.
+CONSERVATION_PATHS = ("conserved_tau", "conserved_sigma", "conservation_residual")
+DERIVATIVE_CALLS = ("D", "total_derivative")
+
+
+def _derivative_calls(tree, qualnames):
+    """{qualified name: line numbers of calls to ``D`` or
+    ``total_derivative``, bare or as a method} for the functions of
+    ``tree`` named in ``qualnames``."""
+    def called(node):
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None))
+
+    return {name: sorted(node.lineno for node in ast.walk(fn)
+                         if isinstance(node, ast.Call)
+                         and called(node) in DERIVATIVE_CALLS)
+            for name, fn in _functions(tree.body) if name in qualnames}
+
+
+def test_conservation_takes_no_derivative_of_its_own():
+    path = Path(hierarchy.__file__)
+    assert _derivative_calls(ast.parse(path.read_text(), str(path)),
+                             CONSERVATION_PATHS) == {
+        name: [] for name in CONSERVATION_PATHS}
+
+
+def test_derivative_rule_can_fail():
+    sample = ("def conserved_tau(seq, k, p):\n"
+              "    return seq.D(seq.ell(k))\n"
+              "def conserved_sigma(seq, p):\n"
+              "    return transport_residual(seq, 0, p, p)\n"
+              "def conservation_residual(seq, k, p, kind):\n"
+              "    acc = seq.ell(p).total_derivative(seq.rules)\n"
+              "    return acc + D(acc)\n"
+              "def boundary_jet_sequence(k):\n"
+              "    return seq.D(k)\n")
+    assert _derivative_calls(ast.parse(sample), CONSERVATION_PATHS) == {
+        "conserved_tau": [2], "conserved_sigma": [],
+        "conservation_residual": [6, 7]}
 
 
 def _code_builtin_uses(tree):
