@@ -124,22 +124,21 @@ def _cmd_gen_lax(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
-def _verify_sequences(max_index: int) -> dict:
-    """The symbolic sequence of each seed that the lattice and conservation
-    suites check, by seed label."""
-    seeds = {
-        "standard": SeedCondition.standard(),
-        "p3": SeedCondition.painleve3(),
-        "custom": SeedCondition.custom(parse("1/2*s^2")),
-    }
+def _verify_sequences(max_index: int, suites) -> dict:
+    """The symbolic sequence of each seed that ``suites`` read, by seed label:
+    closedform reads none, lax only p3, every other suite all three."""
+    seeds = {"standard": SeedCondition.standard(), "p3": SeedCondition.painleve3(),
+             "custom": SeedCondition.custom(parse("1/2*s^2"))}
+    needed = {label for suite in suites if suite != "closedform"
+              for label in (("p3",) if suite == "lax" else seeds)}
     return {label: symbolic(seed, max_index + 2)
-            for label, seed in seeds.items()}
+            for label, seed in seeds.items() if label in needed}
 
 
 def _verify_checks(suite: str, max_index: int, seqs: dict):
     """Yield (ok, suite, indices-description) tuples, deterministic order.
-    ``seqs`` comes from ``_verify_sequences(max_index)``; suites that share
-    it reuse each sequence's memo of derivatives."""
+    ``seqs`` comes from ``_verify_sequences``; suites that share it reuse
+    each sequence's jet table."""
     count = max_index + 2
 
     if suite == "master":
@@ -178,8 +177,8 @@ def _verify_checks(suite: str, max_index: int, seqs: dict):
             ok = closed_form_standard(p) == gen_seq.ell(p)
             yield ok, "closedform", f"p={p}"
     elif suite == "lax":
+        seq = seqs["p3"]
         for k in range(1, max_index + 2):
-            seq = symbolic(SeedCondition.painleve3(), k + 1)
             ok = compatibility_residual(seq, k).is_zero()
             yield ok, "lax", f"compat k={k}"
             ok = c_relation_residual(seq, k).is_zero()
@@ -191,7 +190,7 @@ def _cmd_verify(args) -> int:
     if args.max_index < 1:
         print("--max-index must be positive", file=sys.stderr)
         return EXIT_USAGE
-    seqs = _verify_sequences(args.max_index)
+    seqs = _verify_sequences(args.max_index, suites)
     passed = failed = 0
     for suite in suites:
         for ok, name, desc in _verify_checks(suite, args.max_index, seqs):

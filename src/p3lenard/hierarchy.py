@@ -7,7 +7,8 @@
 
 that is, the constant of motion tau_p of ``conserved_tau`` minus the
 parameter tau_p, with the boundary entries l_0 = s/2 and l_{k+1} = 0, after
-eliminating u via
+eliminating u through the same sum at p = 0, -Omega_{k,k} - tau_0 = 0,
+which is linear in u:
 
     u = -((l_k^2)'' - 3 (l_k')^2 + tau_0) / (4 l_k^2).
 
@@ -74,26 +75,17 @@ def boundary_jet_sequence(k: int, ring: Ring | None = None) -> LenardSequence:
     return LenardSequence(SeedCondition.painleve3(), ells, [], ring)
 
 
-def u_elimination(k: int, ring: Ring) -> RatExpr:
-    lk = ring.var(f"l{k}", 0)
-    lk2 = lk * lk
-    num = (lk2.total_derivative().total_derivative()
-           - 3 * lk.total_derivative() ** 2
-           + ring.param("tau0"))
-    return RatExpr(-num, 4 * lk2)
-
-
 def build_p3_system(k: int) -> HierarchySystem:
     if k < 1:
         raise ValueError("k must be positive")
     ring = hierarchy_ring(k)
     seq = boundary_jet_sequence(k, ring)
-    u_expr = u_elimination(k, ring)
-    equations = []
-    for p in range(1, k + 1):
-        # l_{k+1} = 0 in seq, so the boundary term of conserved_tau vanishes.
-        acc = conserved_tau(seq, k, p).expr - ring.param(f"tau{p}")
-        equations.append(RatExpr(acc).subs_var("u", 0, u_expr))
+    # l_{k+1} = 0 in seq, so the boundary term of conserved_tau vanishes.
+    sums = [conserved_tau(seq, k, p).expr - ring.param(f"tau{p}")
+            for p in range(k + 1)]
+    part = sums[0].collect("u", 0)      # -Omega_{k,k} - tau_0, linear in u
+    u_expr = RatExpr(-part[0], part[1])
+    equations = [RatExpr(acc).subs_var("u", 0, u_expr) for acc in sums[1:]]
     return HierarchySystem(k, ring.params, equations, u_expr, ring)
 
 

@@ -15,15 +15,16 @@ representations:
   is a consequence of the recursion alone, so it normalizes to zero in this
   representation for any seed, including the nonlocal ones.
 
-The lattice identities share their pieces, so each ``LenardSequence`` keeps
-a private memo of the three values they reuse: D(l_j), Omega_{n,m}' (keyed
-by the unordered pair, since Omega is symmetric) and D(B_{a,b}) for the
-bracket B_{a,b} = Omega_{a,b} - l_a l_{b+1}.  Omega itself is not cached.
-Every constructor and ``with_entry`` start with an empty memo.  An entry
-records the sequence entries it was computed from and is reused only while
-``seq.ell(i)`` is still each of those objects, so replacing an entry, even
-in place through ``seq.ells[j] = ...``, makes the memo recompute it.  The
-derivative rules of a symbolic sequence are fixed when it is built.
+Every derivative below comes from one jet table per sequence,
+``seq.jet(j, i)`` = D^i(l_j).  Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b}
+- l_a l_{b+1} and their derivatives are bilinear in the entries and follow by
+Leibniz from jets with i <= 3, so no product is differentiated; the recursion
+step reads the same table, which ``generate`` and ``symbolic`` fill as they
+build.  A jet is reused only while ``seq.ell(j)`` is the object it was
+computed from, so replacing an entry, even in place through
+``seq.ells[j] = ...``, recomputes its jets; ``with_entry`` starts an empty
+table.  Symbolic rules are fixed when built; the jets of l_j read only those
+of l_1 .. l_j.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class LenardSequence:
     constants: list
     ring: Ring
     rules: dict = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
+    _jets: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
     def __len__(self):
@@ -94,26 +95,22 @@ class LenardSequence:
         """Total derivative, recursion-aware for symbolic entries."""
         return p.total_derivative(self.rules or None)
 
-    def _memoized(self, key, indices, compute):
-        """``compute()``, kept under ``key`` while each entry l_i, i in
-        ``indices``, is the object it was computed from."""
-        read = tuple(self.ell(i) for i in indices)
-        hit = self._memo.get(key)
-        if hit is not None and all(a is b for a, b in zip(hit[0], read)):
+    def jet(self, j: int, i: int) -> Poly:
+        """D^i(l_j), kept while l_j is the entry it was computed from."""
+        lj = self.ell(j)
+        if i == 0:
+            return lj
+        hit = self._jets.get((j, i))
+        if hit is not None and hit[0] is lj:
             return hit[1]
-        value = compute()
-        self._memo[key] = (read, value)
+        value = self.D(self.jet(j, i - 1))
+        self._jets[j, i] = (lj, value)
         return value
-
-    def D_ell(self, j: int) -> Poly:
-        """D(l_j), memoized."""
-        return self._memoized(("D", j), (j,), lambda: self.D(self.ell(j)))
 
     def recursion_rhs(self, j: int) -> Poly:
         """l_j''' + 4 u l_j' + 2 u' l_j."""
-        lj = self.ell(j)
-        d1 = self.D(lj)
-        return self.D(self.D(d1)) + 4 * self.u * d1 + 2 * self.D(self.u) * lj
+        return (self.jet(j, 3) + 4 * self.u * self.jet(j, 1)
+                + 2 * self.ring.var("u", 1) * self.ell(j))
 
     def with_entry(self, j: int, value: Poly) -> "LenardSequence":
         """Copy with entry j replaced (boundary conditions, corruption tests).
@@ -145,15 +142,16 @@ def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence
                 f"polynomial ring: {exc}")
             err.step_index = j
             raise err from exc
-        if seq.D(nxt) != rhs:
+        c = Fraction(constants[j])
+        seq.ells.append(nxt + U_RING.const(c))
+        seq.constants.append(c)
+        # D(l_{j+1}) is the jet the next step reads
+        if seq.jet(j + 1, 1) != rhs:
             err = NotExactDerivative(
                 f"recursion step {j} -> {j + 1}: the derivative of the formal "
                 f"integral differs from the recursion right-hand side")
             err.step_index = j
             raise err
-        c = Fraction(constants[j])
-        seq.ells.append(nxt + U_RING.const(c))
-        seq.constants.append(c)
     return seq
 
 
@@ -173,11 +171,11 @@ def symbolic(seed: SeedCondition, count: int) -> LenardSequence:
 # -- Omega and the lattice identities -----------------------------------------
 
 def omega(seq: LenardSequence, n: int, m: int) -> Poly:
-    """(l_n l_m)'' - 3 l_n' l_m' + 4 u l_n l_m."""
-    ln, lm = seq.ell(n), seq.ell(m)
-    prod = ln * lm
-    return (seq.D(seq.D(prod)) - 3 * seq.D_ell(n) * seq.D_ell(m)
-            + 4 * seq.u * prod)
+    """(l_n l_m)'' - 3 l_n' l_m' + 4 u l_n l_m, expanded by Leibniz:
+    l_n'' l_m - l_n' l_m' + l_n l_m'' + 4 u l_n l_m."""
+    n0, n1, n2 = (seq.jet(n, i) for i in range(3))
+    m0, m1, m2 = (seq.jet(m, i) for i in range(3))
+    return n2 * m0 - n1 * m1 + n0 * m2 + 4 * seq.u * (n0 * m0)
 
 
 def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
@@ -186,22 +184,24 @@ def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
 
 
 def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
-    """Omega_{n,m}', memoized per unordered pair."""
-    pair = (min(n, m), max(n, m))
-    return seq._memoized(("Omega'",) + pair, pair,
-                         lambda: seq.D(omega(seq, n, m)))
+    """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel:
+    l_n''' l_m + l_n l_m''' + 4 u' l_n l_m + 4 u (l_n' l_m + l_n l_m')."""
+    n0, n1, n3 = seq.jet(n, 0), seq.jet(n, 1), seq.jet(n, 3)
+    m0, m1, m3 = seq.jet(m, 0), seq.jet(m, 1), seq.jet(m, 3)
+    return (n3 * m0 + n0 * m3 + 4 * seq.ring.var("u", 1) * (n0 * m0)
+            + 4 * seq.u * (n1 * m0 + n0 * m1))
 
 
 def _bracket_prime(seq: LenardSequence, a: int, b: int) -> Poly:
-    """B_{a,b}', memoized."""
-    return seq._memoized(("B'", a, b), (a, b, b + 1),
-                         lambda: seq.D(bracket(seq, a, b)))
+    """B_{a,b}' = Omega_{a,b}' - l_a' l_{b+1} - l_a l_{b+1}'."""
+    return (_omega_prime(seq, a, b) - seq.jet(a, 1) * seq.ell(b + 1)
+            - seq.ell(a) * seq.jet(b + 1, 1))
 
 
 def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
     """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}'; zero for any recursion-
     consistent sequence."""
-    lhs = seq.ell(m) * seq.D_ell(n + 1) + seq.ell(n) * seq.D_ell(m + 1)
+    lhs = seq.ell(m) * seq.jet(n + 1, 1) + seq.ell(n) * seq.jet(m + 1, 1)
     return lhs - _omega_prime(seq, n, m)
 
 
@@ -209,8 +209,8 @@ def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
     """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}'."""
     if n < 1:
         raise IndexOutOfRange("shift identity needs n >= 1")
-    return (seq.ell(m) * seq.D_ell(n)
-            - seq.ell(m + 1) * seq.D_ell(n - 1)
+    return (seq.ell(m) * seq.jet(n, 1)
+            - seq.ell(m + 1) * seq.jet(n - 1, 1)
             - _bracket_prime(seq, n - 1, m))
 
 
@@ -221,7 +221,7 @@ def transport_residual(seq: LenardSequence, m: int, n: int, r: int) -> Poly:
         raise IndexOutOfRange("transport distance must be nonnegative")
     if n - r < 0:
         raise IndexOutOfRange(f"transport distance {r} exceeds n = {n}")
-    acc = seq.ell(m) * seq.D_ell(n) - seq.ell(m + r) * seq.D_ell(n - r)
+    acc = seq.ell(m) * seq.jet(n, 1) - seq.ell(m + r) * seq.jet(n - r, 1)
     for q in range(r):
         acc -= _bracket_prime(seq, n - q - 1, m + q)
     return acc

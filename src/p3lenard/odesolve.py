@@ -30,7 +30,7 @@ non-finite or singular evaluation (a guarded zero l_p or determinant, a
 vanishing denominator, an overflow).  A sign change of l1 between two steps
 is not detected: the k = 1 demo run on [1, 5] at h = 1e-3 records
 l1 = -6.9e-4 at s = 3.621, past the zero of l1, and stops only near
-s = 4.317 (ROADMAP open item 3).
+s = 4.317 (ROADMAP open item "Continue through the zeros of l_k").
 """
 
 from __future__ import annotations

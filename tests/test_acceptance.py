@@ -158,7 +158,8 @@ def test_criterion_7_numerical_conservation_k1(tmp_path):
     # The stated demo data has a genuine zero of l1 at s ~ 3.6203 (DOP853;
     # crossing slope -> -1), where the compiled rational form is singular.
     # The solver does not detect the sign change: it steps through the zero
-    # and stops only at a later non-finite evaluation (ROADMAP open item 3).
+    # and stops only at a later non-finite evaluation (ROADMAP open item
+    # "Continue through the zeros of l_k").
     # tau1 and the next recursion step are proved exact at compile time, so
     # their CSV cells are constants; the stepper itself is checked against
     # DOP853 below.

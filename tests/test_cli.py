@@ -158,6 +158,31 @@ class TestVerify:
         assert code == 0
         assert last in out.splitlines()
 
+    @pytest.mark.parametrize("suite, seeds", [
+        ("master", ["standard", "painleve3", "custom"]),
+        ("shift", ["standard", "painleve3", "custom"]),
+        ("transport", ["standard", "painleve3", "custom"]),
+        ("conservation", ["standard", "painleve3", "custom"]),
+        ("closedform", []),
+        ("lax", ["painleve3"]),
+        ("all", ["standard", "painleve3", "custom"]),
+    ])
+    def test_symbolic_sequences_per_command(self, capsys, monkeypatch, suite,
+                                            seeds):
+        # one sequence per seed a suite reads, each through l_{N+2}
+        built = []
+        symbolic = cli.symbolic
+
+        def counted(seed, count):
+            built.append((seed.variant, count))
+            return symbolic(seed, count)
+
+        monkeypatch.setattr(cli, "symbolic", counted)
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--max-index", "2")
+        assert code == 0 and out.endswith(" passed, 0 failed\n")
+        assert built == [(seed, 4) for seed in seeds]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_checks",
                             lambda suite, max_index, seqs:

@@ -6,12 +6,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
 import p3lenard
 from p3lenard import jetring, lenard
 from p3lenard.diffpoly import NotExactDerivative, u, s, const
+from p3lenard.hierarchy import boundary_jet_sequence
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
                              shift_identity_residual, symbolic,
@@ -273,10 +276,10 @@ class TestMemo:
         assert got == reference(seq, *args)
 
     def test_transport_sweep_derivative_count(self, monkeypatch):
-        # The `verify --suite transport --max-index 4` sweep over one seed.
-        # It takes 62 total derivatives with the memo and 432 without.
+        # The `verify --suite transport --max-index 4` sweep over one seed,
+        # construction included: at most 3 derivatives per entry, the jets
+        # D^i(l_j), i <= 3.
         max_index = 4
-        seq = symbolic(SeedCondition.painleve3(), max_index + 1)
         calls = []
         derivative = jetring.Poly.total_derivative
 
@@ -285,8 +288,69 @@ class TestMemo:
             return derivative(self, rules)
 
         monkeypatch.setattr(jetring.Poly, "total_derivative", counted)
+        seq = symbolic(SeedCondition.painleve3(), max_index + 1)
         for n in range(max_index + 1):
             for m in range(max_index):
                 for r in range(min(n, max_index + 1 - m) + 1):
                     assert transport_residual(seq, m, n, r).is_zero()
-        assert len(calls) <= 62
+        assert len(calls) <= 3 * len(seq)
+
+
+# -- the jet table's premise -------------------------------------------------------
+# Omega' and B' are built from jets by Leibniz, which holds only if seq.D is
+# a derivation: D(pq) == D(p) q + p D(q).
+
+DERIVATION_SEQS = {
+    **{label: symbolic(seed, 3) for label, seed in SEEDS.items()},
+    "boundary": boundary_jet_sequence(2),
+}
+
+
+def _atoms(seq):
+    """s, the parameters, u, u', u'' and the entry symbols; a rule-defined
+    entry enters at order 0 only, since its rule gives only its first
+    derivative."""
+    ring = seq.ring
+    atoms = [ring.s(), *(ring.param(name) for name in ring.params)]
+    for name in ring.dependents:
+        orders = (0,) if name in seq.rules else (0, 1, 2)
+        atoms += [ring.var(name, i) for i in orders]
+    return atoms
+
+
+@st.composite
+def _polys(draw, atoms):
+    ring = atoms[0].ring
+    p = ring.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = ring.const(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))))
+        for atom in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            term = term * atom
+        p = p + term
+    return p
+
+
+def _leibniz_defect(D, p, q):
+    return D(p * q) - (D(p) * q + p * D(q))
+
+
+class TestDerivation:
+    @pytest.mark.parametrize("label", sorted(DERIVATION_SEQS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_D_is_a_derivation(self, label, data):
+        seq = DERIVATION_SEQS[label]
+        atoms = _atoms(seq)
+        p, q = data.draw(_polys(atoms)), data.draw(_polys(atoms))
+        assert _leibniz_defect(seq.D, p, q).is_zero()
+
+    @pytest.mark.parametrize("label", sorted(DERIVATION_SEQS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_non_derivation_fails(self, label, data):
+        # p -> D(p) + p leaves the defect -p q
+        seq = DERIVATION_SEQS[label]
+        atoms = _atoms(seq)
+        p, q = data.draw(_polys(atoms)), data.draw(_polys(atoms))
+        assume(p and q)
+        assert not _leibniz_defect(lambda e: seq.D(e) + e, p, q).is_zero()

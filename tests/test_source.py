@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
-from p3lenard import hierarchy, jetring, odesolve
+from p3lenard import hierarchy, jetring, lenard, odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -155,9 +155,20 @@ def test_container_rule_can_fail():
         "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8]}
 
 
-# The constants of motion and their residuals differentiate nothing
-# themselves: each residual is one transport residual of ``lenard``.
-CONSERVATION_PATHS = ("conserved_tau", "conserved_sigma", "conservation_residual")
+# Only the jet table differentiates.  Omega, the brackets, their
+# derivatives, the lattice residuals, the constants of motion and the
+# hierarchy system read the jets D^i(l_j) of ``LenardSequence.jet``; in
+# ``lenard`` only ``LenardSequence.D`` and ``.jet`` take a derivative, and
+# ``hierarchy`` takes none.
+NO_DERIVATIVE_PATHS = {
+    "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
+                  "build_p3_system"),
+    "lenard": ("omega", "bracket", "_omega_prime", "_bracket_prime",
+               "master_identity_residual", "shift_identity_residual",
+               "transport_residual", "generate", "symbolic",
+               "LenardSequence.recursion_rhs"),
+}
+JET_TABLE = ["LenardSequence.D", "LenardSequence.jet"]
 DERIVATIVE_CALLS = ("D", "total_derivative")
 
 
@@ -176,11 +187,21 @@ def _derivative_calls(tree, qualnames):
             for name, fn in _functions(tree.body) if name in qualnames}
 
 
+def _differentiating(tree):
+    """Sorted names of the functions and methods of ``tree`` that call
+    ``D`` or ``total_derivative``."""
+    every = [name for name, _ in _functions(tree.body)]
+    return sorted(name for name, lines in _derivative_calls(tree, every).items()
+                  if lines)
+
+
 def test_conservation_takes_no_derivative_of_its_own():
-    path = Path(hierarchy.__file__)
-    assert _derivative_calls(ast.parse(path.read_text(), str(path)),
-                             CONSERVATION_PATHS) == {
-        name: [] for name in CONSERVATION_PATHS}
+    for module in (hierarchy, lenard):
+        path = Path(module.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        paths = NO_DERIVATIVE_PATHS[path.stem]
+        assert _derivative_calls(tree, paths) == {name: [] for name in paths}
+        assert _differentiating(tree) == (JET_TABLE if module is lenard else [])
 
 
 def test_derivative_rule_can_fail():
@@ -192,10 +213,21 @@ def test_derivative_rule_can_fail():
               "    acc = seq.ell(p).total_derivative(seq.rules)\n"
               "    return acc + D(acc)\n"
               "def boundary_jet_sequence(k):\n"
-              "    return seq.D(k)\n")
-    assert _derivative_calls(ast.parse(sample), CONSERVATION_PATHS) == {
+              "    return seq.D(k)\n"
+              "class LenardSequence:\n"
+              "    def jet(self, j, i):\n"
+              "        return self.D(self.jet(j, i - 1))\n"
+              "def omega(seq, n, m):\n"
+              "    return seq.D(seq.D(seq.ell(n) * seq.ell(m)))\n")
+    tree = ast.parse(sample)
+    assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["hierarchy"]) == {
         "conserved_tau": [2], "conserved_sigma": [],
         "conservation_residual": [6, 7]}
+    assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["lenard"]) == {
+        "omega": [14, 14]}
+    assert _differentiating(tree) == [
+        "LenardSequence.jet", "boundary_jet_sequence", "conservation_residual",
+        "conserved_tau", "omega"]
 
 
 def _code_builtin_uses(tree):
