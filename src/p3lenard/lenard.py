@@ -16,11 +16,11 @@ representations:
   representation for any seed, including the nonlocal ones.
 
 Every derivative below comes from one jet table per sequence,
-``seq.jet(j, i)`` = D^i(l_j).  Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b}
-- l_a l_{b+1} and their derivatives are bilinear in the entries and follow by
-Leibniz from jets with i <= 3, so no product is differentiated; the recursion
-step reads the same table, which ``generate`` and ``symbolic`` fill as they
-build.  A jet is reused only while ``seq.ell(j)`` is the object it was
+``seq.jet(j, i)`` = D^i(l_j).  Omega_{n,m}, the brackets
+B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their derivatives are bilinear in the
+entries and follow by Leibniz from jets with i <= 3, so no product is
+differentiated; the recursion step reads the same table, which ``generate``
+and ``symbolic`` fill as they build.  A jet is reused only while ``seq.ell(j)`` is the object it was
 computed from, so replacing an entry, even in place through
 ``seq.ells[j] = ...``, recomputes its jets; ``with_entry`` starts an empty
 table.  Symbolic rules are fixed when built; the jets of l_j read only those
