@@ -23,7 +23,7 @@ from .hierarchy import build_p3_system, conservation_residual
 from .jetring import ZeroDenominator
 from .lenard import (SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
-                     symbolic, transport_residual)
+                     symbolic, transport_residuals)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, DomainError, SingularMassMatrix,
                        SolverConfig, StepSizeUnderflow, compile_k1, compile_k2,
@@ -157,9 +157,9 @@ def _verify_checks(suite: str, max_index: int, seqs: dict):
         for label, seq in seqs.items():
             for n in range(max_index + 1):
                 for m in range(max_index):
-                    for r in range(min(n, count - 1 - m) + 1):
-                        ok = transport_residual(seq, m, n, r).is_zero()
-                        yield ok, "transport", f"{label} m={m} n={n} r={r}"
+                    sweep = transport_residuals(seq, m, n, min(n, count - 1 - m))
+                    for r, resid in enumerate(sweep):
+                        yield resid.is_zero(), "transport", f"{label} m={m} n={n} r={r}"
     elif suite == "conservation":
         for label, seq in seqs.items():
             for k in range(1, max_index + 1):

@@ -42,10 +42,6 @@ class LaurentPoly:
     def zero(cls, ring: Ring) -> "LaurentPoly":
         return cls(ring, {})
 
-    @classmethod
-    def z(cls, ring: Ring, power: int = 1) -> "LaurentPoly":
-        return cls(ring, {power: ring.one()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -83,11 +79,6 @@ class LaurentPoly:
         """Multiply by z**n."""
         return LaurentPoly(self.ring, {m + n: p for m, p in self.coeffs.items()})
 
-    def derivative(self, seq: LenardSequence | None = None) -> "LaurentPoly":
-        rules = seq.rules or None if seq is not None else None
-        return LaurentPoly(self.ring,
-                           {n: p.total_derivative(rules) for n, p in self.coeffs.items()})
-
     def truncate(self, min_power: int) -> "LaurentPoly":
         return LaurentPoly(self.ring,
                            {n: p for n, p in self.coeffs.items() if n >= min_power})
@@ -108,17 +99,19 @@ def build_b(seq: LenardSequence, k: int) -> LaurentPoly:
     """Coefficient of z^(j-k-1) is 4^(j-k) * l_{k-j}, for j = 0..k."""
     if len(seq) < k + 1:
         raise IndexOutOfRange(f"sequence must provide l_0..l_{k}")
-    coeffs = {}
-    for j in range(k + 1):
-        coeffs[j - k - 1] = seq.ell(k - j) * Fraction(4) ** (j - k)
-    return LaurentPoly(seq.ring, coeffs)
+    return _b_jet(seq, range(-k - 1, 0), 0)
 
 
-def derive_a_c(b: LaurentPoly, u: Poly, seq: LenardSequence | None = None):
-    """a = -b'/2;  c = (z - u) b - b''/2, coefficient-wise in z."""
-    db = b.derivative(seq)
-    a = db * Fraction(-1, 2)
-    c = b.shift(1) - b * u - db.derivative(seq) * Fraction(1, 2)
+def _b_jet(seq: LenardSequence, powers, i: int) -> LaurentPoly:
+    """D^i of the series of ``build_b``: z^p coefficient 4^(p+1) D^i(l_{-p-1})."""
+    return LaurentPoly(seq.ring, {p: seq.jet(-p - 1, i) * Fraction(4) ** (p + 1)
+                                  for p in powers})
+
+
+def derive_a_c(b: LaurentPoly, u: Poly, seq: LenardSequence):
+    """a = -b'/2;  c = (z - u) b - b''/2 for b = build_b(seq, k), by its jets."""
+    a = _b_jet(seq, b.powers(), 1) * Fraction(-1, 2)
+    c = b.shift(1) - b * u - _b_jet(seq, b.powers(), 2) * Fraction(1, 2)
     return a, c
 
 
@@ -140,10 +133,9 @@ def compatibility_residual(seq: LenardSequence, k: int) -> LaurentPoly:
 def _b_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     ring = seq.ring
     b_ext = build_b(seq, k + 1)
-    db = b_ext.derivative(seq)
-    lin = (db.derivative(seq).derivative(seq)
-           + db * (4 * seq.u)
-           + b_ext * (2 * seq.D(seq.u)))
+    db = _b_jet(seq, b_ext.powers(), 1)
+    lin = (_b_jet(seq, b_ext.powers(), 3) + db * (4 * seq.u)
+           + b_ext * (2 * ring.var("u", 1)))
     half = LaurentPoly(ring, {0: ring.const(Fraction(1, 2))})
     resid = db.shift(1) - lin * Fraction(1, 4) - half
     return resid.truncate(-(k + 1))
@@ -151,14 +143,16 @@ def _b_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
 
 def c_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     """c' - 1 - 2 (z - u) a with a, c derived from b; twice the b-relation
-    residual, so it vanishes under the same conditions."""
-    if len(seq) < k + 2:
-        raise IndexOutOfRange(f"sequence must provide l_0..l_{k + 1}")
+    residual, so it vanishes under the same conditions.  c' is taken by
+    Leibniz from the jets of b: c' = z b' - u b' - u' b - b'''/2."""
     ring = seq.ring
-    b_ext = build_b(seq, k + 1)
-    a, c = derive_a_c(b_ext, seq.u, seq)
+    b_ext = build_b(seq, k + 1)  # raises unless seq provides l_0..l_{k+1}
+    a, _ = derive_a_c(b_ext, seq.u, seq)
+    db = _b_jet(seq, b_ext.powers(), 1)
+    dc = (db.shift(1) - db * seq.u - b_ext * ring.var("u", 1)
+          - _b_jet(seq, b_ext.powers(), 3) * Fraction(1, 2))
     za = a.shift(1) - a * seq.u
-    resid = c.derivative(seq) - LaurentPoly(ring, {0: ring.one()}) - za * 2
+    resid = dc - LaurentPoly(ring, {0: ring.one()}) - za * 2
     return resid.truncate(-(k + 1))
 
 

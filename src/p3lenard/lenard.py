@@ -16,21 +16,23 @@ representations:
   representation for any seed, including the nonlocal ones.
 
 Every derivative below comes from one jet table per sequence,
-``seq.jet(j, i)`` = D^i(l_j).  Omega_{n,m}, the brackets
-B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their derivatives are bilinear in the
-entries and follow by Leibniz from jets with i <= 3, so no product is
-differentiated; the recursion step reads the same table, which ``generate``
-and ``symbolic`` fill as they build.  A jet is reused only while ``seq.ell(j)`` is the object it was
-computed from, so replacing an entry, even in place through
-``seq.ells[j] = ...``, recomputes its jets; ``with_entry`` starts an empty
-table.  Symbolic rules are fixed when built; the jets of l_j read only those
-of l_1 .. l_j.
+``seq.jet(j, i)`` = D^i(l_j), filled by ``generate`` and ``symbolic``.
+Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
+derivatives are bilinear in the entries and follow by Leibniz from jets with
+i <= 3, so no product is differentiated; Omega' and B' gather their u and u'
+terms to multiply full jets only two and three times, and the anti-diagonal
+sweep ``transport_residuals`` adds one B' per step.  A jet is reused only
+while ``seq.ell(j)`` is the object it was computed from, so replacing an
+entry, even in place through ``seq.ells[j] = ...``, recomputes its jets;
+``with_entry`` starts an empty table.  Symbolic rules are fixed when built;
+the jets of l_j read only those of l_1 .. l_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .jetring import Poly, Ring
 from .diffpoly import U_RING, NotExactDerivative, formal_integral
@@ -184,18 +186,23 @@ def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
 
 
 def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
-    """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel:
-    l_n''' l_m + l_n l_m''' + 4 u' l_n l_m + 4 u (l_n' l_m + l_n l_m')."""
+    """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel, in two products
+    of full jets: l_m (l_n''' + 4 u l_n' + 4 u' l_n) + l_n (l_m''' + 4 u l_m')."""
     n0, n1, n3 = seq.jet(n, 0), seq.jet(n, 1), seq.jet(n, 3)
     m0, m1, m3 = seq.jet(m, 0), seq.jet(m, 1), seq.jet(m, 3)
-    return (n3 * m0 + n0 * m3 + 4 * seq.ring.var("u", 1) * (n0 * m0)
-            + 4 * seq.u * (n1 * m0 + n0 * m1))
+    u4, du4 = 4 * seq.u, 4 * seq.ring.var("u", 1)
+    return m0 * (n3 + u4 * n1 + du4 * n0) + n0 * (m3 + u4 * m1)
 
 
 def _bracket_prime(seq: LenardSequence, a: int, b: int) -> Poly:
-    """B_{a,b}' = Omega_{a,b}' - l_a' l_{b+1} - l_a l_{b+1}'."""
-    return (_omega_prime(seq, a, b) - seq.jet(a, 1) * seq.ell(b + 1)
-            - seq.ell(a) * seq.jet(b + 1, 1))
+    """B_{a,b}' = Omega_{a,b}' - l_a' l_{b+1} - l_a l_{b+1}' in three products
+    of full jets: l_b (l_a''' + 4 u l_a' + 4 u' l_a)
+    + l_a (l_b''' + 4 u l_b' - l_{b+1}') - l_a' l_{b+1}."""
+    a0, a1, a3 = seq.jet(a, 0), seq.jet(a, 1), seq.jet(a, 3)
+    b0, b1, b3 = seq.jet(b, 0), seq.jet(b, 1), seq.jet(b, 3)
+    u4, du4 = 4 * seq.u, 4 * seq.ring.var("u", 1)
+    return (b0 * (a3 + u4 * a1 + du4 * a0) + a0 * (b3 + u4 * b1 - seq.jet(b + 1, 1))
+            - a1 * seq.ell(b + 1))
 
 
 def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
@@ -206,25 +213,34 @@ def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
 
 
 def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
-    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}'."""
+    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}', the transport residual T(m, n, 1)."""
     if n < 1:
         raise IndexOutOfRange("shift identity needs n >= 1")
-    return (seq.ell(m) * seq.jet(n, 1)
-            - seq.ell(m + 1) * seq.jet(n - 1, 1)
-            - _bracket_prime(seq, n - 1, m))
+    return transport_residual(seq, m, n, 1)
 
 
 def transport_residual(seq: LenardSequence, m: int, n: int, r: int) -> Poly:
-    """Residual of moving l_m l_n' a distance r along an anti-diagonal:
-    l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}'."""
-    if r < 0:
-        raise IndexOutOfRange("transport distance must be nonnegative")
-    if n - r < 0:
-        raise IndexOutOfRange(f"transport distance {r} exceeds n = {n}")
-    acc = seq.ell(m) * seq.jet(n, 1) - seq.ell(m + r) * seq.jet(n - r, 1)
-    for q in range(r):
-        acc -= _bracket_prime(seq, n - q - 1, m + q)
-    return acc
+    """Residual of moving l_m l_n' a distance r along an anti-diagonal,
+    T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}',
+    from exactly r bracket derivatives B' (three products of full jets each);
+    ``transport_residuals`` gives T(m, n, 0..top) from top of them."""
+    *_, brackets = _bracket_sums(seq, m, n, r)
+    return seq.ell(m) * seq.jet(n, 1) - seq.ell(m + r) * seq.jet(n - r, 1) - brackets
+
+
+def transport_residuals(seq: LenardSequence, m: int, n: int, top: int):
+    """Yield T(m, n, r) for r = 0..top, adding one new B' per step."""
+    head = seq.ell(m) * seq.jet(n, 1)
+    for r, brackets in enumerate(_bracket_sums(seq, m, n, top)):
+        yield head - seq.ell(m + r) * seq.jet(n - r, 1) - brackets
+
+
+def _bracket_sums(seq: LenardSequence, m: int, n: int, top: int):
+    """Yield the running sums sum_{q<r} B_{n-q-1,m+q}' for r = 0..top."""
+    if not 0 <= top <= n:
+        raise IndexOutOfRange(f"transport distance {top} outside 0..{n}")
+    yield from accumulate((_bracket_prime(seq, n - r, m + r - 1)
+                           for r in range(1, top + 1)), initial=seq.ring.zero())
 
 
 # -- closed-form route for the classical seed ----------------------------------

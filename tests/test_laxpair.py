@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from p3lenard.hierarchy import boundary_jet_sequence
-from p3lenard.laxpair import (LaurentPoly, SeedMismatch, build_b,
+from p3lenard.laxpair import (LaurentPoly, SeedMismatch, _b_jet, build_b,
                               build_lax_matrices, c_relation_residual,
                               compatibility_residual, derive_a_c)
 from p3lenard.lenard import IndexOutOfRange, SeedCondition, symbolic
@@ -55,10 +55,15 @@ class TestDeriveAC:
         assert a.is_zero() and c.is_zero()
 
     def test_derivative_composes(self, jet_seq):
-        b = build_b(jet_seq, 1)
-        once_twice = b.derivative(jet_seq).derivative(jet_seq)
-        for n in b.powers():
-            assert once_twice.coeff(n) == jet_seq.D(jet_seq.D(b.coeff(n)))
+        # the series D^i(b) built from the jet table, against total_derivative
+        # applied i times to each coefficient of b
+        for seq, k in ((jet_seq, 1), (symbolic(SeedCondition.painleve3(), 3), 3)):
+            b = build_b(seq, k)
+            coeffs = dict(b.coeffs)
+            for i in (1, 2, 3):
+                coeffs = {n: p.total_derivative(seq.rules or None)
+                          for n, p in coeffs.items()}
+                assert _b_jet(seq, b.powers(), i) == LaurentPoly(seq.ring, coeffs)
 
 
 class TestCompatibilityResidual:

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from fractions import Fraction
 
 import p3lenard
-from p3lenard import jetring, lenard
+from p3lenard import cli, jetring, lenard
 from p3lenard.diffpoly import NotExactDerivative, u, s, const
 from p3lenard.hierarchy import boundary_jet_sequence
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
                              shift_identity_residual, symbolic,
-                             transport_residual)
+                             transport_residual, transport_residuals)
 
 L1 = u()
 L2 = u(2) + 3 * u() ** 2
@@ -168,6 +168,9 @@ class TestIdentities:
             transport_residual(sym_seq, 0, 2, 3)
         with pytest.raises(IndexOutOfRange):
             transport_residual(sym_seq, 0, 2, -1)
+        for top in (3, -1):
+            with pytest.raises(IndexOutOfRange):
+                list(transport_residuals(sym_seq, 0, 2, top))
 
     def test_identities_hold_on_generated_sequence(self, std_seq):
         # same identities on the explicitly integrated representation
@@ -244,12 +247,20 @@ class TestMemo:
         if corrupt:
             seq = seq.with_entry(3, seq.ell(3) + seq.u)
         nonzero = 0
+        refs = {}
         for name, args in _lattice_cases():
             memoized, reference = RESIDUALS[name]
             got = memoized(seq, *args)
-            assert got == reference(seq, *args), (name, args)
+            refs[name, args] = reference(seq, *args)
+            assert got == refs[name, args], (name, args)
             nonzero += not got.is_zero()
         assert (nonzero > 0) == corrupt
+        # one sweep per (m, n) gives every r of the anti-diagonal
+        for m in range(MAX_INDEX):
+            for n in range(MAX_INDEX + 1):
+                top = min(n, MAX_INDEX + 1 - m)
+                assert list(transport_residuals(seq, m, n, top)) == [
+                    refs["transport", (m, n, r)] for r in range(top + 1)], (m, n)
 
     def test_with_entry_starts_an_empty_memo(self):
         seq = symbolic(SEEDS["standard"], 4)
@@ -294,6 +305,37 @@ class TestMemo:
                 for r in range(min(n, max_index + 1 - m) + 1):
                     assert transport_residual(seq, m, n, r).is_zero()
         assert len(calls) <= 3 * len(seq)
+
+    @staticmethod
+    def _count_brackets(monkeypatch):
+        calls = []
+        bracket_prime = lenard._bracket_prime
+
+        def counted(seq, a, b):
+            calls.append((a, b))
+            return bracket_prime(seq, a, b)
+
+        monkeypatch.setattr(lenard, "_bracket_prime", counted)
+        return calls
+
+    def test_transport_suite_takes_one_bracket_per_step(self, monkeypatch):
+        # `verify --suite transport --max-index 4` on one seed sweeps each
+        # (m, n) once: sum over (m, n) of top = 36 B', not the 66 that one
+        # transport_residual per r takes
+        calls = self._count_brackets(monkeypatch)
+        seq = symbolic(SeedCondition.painleve3(), 6)
+        checks = list(cli._verify_checks("transport", 4, {"p3": seq}))
+        assert len(checks) == 56 and all(ok for ok, _, _ in checks)
+        assert len(calls) == 36
+
+    def test_single_transport_takes_r_brackets(self, monkeypatch):
+        calls = self._count_brackets(monkeypatch)
+        seq = symbolic(SeedCondition.standard(), 6)
+        for m, n in ((0, 5), (2, 4), (3, 3)):
+            for r in range(min(n, 6 - m) + 1):
+                calls.clear()
+                assert transport_residual(seq, m, n, r).is_zero()
+                assert calls == [(n - q - 1, m + q) for q in range(r)]
 
 
 # -- the jet table's premise -------------------------------------------------------

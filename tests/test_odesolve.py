@@ -128,6 +128,20 @@ class TestIntegrate:
         ratio = abs(ends[0] - ends[1]) / abs(ends[1] - ends[2])
         assert 12 <= ratio <= 20
 
+    def test_order_four_against_exact_solution(self):
+        # k = 1 with tau = (-1, 0) is solved exactly by l = s^(1/3); the end
+        # error at s = 9 must fall by 2^4 per halving of h
+        exact = 9.0 ** (1 / 3)
+        errors = []
+        for h in (0.1, 0.05, 0.025, 0.0125):
+            traj = integrate(compile_k1(-1, 0), (1.0, 1 / 3),
+                             SolverConfig(1.0, 9.0, h, decimate=10 ** 6))
+            assert traj.status == "completed" and traj.samples[-1][0] == 9.0
+            errors.append(abs(traj.samples[-1][1][0] - exact))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(14 <= ratio <= 18 for ratio in ratios), ratios
+        assert errors[-1] < 2e-10
+
     def test_determinism(self, k1_demo):
         cfg = SolverConfig(1.0, 1.5, 1e-3)
         a = integrate(k1_demo, (1.0, 0.0), cfg)

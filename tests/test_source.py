@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import p3lenard
-from p3lenard import hierarchy, jetring, lenard, odesolve
+from p3lenard import hierarchy, jetring, laxpair, lenard, odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -156,24 +156,26 @@ def test_container_rule_can_fail():
 
 
 # Only the jet table differentiates.  Omega, the brackets, their
-# derivatives, the lattice residuals, the constants of motion and the
-# hierarchy system read the jets D^i(l_j) of ``LenardSequence.jet``; in
-# ``lenard`` only ``LenardSequence.D`` and ``.jet`` take a derivative, and
-# ``hierarchy`` takes none.
+# derivatives, the lattice residuals, the constants of motion, the
+# hierarchy system and the Lax series read the jets D^i(l_j) of
+# ``LenardSequence.jet``; in ``lenard`` only ``LenardSequence.D`` and
+# ``.jet`` take a derivative, and ``hierarchy`` and ``laxpair`` take none.
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
                   "build_p3_system"),
     "lenard": ("omega", "bracket", "_omega_prime", "_bracket_prime",
                "master_identity_residual", "shift_identity_residual",
-               "transport_residual", "generate", "symbolic",
-               "LenardSequence.recursion_rhs"),
+               "transport_residual", "transport_residuals", "generate",
+               "symbolic", "LenardSequence.recursion_rhs"),
+    "laxpair": ("build_b", "derive_a_c", "compatibility_residual",
+                "_b_relation_residual", "c_relation_residual"),
 }
 JET_TABLE = ["LenardSequence.D", "LenardSequence.jet"]
-DERIVATIVE_CALLS = ("D", "total_derivative")
+DERIVATIVE_CALLS = ("D", "derivative", "total_derivative")
 
 
 def _derivative_calls(tree, qualnames):
-    """{qualified name: line numbers of calls to ``D`` or
+    """{qualified name: line numbers of calls to ``D``, ``derivative`` or
     ``total_derivative``, bare or as a method} for the functions of
     ``tree`` named in ``qualnames``."""
     def called(node):
@@ -189,14 +191,14 @@ def _derivative_calls(tree, qualnames):
 
 def _differentiating(tree):
     """Sorted names of the functions and methods of ``tree`` that call
-    ``D`` or ``total_derivative``."""
+    ``D``, ``derivative`` or ``total_derivative``."""
     every = [name for name, _ in _functions(tree.body)]
     return sorted(name for name, lines in _derivative_calls(tree, every).items()
                   if lines)
 
 
 def test_conservation_takes_no_derivative_of_its_own():
-    for module in (hierarchy, lenard):
+    for module in (hierarchy, lenard, laxpair):
         path = Path(module.__file__)
         tree = ast.parse(path.read_text(), str(path))
         paths = NO_DERIVATIVE_PATHS[path.stem]
@@ -218,16 +220,22 @@ def test_derivative_rule_can_fail():
               "    def jet(self, j, i):\n"
               "        return self.D(self.jet(j, i - 1))\n"
               "def omega(seq, n, m):\n"
-              "    return seq.D(seq.D(seq.ell(n) * seq.ell(m)))\n")
+              "    return seq.D(seq.D(seq.ell(n) * seq.ell(m)))\n"
+              "def derive_a_c(b, u, seq):\n"
+              "    return b.derivative(seq), b * u\n"
+              "def _b_relation_residual(seq, k):\n"
+              "    return build_b(seq, k) * seq.D(seq.u)\n")
     tree = ast.parse(sample)
     assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["hierarchy"]) == {
         "conserved_tau": [2], "conserved_sigma": [],
         "conservation_residual": [6, 7]}
     assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["lenard"]) == {
         "omega": [14, 14]}
+    assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["laxpair"]) == {
+        "derive_a_c": [16], "_b_relation_residual": [18]}
     assert _differentiating(tree) == [
-        "LenardSequence.jet", "boundary_jet_sequence", "conservation_residual",
-        "conserved_tau", "omega"]
+        "LenardSequence.jet", "_b_relation_residual", "boundary_jet_sequence",
+        "conservation_residual", "conserved_tau", "derive_a_c", "omega"]
 
 
 def _code_builtin_uses(tree):
