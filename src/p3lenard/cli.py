@@ -51,13 +51,20 @@ def _seed_from_label(label: str, expr: str | None = None) -> SeedCondition:
 # -- gen-lenard ------------------------------------------------------------------
 
 def _cmd_gen_lenard(args) -> int:
+    if args.count < 1:
+        print("--count must be positive", file=sys.stderr)
+        return EXIT_USAGE
     try:
         seed = _seed_from_label(args.seed, args.custom)
     except (ParseError, ValueError) as exc:
         print(f"bad custom seed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    constants = [Fraction(c) for c in args.constants.split(",")] if args.constants \
-        else [Fraction(0)] * args.count
+    try:
+        constants = [Fraction(c) for c in args.constants.split(",")] \
+            if args.constants else [Fraction(0)] * args.count
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"bad numeric list: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if len(constants) != args.count:
         print(f"--constants needs {args.count} values, got {len(constants)}",
               file=sys.stderr)

@@ -24,7 +24,7 @@ any seed, by the recursion alone:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring, ZeroDenominator
@@ -45,15 +45,12 @@ def hierarchy_ring(k: int) -> Ring:
                 tuple(f"tau{p}" for p in range(k + 1)))
 
 
-@dataclass
-class HierarchySystem:
-    """Equations (= 0) of the k-th member, with u already eliminated."""
+class HierarchySystem(namedtuple("HierarchySystem",
+                                  "k tau_names equations u_expr ring")):
+    """Equations (= 0) of the k-th member, with u already eliminated;
+    ``equations[p - 1]`` is the RatExpr of equation p."""
 
-    k: int
-    tau_names: tuple
-    equations: list          # RatExpr, index p-1 holds equation p
-    u_expr: RatExpr
-    ring: Ring
+    __slots__ = ()
 
     def equation(self, p: int) -> RatExpr:
         if not 1 <= p <= self.k:
@@ -103,11 +100,10 @@ def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:
 
 # -- constants of motion -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConservedQuantity:
-    p: int
-    kind: str            # "tau" | "sigma"
-    expr: Poly
+class ConservedQuantity(namedtuple("ConservedQuantity", "p kind expr")):
+    """The Poly ``expr`` of tau_p or sigma_p; ``kind`` is "tau" or "sigma"."""
+
+    __slots__ = ()
 
 
 def conserved_tau(seq: LenardSequence, k: int, p: int) -> ConservedQuantity:

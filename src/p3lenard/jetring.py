@@ -32,12 +32,12 @@ differ only in their dependent/parameter name tuples.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import or_
-from typing import Iterable, Mapping
 
 
 class ZeroDenominator(ZeroDivisionError):

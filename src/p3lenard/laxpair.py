@@ -17,7 +17,7 @@ l_{k+1} and truncates below the order the expansion supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, Ring
@@ -28,15 +28,15 @@ class SeedMismatch(ValueError):
     """The constant term of the compatibility relation needs l_0 = s/2."""
 
 
-@dataclass
-class LaurentPoly:
-    """Finite map from integer z-power to a jet-polynomial coefficient."""
+class LaurentPoly(namedtuple("LaurentPoly", "ring coeffs")):
+    """Finite map from integer z-power to a jet-polynomial coefficient; zero
+    coefficients are dropped on construction."""
 
-    ring: Ring
-    coeffs: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.coeffs = {n: p for n, p in self.coeffs.items() if not p.is_zero()}
+    def __new__(cls, ring: Ring, coeffs: dict):
+        return super().__new__(
+            cls, ring, {n: p for n, p in coeffs.items() if not p.is_zero()})
 
     @classmethod
     def zero(cls, ring: Ring) -> "LaurentPoly":
@@ -54,6 +54,9 @@ class LaurentPoly:
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
+
+    def __ne__(self, other):  # tuple.__ne__ would bypass __eq__
+        return not self == other
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
@@ -84,12 +87,10 @@ class LaurentPoly:
                            {n: p for n, p in self.coeffs.items() if n >= min_power})
 
 
-@dataclass
-class LaxMatrices:
+class LaxMatrices(namedtuple("LaxMatrices", "A B")):
     """A = a*sigma3 + b*sigma+ + c*sigma-;  B = (z - u)*sigma- + sigma+."""
 
-    A: tuple
-    B: tuple
+    __slots__ = ()
 
     def trace_A(self) -> LaurentPoly:
         return self.A[0][0] + self.A[1][1]

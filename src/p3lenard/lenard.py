@@ -30,7 +30,7 @@ the jets of l_j read only those of l_1 .. l_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -42,12 +42,10 @@ class IndexOutOfRange(IndexError):
     """A sequence index outside the stored range was requested."""
 
 
-@dataclass(frozen=True)
-class SeedCondition:
+class SeedCondition(namedtuple("SeedCondition", "variant poly")):
     """Initial entry l_0 of a Lenard sequence, as a polynomial in s and u."""
 
-    variant: str
-    poly: Poly
+    __slots__ = ()
 
     @classmethod
     def standard(cls) -> "SeedCondition":
@@ -64,22 +62,31 @@ class SeedCondition:
         return cls("custom", poly)
 
 
-@dataclass
 class LenardSequence:
     """Entries l_0 .. l_N plus the derivative rules that close the recursion.
 
     ``rules`` is empty for explicitly integrated sequences (their entries are
     u-jet polynomials, differentiated as such) and maps each symbolic entry's
-    name to its recursion-supplied derivative otherwise.
+    name to its recursion-supplied derivative otherwise.  Equality and repr
+    read the five fields, never the jet table.
     """
 
-    seed: SeedCondition
-    ells: list
-    constants: list
-    ring: Ring
-    rules: dict = field(default_factory=dict)
-    _jets: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    def __init__(self, seed: SeedCondition, ells: list, constants: list,
+                 ring: Ring, rules: dict | None = None):
+        self.seed, self.ells, self.constants, self.ring = seed, ells, constants, ring
+        self.rules = {} if rules is None else rules
+        self._jets = {}
+
+    def _key(self):
+        return self.seed, self.ells, self.constants, self.ring, self.rules
+
+    def __eq__(self, other):
+        return (self._key() == other._key()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __repr__(self):
+        return ("LenardSequence(seed=%r, ells=%r, constants=%r, ring=%r, "
+                "rules=%r)" % self._key())
 
     def __len__(self):
         return len(self.ells)

@@ -7,12 +7,7 @@ one straight-line Python function for the right-hand side and one for the
 monitor u.  The right-hand side guards the l_p that divide an equation
 denominator (l_k alone, for every k checked) and the block determinant.
 The generated code evaluates each polynomial term by term, bit for bit as
-a loop over its terms would, but skips three exact no-ops: a first power
-is read directly, a coefficient of 1.0 is dropped from a term with a
-factor, and a term with coefficient -1.0 is subtracted without it.  The
-leading ``0.0 +`` of each sum stays, because it turns -0.0 into +0.0, and
-``**`` stays for exponents of 2 or more, because it raises
-``OverflowError`` where a product would give inf.
+a loop over its terms would, less the exact no-ops ``_Emitter`` skips.
 
 The constants of motion are proved at compile time, not sampled: the
 on-shell tau_p, p = 1..k, must reduce exactly to the literal tau_p, and the
@@ -36,8 +31,9 @@ s = 4.317 (ROADMAP open item "Continue through the zeros of l_k").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .jetring import Poly, RatExpr
 from .hierarchy import boundary_jet_sequence, build_p3_system, conserved_tau
@@ -108,12 +104,8 @@ class _Emitter:
     def poly(self, p: Poly) -> str:
         """Emit the powers ``p`` needs and return its float value as one
         expression: terms in sorted monomial order summed from 0.0, each a
-        product, left to right, of coefficient, power of s and state powers.
-
-        A first power is its base, a coefficient of 1.0 before a factor is
-        left out, and a term with coefficient -1.0 and a factor is
-        subtracted without it; see the class docstring for why the result
-        is bit for bit that of the full product."""
+        product, left to right, of coefficient, power of s and state powers,
+        less the no-ops of the class docstring."""
         expr = "0.0"
         for (s_pow, jets, pars), c in p.sorted_terms():
             if pars:
@@ -165,35 +157,33 @@ def _materialize(source: str) -> dict:
     return namespace
 
 
-@dataclass
-class CompiledSystem:
+class CompiledSystem(SimpleNamespace):
     """First-order vector field with named scalar monitors and the exact
-    constants of motion proved for it."""
+    constants of motion proved for it: ``rhs`` maps (s, y) to a tuple, each
+    monitor (s, y) to a float, ``constants`` a CSV column to a Fraction, and
+    ``source`` is the generated Python of both.  The fields stay assignable,
+    so a wrapper can replace ``rhs`` or ``monitors``."""
 
-    k: int
-    dimension: int
-    state_names: tuple
-    rhs: object                       # callable (s, y) -> tuple
-    monitors: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)   # CSV column -> Fraction
-    csv_columns: tuple = ()
-    source: str = ""                  # generated Python of rhs and monitors
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    s_start: float
-    s_end: float
-    step: float
-    decimate: int = 1
+    def __init__(self, k: int, dimension: int, state_names: tuple, rhs,
+                 monitors: dict | None = None, constants: dict | None = None,
+                 csv_columns: tuple = (), source: str = ""):
+        super().__init__(k=k, dimension=dimension, state_names=state_names, rhs=rhs,
+                         monitors={} if monitors is None else monitors,
+                         constants={} if constants is None else constants,
+                         csv_columns=csv_columns, source=source)
 
 
-@dataclass
-class Trajectory:
-    monitor_names: tuple
-    samples: list                     # (s, state tuple, monitor tuple)
-    status: str                       # "completed" | "aborted-nonfinite"
-    abort_s: float | None = None
+class SolverConfig(namedtuple("SolverConfig", "s_start s_end step decimate",
+                              defaults=(1,))):
+    __slots__ = ()
+
+
+class Trajectory(namedtuple("Trajectory", "monitor_names samples status abort_s",
+                            defaults=(None,))):
+    """``samples`` holds (s, state tuple, monitor tuple) rows; ``status`` is
+    "completed" or "aborted-nonfinite"."""
+
+    __slots__ = ()
 
 
 def _second_derivative_split(num: Poly, unknowns: list):
@@ -227,18 +217,16 @@ def _determinant(rows: list) -> Poly:
     return total
 
 
-@dataclass(frozen=True)
-class _ExactSystem:
-    """The exact expressions a compiled system is generated from."""
+class _ExactSystem(namedtuple("_ExactSystem", "k state_names layout guarded "
+                                             "det second monitors constants")):
+    """The exact expressions a compiled system is generated from: ``layout``
+    maps (dependent name, order) to a state slot, ``guarded`` holds the l_p
+    dividing an equation denominator, ``det`` is the determinant of the l''
+    block, ``second`` the RatExpr of each l_p'' (p = 1..k), ``monitors``
+    maps a monitor name to its RatExpr and ``constants`` a CSV column to the
+    value proved on shell."""
 
-    k: int
-    state_names: tuple
-    layout: dict                      # (dependent name, order) -> state slot
-    guarded: tuple                    # the l_p dividing an equation denominator
-    det: Poly                         # determinant of the l'' block
-    second: tuple                     # RatExpr of each l_p'', p = 1..k
-    monitors: dict                    # monitor name -> RatExpr
-    constants: dict                   # CSV column -> value proved on shell
+    __slots__ = ()
 
 
 def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
@@ -424,22 +412,22 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
         raise ValueError("initial state must be finite")
 
     step = _materialize(_step_source(sys.dimension))["step"]
-    h = cfg.step
+    s_start, h, decimate, rhs = cfg.s_start, cfg.step, cfg.decimate, sys.rhs
     monitors = tuple(sys.monitors.values())
     samples = []
     status = "completed"
     abort_s = None
 
     try:
-        s_i = cfg.s_start
+        s_i = s_start
         for i in range(n + 1):
             if i:
-                y = step(sys.rhs, s_i, h, y)
-                s_i = cfg.s_start + i * h
+                y = step(rhs, s_i, h, y)
+                s_i = s_start + i * h
                 if not all(map(math.isfinite, y)):
                     status, abort_s = "aborted-nonfinite", s_i
                     break
-            if i % cfg.decimate == 0 or i == n:
+            if i % decimate == 0 or i == n:
                 row = tuple([fn(s_i, y) for fn in monitors])
                 if not all(map(math.isfinite, row)):
                     status, abort_s = "aborted-nonfinite", s_i

@@ -82,6 +82,21 @@ class TestGenLenard:
                            "--custom", "u^^2", "--count", "1")
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--count", "0"), "--count must be positive"),
+        (("--count", "-2"), "--count must be positive"),
+        (("--count", "-2", "--constants=1,2"), "--count must be positive"),
+        (("--count", "2", "--constants=1,x"), "bad numeric list: "),
+        (("--count", "2", "--constants=1/0,1"), "bad numeric list: "),
+    ], ids=["count-zero", "count-negative", "count-negative-with-constants",
+            "constant-not-a-number", "constant-zero-denominator"])
+    def test_bad_arguments_are_one_line_usage_errors(self, capsys, argv, message):
+        """A bad count or constant list exits 2 with one stderr line, never
+        a traceback or exit 1 (verification failed)."""
+        code, out, err = run(capsys, "gen-lenard", *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(message) and err.count("\n") == 1
+
 
 class TestGenHierarchy:
     def test_json_matches_library(self, capsys, schema):

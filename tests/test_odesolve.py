@@ -3,7 +3,6 @@ derived guard), RK4 behaviour, and the trajectory CSV."""
 
 import ast
 import csv
-import dataclasses
 import hashlib
 import math
 import os
@@ -415,8 +414,8 @@ class TestGeneratedParity:
         bad_num = Poly(f.num.ring,
                        {**dict(f.num.sorted_terms()),
                         m: Fraction(math.nextafter(float(c), math.inf))})
-        bad = dataclasses.replace(
-            exact, second=(RatExpr(bad_num, f.den, reduce_content=False),))
+        bad = exact._replace(
+            second=(RatExpr(bad_num, f.den, reduce_content=False),))
         _, rhs, monitors = _generate(bad)
         with pytest.raises(AssertionError, match="'rhs'"):
             _assert_parity(exact, rhs, monitors)

@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import p3lenard
@@ -300,3 +302,56 @@ def test_step_source_enters_through_materialize(monkeypatch):
         tree = ast.parse(seen[0])
         assert [node.name for node in tree.body] == ["step"]
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+# Importing the CLI loads only the standard-library modules it calls:
+# ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
+# and execs generated code per record, and ``typing`` is not needed for
+# annotations that are never evaluated.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "typing")
+
+
+def _forbidden_imports(tree):
+    """Sorted (line, module) of every import of a module in
+    ``STARTUP_FORBIDDEN`` or one of its submodules, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in STARTUP_FORBIDDEN]
+    return sorted(found)
+
+
+def test_package_imports_no_startup_heavy_module():
+    found = {str(path.relative_to(PACKAGE)): _forbidden_imports(
+                 ast.parse(path.read_text(), str(path)))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_startup_import_rule_can_fail():
+    sample = ("from dataclasses import dataclass, field\n"
+              "import typing, json\n"
+              "from collections.abc import Mapping\n"
+              "def late():\n"
+              "    import inspect.signature\n"
+              "from . import typing_helpers\n")
+    assert _forbidden_imports(ast.parse(sample)) == [
+        (1, "dataclasses"), (2, "typing"), (5, "inspect.signature")]
+
+
+def test_cli_import_leaves_startup_heavy_modules_unloaded():
+    """Under ``python -S`` (no site hooks that load modules of their own),
+    importing the CLI loads none of ``STARTUP_FORBIDDEN``."""
+    probe = ("import sys\n"
+             "import p3lenard.cli\n"
+             f"print(sorted(set({STARTUP_FORBIDDEN!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout == "[]\n"
