@@ -14,14 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .jetring import MissingJetValue, Poly, Ring
+from .jetring import Poly, Ring
 from . import render
-
-__all__ = [
-    "U_RING", "u", "s", "const", "total_derivative",
-    "formal_integral", "eval_numeric", "serialize", "parse",
-    "NotExactDerivative", "ParseError", "MissingJetValue",
-]
 
 U_RING = Ring(("u",))
 
@@ -48,10 +42,6 @@ def s(power: int = 1) -> Poly:
 
 def const(c) -> Poly:
     return U_RING.const(c)
-
-
-def total_derivative(p: Poly) -> Poly:
-    return p.total_derivative()
 
 
 def formal_integral(p: Poly) -> Poly:
@@ -90,19 +80,6 @@ def formal_integral(p: Poly) -> Poly:
             raise NotExactDerivative("integration by parts failed to reduce order")
     # only powers of s remain: s^n -> s^(n+1) / (n+1)
     return result + work.map_terms(lambda m: ((m[0] + 1, (), ()), 1, m[0] + 1))
-
-
-def eval_numeric(p: Poly, s_value: float, jet_values: list) -> float:
-    """Evaluate at s = s_value with jet_values[i] supplying u^(i)."""
-    return p.eval(float(s_value), {"u": [float(v) for v in jet_values]})
-
-
-def serialize(p: Poly, format: str = "json") -> str:
-    if format == "json":
-        return render.poly_to_json(p)
-    if format == "latex":
-        return render.poly_latex(p)
-    raise ValueError(f"unknown format {format!r}")
 
 
 # -- ASCII expression grammar --------------------------------------------------
@@ -210,9 +187,9 @@ class _Parser:
             if self.peek() == "/":
                 self.take()
                 den = self.peek()
-                if den is None or not den.isdigit():
+                if den is None or not den.isdigit() or not int(den):
                     raise ParseError(f"bad denominator {den!r}", self.pos(),
-                                     "integer denominator")
+                                     "nonzero integer denominator")
                 self.take()
                 return const(Fraction(num, int(den)))
             return const(num)
@@ -233,5 +210,9 @@ class _Parser:
 def parse(text: str) -> Poly:
     """Parse a differential polynomial from JSON or the ASCII grammar."""
     if text.lstrip().startswith("{"):
-        return render.poly_from_json(text, U_RING)
+        try:
+            return render.poly_from_json(text, U_RING)
+        except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed JSON polynomial: {exc!r}", 0,
+                             "the term layout of p3lenard.render") from exc
     return _Parser(text).parse()

@@ -27,16 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .jetring import Poly, RatExpr, Ring, ZeroDenominator
+from .jetring import Poly, RatExpr, Ring
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                      bracket, transport_residual)
-
-__all__ = [
-    "HierarchySystem", "ConservedQuantity", "hierarchy_ring",
-    "build_p3_system", "equation_equivalent", "boundary_jet_sequence",
-    "conserved_tau", "conserved_sigma", "conservation_residual",
-    "ZeroDenominator",
-]
 
 
 def hierarchy_ring(k: int) -> Ring:
@@ -78,7 +71,7 @@ def build_p3_system(k: int) -> HierarchySystem:
     ring = hierarchy_ring(k)
     seq = boundary_jet_sequence(k, ring)
     # l_{k+1} = 0 in seq, so the boundary term of conserved_tau vanishes.
-    sums = [conserved_tau(seq, k, p).expr - ring.param(f"tau{p}")
+    sums = [conserved_tau(seq, k, p) - ring.param(f"tau{p}")
             for p in range(k + 1)]
     part = sums[0].collect("u", 0)      # -Omega_{k,k} - tau_0, linear in u
     u_expr = RatExpr(-part[0], part[1])
@@ -100,13 +93,7 @@ def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:
 
 # -- constants of motion -------------------------------------------------------
 
-class ConservedQuantity(namedtuple("ConservedQuantity", "p kind expr")):
-    """The Poly ``expr`` of tau_p or sigma_p; ``kind`` is "tau" or "sigma"."""
-
-    __slots__ = ()
-
-
-def conserved_tau(seq: LenardSequence, k: int, p: int) -> ConservedQuantity:
+def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
     """-(l_{k+1} l_{k-p} + sum_{q=0}^{p} B_{k-q,k-p+q}), the anti-diagonal
     sum that ``transport_residual`` differentiates with (m, n, r) =
     (k-p, k+1, p+1); sigma_p is the one with (m, n, r) = (0, p, p)."""
@@ -117,10 +104,10 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> ConservedQuantity:
     acc = seq.ell(k + 1) * seq.ell(k - p)
     for q in range(p + 1):
         acc += bracket(seq, k - q, k - p + q)
-    return ConservedQuantity(p, "tau", -acc)
+    return -acc
 
 
-def conserved_sigma(seq: LenardSequence, p: int) -> ConservedQuantity:
+def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
     """-l_0 l_p + sum_{q=0}^{p-1} (Omega_{p-1-q,q} - l_{p-1-q} l_{q+1})."""
     if p < 0:
         raise IndexOutOfRange("sigma index must be nonnegative")
@@ -129,7 +116,7 @@ def conserved_sigma(seq: LenardSequence, p: int) -> ConservedQuantity:
     acc = -seq.ell(0) * seq.ell(p)
     for q in range(p):
         acc += bracket(seq, p - 1 - q, q)
-    return ConservedQuantity(p, "sigma", acc)
+    return acc
 
 
 def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:

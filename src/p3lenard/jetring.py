@@ -573,9 +573,6 @@ class RatExpr:
     def __sub__(self, other):
         return self + (-RatExpr.of(other, self.ring))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = RatExpr.of(other, self.ring)
         return RatExpr(self.num * other.num, self.den * other.den)
@@ -588,18 +585,14 @@ class RatExpr:
             raise ZeroDenominator("division by zero expression")
         return RatExpr(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return RatExpr.of(other, self.ring) / self
-
     def __pow__(self, n: int):
         if n < 0:
             return RatExpr(self.den, self.num) ** (-n)
         return RatExpr(self.num ** n, self.den ** n)
 
-    def total_derivative(self, rules=None) -> "RatExpr":
+    def total_derivative(self) -> "RatExpr":
         n, d = self.num, self.den
-        return RatExpr(n.total_derivative(rules) * d - n * d.total_derivative(rules),
-                       d * d)
+        return RatExpr(n.total_derivative() * d - n * d.total_derivative(), d * d)
 
     def subs_param(self, name: str, value) -> "RatExpr":
         return RatExpr(self.num.subs_param(name, value), self.den.subs_param(name, value))

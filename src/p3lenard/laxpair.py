@@ -38,10 +38,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "ring coeffs")):
         return super().__new__(
             cls, ring, {n: p for n, p in coeffs.items() if not p.is_zero()})
 
-    @classmethod
-    def zero(cls, ring: Ring) -> "LaurentPoly":
-        return cls(ring, {})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -87,15 +83,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "ring coeffs")):
                            {n: p for n, p in self.coeffs.items() if n >= min_power})
 
 
-class LaxMatrices(namedtuple("LaxMatrices", "A B")):
-    """A = a*sigma3 + b*sigma+ + c*sigma-;  B = (z - u)*sigma- + sigma+."""
-
-    __slots__ = ()
-
-    def trace_A(self) -> LaurentPoly:
-        return self.A[0][0] + self.A[1][1]
-
-
 def build_b(seq: LenardSequence, k: int) -> LaurentPoly:
     """Coefficient of z^(j-k-1) is 4^(j-k) * l_{k-j}, for j = 0..k."""
     if len(seq) < k + 1:
@@ -109,10 +96,10 @@ def _b_jet(seq: LenardSequence, powers, i: int) -> LaurentPoly:
                                   for p in powers})
 
 
-def derive_a_c(b: LaurentPoly, u: Poly, seq: LenardSequence):
+def derive_a_c(b: LaurentPoly, seq: LenardSequence):
     """a = -b'/2;  c = (z - u) b - b''/2 for b = build_b(seq, k), by its jets."""
     a = _b_jet(seq, b.powers(), 1) * Fraction(-1, 2)
-    c = b.shift(1) - b * u - _b_jet(seq, b.powers(), 2) * Fraction(1, 2)
+    c = b.shift(1) - b * seq.u - _b_jet(seq, b.powers(), 2) * Fraction(1, 2)
     return a, c
 
 
@@ -148,7 +135,7 @@ def c_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     Leibniz from the jets of b: c' = z b' - u b' - u' b - b'''/2."""
     ring = seq.ring
     b_ext = build_b(seq, k + 1)  # raises unless seq provides l_0..l_{k+1}
-    a, _ = derive_a_c(b_ext, seq.u, seq)
+    a, _ = derive_a_c(b_ext, seq)
     db = _b_jet(seq, b_ext.powers(), 1)
     dc = (db.shift(1) - db * seq.u - b_ext * ring.var("u", 1)
           - _b_jet(seq, b_ext.powers(), 3) * Fraction(1, 2))
@@ -156,14 +143,3 @@ def c_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     resid = dc - LaurentPoly(ring, {0: ring.one()}) - za * 2
     return resid.truncate(-(k + 1))
 
-
-def build_lax_matrices(seq: LenardSequence, k: int, u: Poly | None = None) -> LaxMatrices:
-    ring = seq.ring
-    u = u if u is not None else seq.u
-    b = build_b(seq, k)
-    a, c = derive_a_c(b, u, seq)
-    zero = LaurentPoly.zero(ring)
-    one = LaurentPoly(ring, {0: ring.one()})
-    z_minus_u = LaurentPoly(ring, {1: ring.one(), 0: -u})
-    return LaxMatrices(A=((a, b), (c, -a)),
-                       B=((zero, one), (z_minus_u, zero)))

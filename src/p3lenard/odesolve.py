@@ -45,10 +45,6 @@ class SingularMassMatrix(ArithmeticError):
         self.s = s
 
 
-class StepSizeUnderflow(ValueError):
-    pass
-
-
 class DomainError(ValueError):
     pass
 
@@ -274,7 +270,7 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
     seq = boundary_jet_sequence(k, ring)
     on_shell = {}
     for p in range(1, k + 1):
-        expr = RatExpr(conserved_tau(seq, k, p).expr)
+        expr = RatExpr(conserved_tau(seq, k, p))
         expr = subs_second(fix_params(expr.subs_var("u", 0, sys.u_expr)))
         on_shell[f"tau{p}"] = (expr, taus[p])
     on_shell["ell_next_drift"] = (lk_ppp + 4 * u0 * lk_p + 2 * u1 * lk_var,
@@ -390,7 +386,7 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     if not all(math.isfinite(v) for v in (cfg.s_start, cfg.s_end, cfg.step)):
         raise DomainError("s_start, s_end and step must be finite")
     if cfg.step <= 0:
-        raise StepSizeUnderflow(f"step {cfg.step!r} must be positive")
+        raise DomainError(f"step {cfg.step!r} must be positive")
     if cfg.s_start <= 0:
         raise DomainError("s_start must be positive (equations have 1/s terms)")
     if cfg.s_end <= cfg.s_start:

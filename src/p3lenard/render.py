@@ -134,10 +134,6 @@ def poly_to_obj(poly: Poly) -> dict:
     return {"terms": terms}
 
 
-def poly_to_json(poly: Poly) -> str:
-    return json.dumps(poly_to_obj(poly))
-
-
 def poly_from_obj(obj: dict, ring: Ring) -> Poly:
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()

@@ -78,9 +78,14 @@ class TestGenLenard:
         assert code == cli.EXIT_USAGE
 
     def test_bad_custom_seed(self, capsys):
-        code, _, err = run(capsys, "gen-lenard", "--seed", "custom",
-                           "--custom", "u^^2", "--count", "1")
-        assert code == cli.EXIT_USAGE
+        # a zero denominator and malformed JSON are parse errors, never a
+        # traceback or exit 1 (verification failed)
+        for expr in ("u^^2", "1/0", '{"x":1}', '{"terms":5}',
+                     '{"terms":[{"coef":"1/0"}]}'):
+            code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
+                                 "--custom", expr, "--count", "1")
+            assert (code, out) == (cli.EXIT_USAGE, "")
+            assert err.startswith("bad custom seed: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
         (("--count", "0"), "--count must be positive"),
@@ -88,8 +93,11 @@ class TestGenLenard:
         (("--count", "-2", "--constants=1,2"), "--count must be positive"),
         (("--count", "2", "--constants=1,x"), "bad numeric list: "),
         (("--count", "2", "--constants=1/0,1"), "bad numeric list: "),
+        (("--seed", "standard", "--custom", "u^2", "--count", "1"),
+         "--custom needs --seed custom"),
     ], ids=["count-zero", "count-negative", "count-negative-with-constants",
-            "constant-not-a-number", "constant-zero-denominator"])
+            "constant-not-a-number", "constant-zero-denominator",
+            "custom-without-custom-seed"])
     def test_bad_arguments_are_one_line_usage_errors(self, capsys, argv, message):
         """A bad count or constant list exits 2 with one stderr line, never
         a traceback or exit 1 (verification failed)."""
@@ -270,6 +278,8 @@ class TestIntegrate:
         ("1", "nan", "1e-3", "finite"),
         ("1", "2", "10", "whole number of steps"),
         ("1", "2", "0.3", "whole number of steps"),
+        ("1", "2", "0", "must be positive"),
+        ("1", "2", "-0.1", "must be positive"),
     ])
     def test_bad_range_usage_error(self, capsys, tmp_path, s0, s1, step,
                                    message):

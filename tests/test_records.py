@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from p3lenard.diffpoly import U_RING
-from p3lenard.hierarchy import ConservedQuantity, HierarchySystem
+from p3lenard.hierarchy import HierarchySystem
 from p3lenard.jetring import RatExpr
-from p3lenard.laxpair import LaurentPoly, LaxMatrices
+from p3lenard.laxpair import LaurentPoly
 from p3lenard.lenard import LenardSequence, SeedCondition, generate
 from p3lenard.odesolve import (CompiledSystem, SolverConfig, Trajectory,
                                _ExactSystem, integrate)
@@ -30,9 +30,7 @@ RECORDS = [
      (SEED, [HALF, U], [Fraction(0)], U_RING), {"rules": {}}),
     (HierarchySystem, ("k", "tau_names", "equations", "u_expr", "ring"),
      (1, ("tau0", "tau1"), [RatExpr(U)], RatExpr(HALF), U_RING), {}),
-    (ConservedQuantity, ("p", "kind", "expr"), (0, "tau", U), {}),
     (LaurentPoly, ("ring", "coeffs"), (U_RING, {-1: U}), {}),
-    (LaxMatrices, ("A", "B"), (((1, 2), (3, 4)), ((0, 1), (1, 0))), {}),
     (CompiledSystem,
      ("k", "dimension", "state_names", "rhs", "monitors", "constants",
       "csv_columns", "source"),
@@ -80,8 +78,7 @@ def test_default_dicts_are_not_shared(record, field):
     assert getattr(b, field) == {}
 
 
-@pytest.mark.parametrize("record", [SeedCondition, SolverConfig,
-                                    ConservedQuantity, _ExactSystem])
+@pytest.mark.parametrize("record", [SeedCondition, SolverConfig, _ExactSystem])
 def test_frozen_records_refuse_assignment(record):
     fields, required = next(row[1:3] for row in RECORDS if row[0] is record)
     rec = record(*required)

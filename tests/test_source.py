@@ -1,8 +1,10 @@
 """Rules on the package source itself."""
 
+import argparse
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import p3lenard
@@ -223,8 +225,8 @@ def test_derivative_rule_can_fail():
               "        return self.D(self.jet(j, i - 1))\n"
               "def omega(seq, n, m):\n"
               "    return seq.D(seq.D(seq.ell(n) * seq.ell(m)))\n"
-              "def derive_a_c(b, u, seq):\n"
-              "    return b.derivative(seq), b * u\n"
+              "def derive_a_c(b, seq):\n"
+              "    return b.derivative(seq), b * seq.u\n"
               "def _b_relation_residual(seq, k):\n"
               "    return build_b(seq, k) * seq.D(seq.u)\n")
     tree = ast.parse(sample)
@@ -355,3 +357,87 @@ def test_cli_import_leaves_startup_heavy_modules_unloaded():
                          capture_output=True, text=True,
                          env={"PYTHONPATH": str(PACKAGE.parent)})
     assert out.stdout == "[]\n"
+
+
+# Every function, class and method of the package is reached from the
+# package itself, or is one of these.  Oracles are reference computations
+# and test seams that tests compare against; hooks are called by a library.
+ORACLES = ("HierarchySystem.equation", "equation_equivalent", "conserved_sigma",
+           "Poly.monomial_content", "Poly.divide_monomial", "RatExpr.eval",
+           "LenardSequence.with_entry")
+HOOKS = {"_Parser._parse_optional": argparse.ArgumentParser}
+
+
+def _definitions(body, prefix=""):
+    """(qualified name, node) of the module-level functions and classes in
+    ``body`` and of the methods of those classes, dunders excepted."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (prefix and node.name.startswith("__") and node.name.endswith("__")):
+                yield f"{prefix}{node.name}", node
+            if isinstance(node, ast.ClassDef) and not prefix:
+                yield from _definitions(node.body, f"{node.name}.")
+
+
+def _referenced_names(*trees) -> Counter:
+    """How often each name occurs in ``trees`` as an ``ast.Name`` or as the
+    attribute of an ``ast.Attribute``."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced(trees, allowed=()):
+    """Sorted qualified names of the definitions in ``trees`` whose name
+    occurs nowhere in ``trees`` outside the definition's own body, less
+    ``allowed``."""
+    everywhere = _referenced_names(*trees)
+    return sorted(name for tree in trees
+                  for name, node in _definitions(tree.body)
+                  if name not in allowed
+                  and not everywhere[node.name] - _referenced_names(node)[node.name])
+
+
+def _uncalled(qualnames, trees):
+    """The names in ``qualnames`` whose last part occurs nowhere in ``trees``."""
+    everywhere = _referenced_names(*trees)
+    return [name for name in qualnames if not everywhere[name.split(".")[-1]]]
+
+
+def _parsed(paths):
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(paths)]
+
+
+def test_package_has_no_unreferenced_api():
+    assert _unreferenced(_parsed(PACKAGE.rglob("*.py")), ORACLES + tuple(HOOKS)) == []
+
+
+def test_allowed_unreferenced_names_still_have_callers():
+    """An oracle no test reads, or a hook its library no longer calls, is
+    dead code too."""
+    assert _uncalled(ORACLES, _parsed(Path(__file__).parent.glob("*.py"))) == []
+    assert [name for name, base in HOOKS.items()
+            if not callable(getattr(base, name.split(".")[-1], None))] == []
+
+
+def test_unreferenced_api_rule_can_fail():
+    sample = ("def used():\n"
+              "    return helper() + Box().size\n"
+              "def helper():\n"
+              "    return helper()\n"
+              "def orphan():\n"
+              "    return used()\n"
+              "class Box:\n"
+              "    def size(self):\n"
+              "        return self.size\n"
+              "    def lonely(self):\n"
+              "        return self.lonely()\n"
+              "    def __repr__(self):\n"
+              "        return 'Box'\n"
+              "class Unused:\n"
+              "    pass\n")
+    trees = [ast.parse(sample), ast.parse("from sample import orphan\n")]
+    assert _unreferenced(trees) == ["Box.lonely", "Unused", "orphan"]
+    assert _unreferenced(trees, ("orphan", "Box.lonely")) == ["Unused"]
+    assert _uncalled(("Box.size", "Box.gone", "orphan"), trees) == [
+        "Box.gone", "orphan"]
