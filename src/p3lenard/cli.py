@@ -115,19 +115,19 @@ def _cmd_gen_lax(args) -> int:
     seq = symbolic(SeedCondition.painleve3(), args.k + 1)
     b = build_b(seq, args.k)
     a, c = derive_a_c(b, seq)
+    named = (("a", a), ("b", b), ("c", c))
     if args.format == "latex":
-        for label, series in (("a", a), ("b", b), ("c", c)):
+        for label, series in named:
             body = " + ".join(
                 rf"\left({render.poly_latex(series.coeff(n))}\right) z^{{{n}}}"
                 for n in series.powers())
             print(f"{label} = {body or '0'}")
     else:
-        print(json.dumps({
-            "k": args.k,
-            "a": {str(n): render.poly_to_obj(a.coeff(n)) for n in a.powers()},
-            "b": {str(n): render.poly_to_obj(b.coeff(n)) for n in b.powers()},
-            "c": {str(n): render.poly_to_obj(c.coeff(n)) for n in c.powers()},
-        }))
+        out = {"k": args.k}
+        for label, series in named:
+            out[label] = {str(n): render.poly_to_obj(series.coeff(n))
+                          for n in series.powers()}
+        print(json.dumps(out))
     return EXIT_OK
 
 
@@ -216,7 +216,7 @@ def _cmd_integrate(args) -> int:
     try:
         taus = [float(Fraction(t)) for t in args.tau.split(",")]
         init = [float(Fraction(v)) for v in args.init.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"bad numeric list: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if len(taus) != args.k + 1:

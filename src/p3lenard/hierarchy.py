@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
-                     bracket, transport_residual)
+                     bracket, diagonal, transport_residual)
 
 
 def hierarchy_ring(k: int) -> Ring:
@@ -38,8 +38,7 @@ def hierarchy_ring(k: int) -> Ring:
                 tuple(f"tau{p}" for p in range(k + 1)))
 
 
-class HierarchySystem(namedtuple("HierarchySystem",
-                                  "k tau_names equations u_expr ring")):
+class HierarchySystem(namedtuple("HierarchySystem", "k equations u_expr ring")):
     """Equations (= 0) of the k-th member, with u already eliminated;
     ``equations[p - 1]`` is the RatExpr of equation p."""
 
@@ -51,13 +50,13 @@ class HierarchySystem(namedtuple("HierarchySystem",
         return self.equations[p - 1]
 
 
-def boundary_jet_sequence(k: int, ring: Ring | None = None) -> LenardSequence:
+def boundary_jet_sequence(k: int) -> LenardSequence:
     """l_0 = s/2, l_1..l_k as independent jet unknowns, l_{k+1} = 0.
 
     Derivatives are plain jet shifts: this is the hierarchy's view of the
     sequence, where the l_p are unknown functions rather than recursion
     output."""
-    ring = ring or hierarchy_ring(k)
+    ring = hierarchy_ring(k)
     ells = [ring.s() * Fraction(1, 2)]
     for p in range(1, k + 1):
         ells.append(ring.var(f"l{p}", 0))
@@ -68,15 +67,15 @@ def boundary_jet_sequence(k: int, ring: Ring | None = None) -> LenardSequence:
 def build_p3_system(k: int) -> HierarchySystem:
     if k < 1:
         raise ValueError("k must be positive")
-    ring = hierarchy_ring(k)
-    seq = boundary_jet_sequence(k, ring)
+    seq = boundary_jet_sequence(k)
+    ring = seq.ring
     # l_{k+1} = 0 in seq, so the boundary term of conserved_tau vanishes.
     sums = [conserved_tau(seq, k, p) - ring.param(f"tau{p}")
             for p in range(k + 1)]
     part = sums[0].collect("u", 0)      # -Omega_{k,k} - tau_0, linear in u
     u_expr = RatExpr(-part[0], part[1])
     equations = [RatExpr(acc).subs_var("u", 0, u_expr) for acc in sums[1:]]
-    return HierarchySystem(k, ring.params, equations, u_expr, ring)
+    return HierarchySystem(k, equations, u_expr, ring)
 
 
 def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:
@@ -101,10 +100,8 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
         raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
     if len(seq) < k + 2:
         raise IndexOutOfRange(f"sequence must extend through index {k + 1}")
-    acc = seq.ell(k + 1) * seq.ell(k - p)
-    for q in range(p + 1):
-        acc += bracket(seq, k - q, k - p + q)
-    return -acc
+    return -sum(diagonal(bracket, seq, k, k - p, p + 1),
+                seq.ell(k + 1) * seq.ell(k - p))
 
 
 def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
@@ -113,10 +110,7 @@ def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
         raise IndexOutOfRange("sigma index must be nonnegative")
     if len(seq) < p + 1:
         raise IndexOutOfRange(f"sequence must extend through index {p}")
-    acc = -seq.ell(0) * seq.ell(p)
-    for q in range(p):
-        acc += bracket(seq, p - 1 - q, q)
-    return acc
+    return sum(diagonal(bracket, seq, p - 1, 0, p), -seq.ell(0) * seq.ell(p))
 
 
 def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:

@@ -162,15 +162,17 @@ def _content_key(keys: Iterable[int]) -> int:
     return c
 
 
-def _divided(p: "Poly", c: int) -> "Poly":
-    """``p`` over the monomial with key ``c``: a borrow from any slot of a
-    difference means that ``c`` does not divide that term."""
-    if not c:
-        return p
-    nums = {k - c: v for k, v in p.terms.items()}
-    if reduce(or_, nums, 0) & _GUARD:
-        raise ValueError("monomial does not divide")
-    return _make(p.ring, nums, p.den)
+def _primitive(*polys: "Poly") -> list:
+    """Nonzero ``polys`` of one ring over their joint monomial content, and
+    all scaled by the one positive rational that leaves their numerators
+    integer with no common factor: each result has ``den == 1``, and
+    quotients of the inputs are unchanged."""
+    c = _content_key(chain.from_iterable(p.terms for p in polys))
+    den = lcm(*(p.den for p in polys))
+    scales = [den // p.den for p in polys]
+    g = gcd(*(f * gcd(*p.terms.values()) for f, p in zip(scales, polys)))
+    return [_make(p.ring, {k - c: v * f // g for k, v in p.terms.items()}, 1)
+            for f, p in zip(scales, polys)]
 
 
 class Ring:
@@ -446,16 +448,18 @@ class Poly:
 
     # -- content and normalization ---------------------------------------------
 
-    def rational_content(self) -> Fraction:
-        """gcd of the numerators over ``den`` (positive), 0 for zero."""
-        return Fraction(gcd(*self.terms.values()), self.den)
-
     def monomial_content(self) -> Monomial:
         """Componentwise minimum monomial dividing every term."""
         return _decode(self.ring, _content_key(self.terms))
 
     def divide_monomial(self, m: Monomial) -> "Poly":
-        return _divided(self, _encode(self.ring, m))
+        """``self`` over ``m``: a borrow from any slot of a difference means
+        that ``m`` does not divide that term."""
+        c = _encode(self.ring, m)
+        nums = {k - c: v for k, v in self.terms.items()}
+        if reduce(or_, nums, 0) & _GUARD:
+            raise ValueError("monomial does not divide")
+        return _make(self.ring, nums, self.den)
 
     def primitive_core(self) -> "Poly":
         """Strip monomial and rational content; make the leading coefficient
@@ -463,9 +467,7 @@ class Poly:
         hyperplanes iff their cores coincide."""
         if not self.terms:
             return self
-        p = _divided(self, _content_key(self.terms))
-        c = p.rational_content()
-        p = p * (1 / c)
+        p, = _primitive(self)
         if p.leading()[1] < 0:
             p = -p
         return p
@@ -509,7 +511,8 @@ class Poly:
 
 
 class RatExpr:
-    """Ratio of two polynomials, reduced by joint content on construction.
+    """Ratio of two polynomials, reduced by joint content on construction;
+    a zero numerator keeps the denominator it is given.
 
     The denominator's leading coefficient is normalized positive.  Equality
     is tested by cross-multiplication.
@@ -517,22 +520,15 @@ class RatExpr:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, reduce_content: bool = True):
+    def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = num.ring.one()
         if num.ring != den.ring:
             raise ValueError("mixed rings")
         if den.is_zero():
             raise ZeroDenominator("denominator normalizes to zero")
-        if reduce_content and not num.is_zero():
-            c = _content_key(chain(num.terms, den.terms))
-            num, den = _divided(num, c), _divided(den, c)
-            # num / den == (num.terms * den.den) / (den.terms * num.den):
-            # cross-scale, then divide both by the gcd of all those numerators
-            fn, fd = den.den, num.den
-            g = gcd(fn * gcd(*num.terms.values()), fd * gcd(*den.terms.values()))
-            num = _make(num.ring, {m: c * fn // g for m, c in num.terms.items()}, 1)
-            den = _make(den.ring, {m: c * fd // g for m, c in den.terms.items()}, 1)
+        if not num.is_zero():
+            num, den = _primitive(num, den)
         if den.leading()[1] < 0:
             num, den = -num, -den
         self.num = num
@@ -568,7 +564,7 @@ class RatExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatExpr(-self.num, self.den, reduce_content=False)
+        return RatExpr(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RatExpr.of(other, self.ring))

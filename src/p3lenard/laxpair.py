@@ -115,11 +115,6 @@ def compatibility_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     if seq.ell(0) != ring.s() * Fraction(1, 2):
         raise SeedMismatch(
             f"compatibility needs l_0 = s/2, got l_0 = {seq.ell(0)!s}")
-    return _b_relation_residual(seq, k)
-
-
-def _b_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
-    ring = seq.ring
     b_ext = build_b(seq, k + 1)
     db = _b_jet(seq, b_ext.powers(), 1)
     lin = (_b_jet(seq, b_ext.powers(), 3) + db * (4 * seq.u)
@@ -130,13 +125,14 @@ def _b_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
 
 
 def c_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
-    """c' - 1 - 2 (z - u) a with a, c derived from b; twice the b-relation
-    residual, so it vanishes under the same conditions.  c' is taken by
-    Leibniz from the jets of b: c' = z b' - u b' - u' b - b'''/2."""
+    """c' - 1 - 2 (z - u) a with a, c of ``derive_a_c``; twice the b-relation
+    residual, so it vanishes under the same conditions.  a = -b'/2 reads the
+    b' that c' takes by Leibniz from the jets of b: c' = z b' - u b' - u' b
+    - b'''/2."""
     ring = seq.ring
     b_ext = build_b(seq, k + 1)  # raises unless seq provides l_0..l_{k+1}
-    a, _ = derive_a_c(b_ext, seq)
     db = _b_jet(seq, b_ext.powers(), 1)
+    a = db * Fraction(-1, 2)
     dc = (db.shift(1) - db * seq.u - b_ext * ring.var("u", 1)
           - _b_jet(seq, b_ext.powers(), 3) * Fraction(1, 2))
     za = a.shift(1) - a * seq.u

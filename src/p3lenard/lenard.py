@@ -192,6 +192,13 @@ def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
     return omega(seq, a, b) - seq.ell(a) * seq.ell(b + 1)
 
 
+def diagonal(f, seq: LenardSequence, a: int, b: int, count: int):
+    """Yield f(seq, a - q, b + q) for q = 0..count-1: the anti-diagonal walk
+    of every bracket sum."""
+    for q in range(count):
+        yield f(seq, a - q, b + q)
+
+
 def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
     """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel, in two products
     of full jets: l_m (l_n''' + 4 u l_n' + 4 u' l_n) + l_n (l_m''' + 4 u l_m')."""
@@ -246,8 +253,8 @@ def _bracket_sums(seq: LenardSequence, m: int, n: int, top: int):
     """Yield the running sums sum_{q<r} B_{n-q-1,m+q}' for r = 0..top."""
     if not 0 <= top <= n:
         raise IndexOutOfRange(f"transport distance {top} outside 0..{n}")
-    yield from accumulate((_bracket_prime(seq, n - r, m + r - 1)
-                           for r in range(1, top + 1)), initial=seq.ring.zero())
+    yield from accumulate(diagonal(_bracket_prime, seq, n - 1, m, top),
+                          initial=seq.ring.zero())
 
 
 # -- closed-form route for the classical seed ----------------------------------
@@ -264,9 +271,7 @@ def _closed_form_list(count: int) -> list:
     seed = SeedCondition.standard()
     seq = LenardSequence(seed, [seed.poly], [], U_RING)
     for p in range(1, count + 1):
-        acc = U_RING.zero()
-        for q in range(p - 1):
-            acc += bracket(seq, p - 1 - q, q)
-        acc += omega(seq, 0, p - 1)
-        seq.ells.append(acc)
+        # sigma_p = 0 with l_0 = 1/2: l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1}
+        seq.ells.append(sum(diagonal(bracket, seq, p - 1, 0, p - 1),
+                            omega(seq, 0, p - 1)))
     return seq.ells

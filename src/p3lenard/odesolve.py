@@ -160,13 +160,13 @@ class CompiledSystem(SimpleNamespace):
     ``source`` is the generated Python of both.  The fields stay assignable,
     so a wrapper can replace ``rhs`` or ``monitors``."""
 
-    def __init__(self, k: int, dimension: int, state_names: tuple, rhs,
+    def __init__(self, dimension: int, state_names: tuple, rhs,
                  monitors: dict | None = None, constants: dict | None = None,
-                 csv_columns: tuple = (), source: str = ""):
-        super().__init__(k=k, dimension=dimension, state_names=state_names, rhs=rhs,
+                 source: str = ""):
+        super().__init__(dimension=dimension, state_names=state_names, rhs=rhs,
                          monitors={} if monitors is None else monitors,
                          constants={} if constants is None else constants,
-                         csv_columns=csv_columns, source=source)
+                         source=source)
 
 
 class SolverConfig(namedtuple("SolverConfig", "s_start s_end step decimate",
@@ -174,8 +174,7 @@ class SolverConfig(namedtuple("SolverConfig", "s_start s_end step decimate",
     __slots__ = ()
 
 
-class Trajectory(namedtuple("Trajectory", "monitor_names samples status abort_s",
-                            defaults=(None,))):
+class Trajectory(namedtuple("Trajectory", "samples status abort_s", defaults=(None,))):
     """``samples`` holds (s, state tuple, monitor tuple) rows; ``status`` is
     "completed" or "aborted-nonfinite"."""
 
@@ -267,7 +266,7 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
     lk_p = RatExpr(ring.var(lk, 1))
     lk_ppp = on_shell_derivative(f_exprs[k - 1])
 
-    seq = boundary_jet_sequence(k, ring)
+    seq = boundary_jet_sequence(k)
     on_shell = {}
     for p in range(1, k + 1):
         expr = RatExpr(conserved_tau(seq, k, p))
@@ -327,10 +326,8 @@ def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
     exact = _exact_system(k, tau_values)
     source, rhs, monitors = _generate(exact)
     return CompiledSystem(
-        k=k, dimension=2 * k, state_names=exact.state_names, rhs=rhs,
-        monitors=monitors, constants=exact.constants,
-        csv_columns=("s", *exact.state_names, *monitors, *exact.constants),
-        source=source)
+        dimension=2 * k, state_names=exact.state_names, rhs=rhs,
+        monitors=monitors, constants=exact.constants, source=source)
 
 
 def compile_k1(tau0, tau1) -> CompiledSystem:
@@ -433,18 +430,19 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
         status = "aborted-nonfinite"
         abort_s = getattr(exc, "s", s_i)
 
-    return Trajectory(monitor_names=tuple(sys.monitors), samples=samples,
-                      status=status, abort_s=abort_s)
+    return Trajectory(samples=samples, status=status, abort_s=abort_s)
 
 
 def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
     """Trajectory CSV: s, the state and the monitors of each sample as
-    ``%.17g`` decimals, then the exact constants of ``sys``; every row,
-    the header included, ends in ``\\r\\n``.  Rows are formatted from one
-    template per run and streamed to the file, never held all at once."""
-    fields = ["%.17g"] * (1 + sys.dimension + len(traj.monitor_names))
+    ``%.17g`` decimals, then the exact constants of ``sys``; the header
+    names them in that order from ``sys``, and every row, the header
+    included, ends in ``\\r\\n``.  Rows are formatted from one template
+    per run and streamed to the file, never held all at once."""
+    fields = ["%.17g"] * (1 + sys.dimension + len(sys.monitors))
     fields += [f"{float(v):.17g}" for v in sys.constants.values()]
     row = ",".join(fields) + "\r\n"
+    header = ("s", *sys.state_names, *sys.monitors, *sys.constants)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(sys.csv_columns) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
         fh.writelines(row % (s_i, *y, *mon) for s_i, y, mon in traj.samples)

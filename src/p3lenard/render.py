@@ -56,55 +56,38 @@ def _coef_latex(c: Fraction) -> str:
     return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def _term_factors(poly: Poly, m, jet_fmt):
-    s_pow, jets, pars = m
-    factors = []
-    if s_pow:
-        factors.append(("s", s_pow))
-    for (d, o), e in jets:
-        factors.append((jet_fmt(poly.ring.dependents[d], o), e))
-    for p, e in pars:
-        factors.append((jet_fmt(poly.ring.params[p], 0), e))
-    return factors
+def _poly_text(poly: Poly, jet, power, coef, sep: str) -> str:
+    """The terms of ``poly``, greatest first, joined by their signs: each is
+    its coefficient (left out before factors when it is 1) and its factors,
+    ``sep`` between them.  ``jet(name, order)`` spells a symbol,
+    ``power(symbol, exponent)`` a factor and ``coef(c)`` a positive
+    coefficient."""
+    if poly.is_zero():
+        return "0"
+    ring = poly.ring
+    chunks = []
+    for (s_pow, jets, pars), c in poly.sorted_terms():
+        factors = [("s", s_pow)] if s_pow else []
+        factors += [(jet(ring.dependents[d], o), e) for (d, o), e in jets]
+        factors += [(jet(ring.params[p], 0), e) for p, e in pars]
+        parts = [power(f, e) if e > 1 else f for f, e in factors]
+        if abs(c) != 1 or not parts:
+            parts.insert(0, coef(abs(c)))
+        chunks.append(("- " if c < 0 else "+ ") + sep.join(parts))
+    out = " ".join(chunks)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+def _power_latex(f: str, e: int) -> str:
+    return f"({f})^{{{e}}}" if len(f) > 1 else f"{f}^{{{e}}}"
 
 
 def poly_ascii(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    chunks = []
-    for m, c in poly.sorted_terms():
-        factors = _term_factors(poly, m, _jet_ascii)
-        body = "*".join(f"{f}^{e}" if e > 1 else f for f, e in factors)
-        if not factors:
-            text = str(abs(c))
-        elif abs(c) == 1:
-            text = body
-        else:
-            text = f"{abs(c)}*{body}"
-        chunks.append(("- " if c < 0 else "+ ") + text)
-    out = " ".join(chunks)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return _poly_text(poly, _jet_ascii, "{}^{}".format, str, "*")
 
 
 def poly_latex(poly: Poly) -> str:
-    if poly.is_zero():
-        return "0"
-    chunks = []
-    for m, c in poly.sorted_terms():
-        factors = _term_factors(poly, m, _jet_latex)
-        body = " ".join(f"({f})^{{{e}}}" if e > 1 and len(f) > 1 else
-                        (f"{f}^{{{e}}}" if e > 1 else f)
-                        for f, e in factors)
-        coef = _coef_latex(abs(c))
-        if not factors:
-            text = coef
-        elif abs(c) == 1:
-            text = body
-        else:
-            text = f"{coef} {body}"
-        chunks.append(("- " if c < 0 else "+ ") + text)
-    out = " ".join(chunks)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return _poly_text(poly, _jet_latex, _power_latex, _coef_latex, " ")
 
 
 def ratexpr_latex(expr: RatExpr) -> str:
@@ -138,7 +121,10 @@ def poly_from_obj(obj: dict, ring: Ring) -> Poly:
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()
     for entry in obj["terms"]:
-        coef = Fraction(entry["coef"])
+        try:
+            coef = Fraction(entry["coef"])
+        except OverflowError as exc:       # an infinite JSON number
+            raise ValueError(f"coefficient {entry['coef']!r}: {exc}") from exc
         term = ring.s(int(entry.get("s", 0))) * coef
         jets = entry.get("jets", {})
         if single:

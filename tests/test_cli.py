@@ -66,11 +66,24 @@ class TestGenLenard:
         assert code == cli.EXIT_RUNTIME
         assert "differential-polynomial" in err
 
-    def test_exponent_overflow_is_runtime_error(self, capsys):
+    def test_nonlocal_custom_seed_quotes_the_leftover(self, capsys):
+        # the default custom seed s^2/2 leaves 2*s*u, quoted as str(Poly)
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
-                             "--custom", "u^16384*u^16384", "--count", "1")
+                             "--count", "1")
         assert (code, out) == (cli.EXIT_RUNTIME, "")
-        assert err.startswith("runtime error: an exponent reached 2**15")
+        assert err == ("recursion left the differential-polynomial ring: "
+                       "recursion step 0 -> 1 left the differential-"
+                       "polynomial ring: no differential-polynomial "
+                       "antiderivative (leftover 2*s*u)\n")
+
+    def test_exponent_overflow_is_runtime_error(self, capsys):
+        # an exponent beyond the packed slots stays exit 3, from either grammar
+        for expr in ("u^16384*u^16384", "u^40000",
+                     '{"terms":[{"coef":"1","jets":{"0":40000}}]}'):
+            code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
+                                 "--custom", expr, "--count", "1")
+            assert (code, out) == (cli.EXIT_RUNTIME, "")
+            assert err.startswith("runtime error: an exponent reached 2**15")
 
     def test_constants_count_mismatch(self, capsys):
         code, _, err = run(capsys, "gen-lenard", "--count", "2",
@@ -78,10 +91,13 @@ class TestGenLenard:
         assert code == cli.EXIT_USAGE
 
     def test_bad_custom_seed(self, capsys):
-        # a zero denominator and malformed JSON are parse errors, never a
-        # traceback or exit 1 (verification failed)
+        # a zero denominator, malformed JSON and a coefficient beyond float
+        # range are parse errors, never a traceback, exit 1 (verification
+        # failed) or exit 3 (runtime error)
         for expr in ("u^^2", "1/0", '{"x":1}', '{"terms":5}',
-                     '{"terms":[{"coef":"1/0"}]}'):
+                     '{"terms":[{"coef":"1/0"}]}', '{"terms":[{"coef":1e400}]}',
+                     '{"terms":[{"coef":Infinity}]}',
+                     '{"terms":[{"coef":-Infinity}]}'):
             code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
                                  "--custom", expr, "--count", "1")
             assert (code, out) == (cli.EXIT_USAGE, "")
@@ -251,6 +267,20 @@ class TestIntegrate:
                             out_file.read_bytes()))
         assert results[0][0] == 0
         assert results[1] == results[0]
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tau", "1e400,2"), ("--init", "1e400,0"), ("--init", "-1e400,0")])
+    def test_value_beyond_float_range_is_usage_error(self, capsys, tmp_path,
+                                                      option, value):
+        out_file = tmp_path / "x.csv"
+        values = {"--tau": "1,2", "--init": "1,0", option: value}
+        code, out, err = run(capsys, "integrate", "--k", "1",
+                             *(f"{name}={given}" for name, given in values.items()),
+                             "--s0", "1", "--s1", "2", "--step", "0.5",
+                             "--out", str(out_file))
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("bad numeric list: ") and err.count("\n") == 1
+        assert not out_file.exists()
 
     def test_tau_arity_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "integrate", "--k", "2", "--tau", "1,2",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from p3lenard.diffpoly import (U_RING, NotExactDerivative, ParseError, const,
                                formal_integral, parse, s, u)
+from p3lenard.hierarchy import hierarchy_ring
 from p3lenard.jetring import MissingJetValue
 from p3lenard.render import poly_latex, poly_to_obj
 
@@ -140,6 +141,33 @@ class TestSerializeParse:
 
     def test_latex(self):
         assert poly_latex(u(1) ** 2) == "(u')^{2}"
+
+    @pytest.mark.parametrize("poly, ascii, latex", [
+        (U_RING.zero(), "0", "0"),
+        (const(7), "7", "7"),
+        (const(Fraction(-3, 4)), "-3/4", r"-\frac{3}{4}"),
+        (const(Fraction(5, 2)) * u(1), "5/2*u'", r"\frac{5}{2} u'"),
+        (-u(2) + s(), "-u'' + s", "-u'' + s"),
+        (-u() ** 2 * s() ** 3, "-s^3*u^2", "-s^{3} u^{2}"),
+        (u(3) - 1 + u() * s() - s() ** 2 * u(1) ** 3 * Fraction(2, 3),
+         "-2/3*s^2*u'^3 + s*u + D3(u) - 1",
+         r"-\frac{2}{3} s^{2} (u')^{3} + s u + u''' - 1"),
+        (s() * u(4) ** 2 * Fraction(1, 2) - u(2),
+         "1/2*s*D4(u)^2 - u''", r"\frac{1}{2} s (u^{(4)})^{2} - u''"),
+    ], ids=["zero", "constant", "rational-constant", "rational-coefficient",
+            "leading-minus-one", "leading-minus-powers", "mixed", "fourth-jet"])
+    def test_ascii_and_latex_text(self, poly, ascii, latex):
+        """``str(Poly)`` is the ASCII text that CLI error messages quote."""
+        assert (str(poly), poly_latex(poly)) == (ascii, latex)
+
+    def test_ascii_text_of_a_multi_unknown_ring_with_parameters(self):
+        ring = hierarchy_ring(2)
+        poly = (ring.param("tau1") ** 2 * ring.var("l2", 1) * Fraction(-5, 2)
+                + ring.var("l1", 0) ** 2 * ring.var("u", 3) * ring.s()
+                - ring.param("tau0") + 3)
+        assert str(poly) == "s*D3(u)*l1^2 - 5/2*l2'*tau1^2 - tau0 + 3"
+        assert poly_latex(poly) == (r"s u''' (\ell_1)^{2} - \frac{5}{2} "
+                                    r"\ell_2' (\tau_1)^{2} - \tau_0 + 3")
 
     @settings(max_examples=500)
     @given(p=diffpolys())

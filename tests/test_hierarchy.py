@@ -283,7 +283,7 @@ class TestRecoveryProperty:
     def test_recover_equations(self, k):
         system = build_p3_system(k)
         ring = system.ring
-        seq = boundary_jet_sequence(k, ring)
+        seq = boundary_jet_sequence(k)
         for p in range(1, k + 1):
             expr = RatExpr.of(conserved_tau(seq, k, p)
                               - ring.param(f"tau{p}"), ring)

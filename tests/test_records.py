@@ -28,18 +28,17 @@ RECORDS = [
     (SeedCondition, ("variant", "poly"), ("standard", HALF), {}),
     (LenardSequence, ("seed", "ells", "constants", "ring", "rules"),
      (SEED, [HALF, U], [Fraction(0)], U_RING), {"rules": {}}),
-    (HierarchySystem, ("k", "tau_names", "equations", "u_expr", "ring"),
-     (1, ("tau0", "tau1"), [RatExpr(U)], RatExpr(HALF), U_RING), {}),
+    (HierarchySystem, ("k", "equations", "u_expr", "ring"),
+     (1, [RatExpr(U)], RatExpr(HALF), U_RING), {}),
     (LaurentPoly, ("ring", "coeffs"), (U_RING, {-1: U}), {}),
     (CompiledSystem,
-     ("k", "dimension", "state_names", "rhs", "monitors", "constants",
-      "csv_columns", "source"),
-     (1, 1, ("y0",), _zero_field),
-     {"monitors": {}, "constants": {}, "csv_columns": (), "source": ""}),
+     ("dimension", "state_names", "rhs", "monitors", "constants", "source"),
+     (1, ("y0",), _zero_field),
+     {"monitors": {}, "constants": {}, "source": ""}),
     (SolverConfig, ("s_start", "s_end", "step", "decimate"), (1.0, 2.0, 0.1),
      {"decimate": 1}),
-    (Trajectory, ("monitor_names", "samples", "status", "abort_s"),
-     (("u",), [(1.0, (0.5,), (0.25,))], "completed"), {"abort_s": None}),
+    (Trajectory, ("samples", "status", "abort_s"),
+     ([(1.0, (0.5,), (0.25,))], "completed"), {"abort_s": None}),
     (_ExactSystem,
      ("k", "state_names", "layout", "guarded", "det", "second", "monitors",
       "constants"),
@@ -109,7 +108,7 @@ def test_laurent_poly_drops_zero_coefficients():
 def test_compiled_system_fields_can_be_reassigned():
     """A wrapper may replace ``rhs`` and ``monitors`` after compilation, and
     ``integrate`` then calls the replacements."""
-    system = CompiledSystem(1, 1, ("y0",), _zero_field)
+    system = CompiledSystem(1, ("y0",), _zero_field)
     calls = []
 
     def growth(s, y):
@@ -120,6 +119,5 @@ def test_compiled_system_fields_can_be_reassigned():
     system.monitors = {"twice": lambda s, y: 2 * y[0]}
     traj = integrate(system, (1.0,), SolverConfig(1.0, 1.5, 0.1))
     assert len(calls) == 4 * 5
-    assert traj.monitor_names == ("twice",)
     s_end, (y_end,), (twice,) = traj.samples[-1]
     assert s_end == 1.5 and y_end > 1.6 and twice == 2 * y_end

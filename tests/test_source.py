@@ -167,12 +167,12 @@ def test_container_rule_can_fail():
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
                   "build_p3_system"),
-    "lenard": ("omega", "bracket", "_omega_prime", "_bracket_prime",
+    "lenard": ("omega", "bracket", "diagonal", "_omega_prime", "_bracket_prime",
                "master_identity_residual", "shift_identity_residual",
                "transport_residual", "transport_residuals", "generate",
                "symbolic", "LenardSequence.recursion_rhs"),
     "laxpair": ("build_b", "derive_a_c", "compatibility_residual",
-                "_b_relation_residual", "c_relation_residual"),
+                "c_relation_residual"),
 }
 JET_TABLE = ["LenardSequence.D", "LenardSequence.jet"]
 DERIVATIVE_CALLS = ("D", "derivative", "total_derivative")
@@ -227,7 +227,7 @@ def test_derivative_rule_can_fail():
               "    return seq.D(seq.D(seq.ell(n) * seq.ell(m)))\n"
               "def derive_a_c(b, seq):\n"
               "    return b.derivative(seq), b * seq.u\n"
-              "def _b_relation_residual(seq, k):\n"
+              "def compatibility_residual(seq, k):\n"
               "    return build_b(seq, k) * seq.D(seq.u)\n")
     tree = ast.parse(sample)
     assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["hierarchy"]) == {
@@ -236,10 +236,59 @@ def test_derivative_rule_can_fail():
     assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["lenard"]) == {
         "omega": [14, 14]}
     assert _derivative_calls(tree, NO_DERIVATIVE_PATHS["laxpair"]) == {
-        "derive_a_c": [16], "_b_relation_residual": [18]}
+        "derive_a_c": [16], "compatibility_residual": [18]}
     assert _differentiating(tree) == [
-        "LenardSequence.jet", "_b_relation_residual", "boundary_jet_sequence",
+        "LenardSequence.jet", "boundary_jet_sequence", "compatibility_residual",
         "conservation_residual", "conserved_tau", "derive_a_c", "omega"]
+
+
+# One content routine: only ``_make``, which normalizes every result, and
+# ``_primitive`` take a gcd, and only ``_primitive`` and
+# ``Poly.monomial_content`` read ``_content_key``.
+CONTENT_CALLERS = {"gcd": ("_make", "_primitive"),
+                   "_content_key": ("_primitive", "Poly.monomial_content")}
+
+
+def _stray_content_calls(tree):
+    """Sorted (callee, caller) of every call, bare or as an attribute, to a
+    name in ``CONTENT_CALLERS`` from a function or method of ``tree`` that
+    the table does not list for it, nested functions included."""
+    def called(node):
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None))
+
+    return sorted({(called(node), name) for name, fn in _functions(tree.body)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and called(node) in CONTENT_CALLERS
+                   and name not in CONTENT_CALLERS[called(node)]})
+
+
+def test_jetring_has_one_content_routine():
+    path = Path(jetring.__file__)
+    assert _stray_content_calls(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_content_rule_can_fail():
+    sample = ("def _make(ring, nums, den):\n"
+              "    return gcd(den, *nums)\n"
+              "def _primitive(*polys):\n"
+              "    return _content_key(polys), math.gcd(1, 2)\n"
+              "class Poly:\n"
+              "    def rational_content(self):\n"
+              "        return gcd(*self.terms.values())\n"
+              "    def monomial_content(self):\n"
+              "        return _content_key(self.terms)\n"
+              "    def primitive_core(self):\n"
+              "        return _divided(self, _content_key(self.terms))\n"
+              "class RatExpr:\n"
+              "    def __init__(self, num, den):\n"
+              "        def scale():\n"
+              "            return math.gcd(1, 2)\n"
+              "        self.c = _content_key(chain(num.terms, den.terms))\n")
+    assert _stray_content_calls(ast.parse(sample)) == [
+        ("_content_key", "Poly.primitive_core"), ("_content_key", "RatExpr.__init__"),
+        ("gcd", "Poly.rational_content"), ("gcd", "RatExpr.__init__")]
 
 
 def _code_builtin_uses(tree):
