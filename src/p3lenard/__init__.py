@@ -5,7 +5,7 @@ associated Lax-pair coefficient identities."""
 from .jetring import (ExponentOverflow, MissingJetValue, Poly, RatExpr, Ring,
                       ZeroDenominator)
 from .diffpoly import U_RING, NotExactDerivative, ParseError, formal_integral, parse
-from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition, bracket,
+from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                      closed_form_standard, generate, master_identity_residual,
                      omega, shift_identity_residual, symbolic,
                      transport_residual)

@@ -224,8 +224,8 @@ def _cmd_integrate(args) -> int:
         print(f"--k {args.k} needs --tau {names}", file=sys.stderr)
         return EXIT_USAGE
     system = compile_k1(*taus) if args.k == 1 else compile_k2(taus)
-    if len(init) != system.dimension:
-        print(f"--init needs {system.dimension} values "
+    if len(init) != len(system.state_names):
+        print(f"--init needs {len(system.state_names)} values "
               f"({', '.join(system.state_names)})", file=sys.stderr)
         return EXIT_USAGE
     cfg = SolverConfig(s_start=args.s0, s_end=args.s1, step=args.step,

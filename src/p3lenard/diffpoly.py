@@ -64,22 +64,15 @@ def formal_integral(p: Poly) -> Poly:
         if any(e >= 2 for e in parts):
             raise NotExactDerivative(
                 f"u^({r}) appears nonlinearly at top order")
-        # (u^(r-1))^a -> (u^(r-1))^(a+1) is injective: no terms merge.
-        def raise_lower(m, key=(0, r - 1)):
-            s_pow, jets, pars = m
-            jets_d = dict(jets)
-            a = jets_d.get(key, 0)
-            jets_d[key] = a + 1
-            return (s_pow, tuple(sorted(jets_d.items())), pars), 1, a + 1
-
-        block = parts[1].map_terms(raise_lower)
+        # (u^(r-1))^a -> (u^(r-1))^(a+1) / (a+1)
+        block = parts[1].integrate_power(u(r - 1))
         result += block
         work = work - block.total_derivative()
         top, r = r, work.max_order("u")
         if r is not None and r >= top:
             raise NotExactDerivative("integration by parts failed to reduce order")
     # only powers of s remain: s^n -> s^(n+1) / (n+1)
-    return result + work.map_terms(lambda m: ((m[0] + 1, (), ()), 1, m[0] + 1))
+    return result + work.integrate_power(s())
 
 
 # -- ASCII expression grammar --------------------------------------------------

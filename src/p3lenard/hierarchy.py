@@ -12,11 +12,14 @@ which is linear in u:
 
     u = -((l_k^2)'' - 3 (l_k')^2 + tau_0) / (4 l_k^2).
 
-The constants of motion tau_p / sigma_p are anti-diagonal sums of brackets
-B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a Lenard sequence in the u-jet ring
-(Omega is symmetric), so each conservation residual is one transport
-residual T(m, n, r) = ``transport_residual(seq, m, n, r)`` and vanishes for
-any seed, by the recursion alone:
+The constants of motion tau_p / sigma_p are sums of brackets
+B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a whole anti-diagonal of a Lenard
+sequence in the u-jet ring.  Omega_{a,b} = Omega_{b,a}, because products
+commute, so ``lenard.bracket_diagonal`` builds the Omega of each mirrored
+pair once: tau_p takes ceil((p+1)/2) of them, not p+1.  Each conservation
+residual is one transport residual T(m, n, r) =
+``transport_residual(seq, m, n, r)`` and vanishes for any seed, by the
+recursion alone:
 
     D(tau_p) + 2 l_{k-p} D(l_{k+1}) =  T(k-p, k+1, p+1),
     D(sigma_p) + 2 l_p D(l_0)       = -T(0, p, p).
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
-                     bracket, diagonal, transport_residual)
+                     bracket_diagonal, transport_residual)
 
 
 def hierarchy_ring(k: int) -> Ring:
@@ -100,8 +103,7 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
         raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
     if len(seq) < k + 2:
         raise IndexOutOfRange(f"sequence must extend through index {k + 1}")
-    return -sum(diagonal(bracket, seq, k, k - p, p + 1),
-                seq.ell(k + 1) * seq.ell(k - p))
+    return -(bracket_diagonal(seq, k, k - p) + seq.ell(k + 1) * seq.ell(k - p))
 
 
 def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
@@ -110,7 +112,7 @@ def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
         raise IndexOutOfRange("sigma index must be nonnegative")
     if len(seq) < p + 1:
         raise IndexOutOfRange(f"sequence must extend through index {p}")
-    return sum(diagonal(bracket, seq, p - 1, 0, p), -seq.ell(0) * seq.ell(p))
+    return bracket_diagonal(seq, p - 1, 0) - seq.ell(0) * seq.ell(p)
 
 
 def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:

@@ -5,12 +5,17 @@ in bits [16*i, 16*i + 16).  Slot 0 is s, slots 1..P are the ring's P
 parameters, and slot 1 + P + order*D + dep is the jet variable of
 dependent ``dep`` (one of D) at derivative ``order``.  A product of
 monomials is one integer addition; d/ds of a jet takes one unit from its
-slot and adds one D slots up; a monomial divides another iff subtracting it
+slot and adds one D slots up; integrating a term in one variable adds one
+unit to that variable's slot; a monomial divides another iff subtracting it
 borrows from no slot.  Exponents stay below 2**15, so the top bit of every
 slot is a guard that no valid monomial sets: one ``&`` with the module's
 guard mask finds an exponent that reached 2**15, and the operation raises
 :class:`ExponentOverflow`.  The mask covers 4096 slots; a jet variable
 beyond them raises the same error where its slot is created.
+
+One walk, ``_occupied``, reads the nonzero slots of a key by its lowest set
+bit, so decoding or differentiating a monomial takes one step per variable
+present, not one per slot (the k = 32 hierarchy ring spans 133 slots).
 
 A polynomial maps monomials to nonzero int numerators over one positive int
 denominator ``den`` with ``gcd(den, *numerators) == 1`` (zero has
@@ -20,9 +25,8 @@ checks reduce to dict equality, and the arithmetic runs on ints.
 Outside the kernel a monomial is the triple (s_power, jets, params): jets
 is a sorted tuple of ((dependent, order), exponent), params a sorted tuple
 of (parameter, exponent), every exponent positive.  ``Poly(ring, mapping)``,
-``sorted_terms``, ``leading``, ``monomial_content``, ``divide_monomial``
-and the ``fn`` of ``map_terms`` speak triples, and coefficients leave the
-kernel as Fractions.
+``sorted_terms``, ``leading``, ``monomial_content`` and ``divide_monomial``
+speak triples, and coefficients leave the kernel as Fractions.
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -31,11 +35,10 @@ differ only in their dependent/parameter name tuples.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
 from operator import or_
 
@@ -62,7 +65,6 @@ _W = 16                                    # bits per slot
 _SLOT = (1 << _W) - 1
 _SLOTS = 4096                              # slots the guard mask covers
 _GUARD = int.from_bytes(b"\x00\x80" * _SLOTS, "little")   # top bit of each
-_ORDER = sys.byteorder
 
 
 def _overflow(what) -> ExponentOverflow:
@@ -70,10 +72,17 @@ def _overflow(what) -> ExponentOverflow:
                             f"2**15 in {_SLOTS} slots")
 
 
-def _exponents(key: int) -> memoryview:
-    """The slots of ``key``, slot 0 first."""
-    ex = memoryview(key.to_bytes((key.bit_length() + _W - 1) // _W * 2, _ORDER)).cast("H")
-    return ex if _ORDER == "little" else ex[::-1]
+def _occupied(key: int, start: int = 0):
+    """Yield (slot, exponent) for each nonzero slot of ``key`` from slot
+    ``start`` up, lowest first, jumping to the next by its lowest set bit."""
+    key >>= start * _W
+    while key:
+        skip = ((key & -key).bit_length() - 1) // _W
+        key >>= skip * _W
+        start += skip
+        yield start, key & _SLOT
+        key >>= _W
+        start += 1
 
 
 def _encode(ring: "Ring", m: Monomial) -> int:
@@ -94,13 +103,16 @@ def _encode(ring: "Ring", m: Monomial) -> int:
 
 def _decode(ring: "Ring", key: int) -> Monomial:
     """The triple of the packed ``key``."""
-    n_par, n_dep = len(ring.params), len(ring.dependents)
-    ex = _exponents(key)
-    first = 1 + n_par
-    pars = tuple((j - 1, ex[j]) for j in compress(range(1, first), ex[1:first]))
-    jets = sorted((divmod(j - first, n_dep)[::-1], ex[j])
-                  for j in compress(range(first, len(ex)), ex[first:]))
-    return (key & _SLOT, tuple(jets), pars)
+    first, n_dep = 1 + len(ring.params), len(ring.dependents)
+    pars, jets = [], []
+    for j, e in _occupied(key, 1):
+        if j < first:
+            pars.append((j - 1, e))
+        else:
+            o, d = divmod(j - first, n_dep)
+            jets.append(((d, o), e))
+    jets.sort()
+    return (key & _SLOT, tuple(jets), tuple(pars))
 
 
 def _guarded(keys):
@@ -294,8 +306,8 @@ class Poly:
         ring = self.ring
         d, n_dep = ring.dependents.index(dep), len(ring.dependents)
         first = 1 + len(ring.params)
-        ex = _exponents(reduce(or_, self.terms, 0))    # nonzero where any term is
-        used = list(compress(range(first + d, len(ex), n_dep), ex[first + d::n_dep]))
+        used = [j for j, _ in _occupied(reduce(or_, self.terms, 0), first)
+                if (j - first) % n_dep == d]     # nonzero where any term is
         return (used[-1] - first) // n_dep if used else None
 
     # -- arithmetic ----------------------------------------------------------
@@ -382,9 +394,8 @@ class Poly:
                 if s_pow:
                     yield key - 1, cl * s_pow
                 # jet parts, one factor at a time (Leibniz)
-                ex = _exponents(key)
-                for j in compress(range(first, len(ex)), ex[first:]):
-                    e, unit, d = ex[j], 1 << (j * _W), (j - first) % n_dep
+                for j, e in _occupied(key, first):
+                    unit, d = 1 << (j * _W), (j - first) % n_dep
                     if d in rule_idx:
                         if j - first >= n_dep:
                             raise ValueError(
@@ -426,20 +437,22 @@ class Poly:
 
         return self._map_keys(substituted)
 
-    def map_terms(self, fn) -> "Poly":
-        """The sum of c * q / k times m2 over the terms c * m, where
-        ``fn(m) = (m2, q, k)`` with triple monomials m and m2, int q and
-        positive int k; terms that land on one monomial add."""
-        ring = self.ring
-
-        def packed(key):
-            m2, q, k = fn(_decode(ring, key))
-            return _encode(ring, m2), q, k
-
-        return self._map_keys(packed)
+    def integrate_power(self, var: "Poly") -> "Poly":
+        """The sum of c / (a + 1) * m * x over the terms c * m, where x is
+        the variable ``var`` and a its exponent in m: each term integrated
+        in x alone, by one slot addition per key."""
+        unit = next(iter(var.terms), 0)
+        shift = unit.bit_length() - 1
+        if var.terms != {unit: 1} or var.den != 1 or shift % _W or unit != 1 << shift:
+            raise ValueError(f"{var!s} is not a single variable")
+        p = self._map_keys(lambda key: (key + unit, 1, ((key >> shift) & _SLOT) + 1))
+        _guarded(p.terms)
+        return p
 
     def _map_keys(self, fn) -> "Poly":
-        """:meth:`map_terms` on packed keys."""
+        """The sum of c * q / k times m2 over the terms c * m, where
+        ``fn(m) = (m2, q, k)`` with packed keys m and m2, int q and positive
+        int k; terms that land on one key add."""
         triples = [(fn(m), c) for m, c in self.terms.items()]
         scale = lcm(*(k for (_, _, k), _ in triples))
         return _make(self.ring, _accumulate({}, ((m, c * q * (scale // k))

@@ -118,7 +118,7 @@ def compatibility_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     b_ext = build_b(seq, k + 1)
     db = _b_jet(seq, b_ext.powers(), 1)
     lin = (_b_jet(seq, b_ext.powers(), 3) + db * (4 * seq.u)
-           + b_ext * (2 * ring.var("u", 1)))
+           + b_ext * (2 * seq.du))
     half = LaurentPoly(ring, {0: ring.const(Fraction(1, 2))})
     resid = db.shift(1) - lin * Fraction(1, 4) - half
     return resid.truncate(-(k + 1))
@@ -133,7 +133,7 @@ def c_relation_residual(seq: LenardSequence, k: int) -> LaurentPoly:
     b_ext = build_b(seq, k + 1)  # raises unless seq provides l_0..l_{k+1}
     db = _b_jet(seq, b_ext.powers(), 1)
     a = db * Fraction(-1, 2)
-    dc = (db.shift(1) - db * seq.u - b_ext * ring.var("u", 1)
+    dc = (db.shift(1) - db * seq.u - b_ext * seq.du
           - _b_jet(seq, b_ext.powers(), 3) * Fraction(1, 2))
     za = a.shift(1) - a * seq.u
     resid = dc - LaurentPoly(ring, {0: ring.one()}) - za * 2

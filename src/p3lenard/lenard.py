@@ -21,7 +21,10 @@ Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
 derivatives are bilinear in the entries and follow by Leibniz from jets with
 i <= 3, so no product is differentiated; Omega' and B' gather their u and u'
 terms to multiply full jets only two and three times, and the anti-diagonal
-sweep ``transport_residuals`` adds one B' per step.  A jet is reused only
+sweep ``transport_residuals`` adds one B' per step.  Products commute, so
+Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a
+whole anti-diagonal (tau_p, sigma_p and the closed form), builds the Omega
+of each mirrored pair once and counts it twice.  A jet is reused only
 while ``seq.ell(j)`` is the object it was computed from, so replacing an
 entry, even in place through ``seq.ells[j] = ...``, recomputes its jets;
 ``with_entry`` starts an empty table.  Symbolic rules are fixed when built;
@@ -67,8 +70,9 @@ class LenardSequence:
 
     ``rules`` is empty for explicitly integrated sequences (their entries are
     u-jet polynomials, differentiated as such) and maps each symbolic entry's
-    name to its recursion-supplied derivative otherwise.  Equality and repr
-    read the five fields, never the jet table.
+    name to its recursion-supplied derivative otherwise.  ``u`` and ``du``
+    are u and u' in ``ring``, built once.  Equality and repr read the five
+    fields, never the jet table or ``u`` and ``du``.
     """
 
     def __init__(self, seed: SeedCondition, ells: list, constants: list,
@@ -76,6 +80,7 @@ class LenardSequence:
         self.seed, self.ells, self.constants, self.ring = seed, ells, constants, ring
         self.rules = {} if rules is None else rules
         self._jets = {}
+        self.u, self.du = ring.var("u", 0), ring.var("u", 1)
 
     def _key(self):
         return self.seed, self.ells, self.constants, self.ring, self.rules
@@ -96,10 +101,6 @@ class LenardSequence:
             raise IndexOutOfRange(f"index {j} outside 0..{len(self.ells) - 1}")
         return self.ells[j]
 
-    @property
-    def u(self) -> Poly:
-        return self.ring.var("u", 0)
-
     def D(self, p: Poly) -> Poly:
         """Total derivative, recursion-aware for symbolic entries."""
         return p.total_derivative(self.rules or None)
@@ -119,7 +120,7 @@ class LenardSequence:
     def recursion_rhs(self, j: int) -> Poly:
         """l_j''' + 4 u l_j' + 2 u' l_j."""
         return (self.jet(j, 3) + 4 * self.u * self.jet(j, 1)
-                + 2 * self.ring.var("u", 1) * self.ell(j))
+                + 2 * self.du * self.ell(j))
 
     def with_entry(self, j: int, value: Poly) -> "LenardSequence":
         """Copy with entry j replaced (boundary conditions, corruption tests).
@@ -187,11 +188,6 @@ def omega(seq: LenardSequence, n: int, m: int) -> Poly:
     return n2 * m0 - n1 * m1 + n0 * m2 + 4 * seq.u * (n0 * m0)
 
 
-def bracket(seq: LenardSequence, a: int, b: int) -> Poly:
-    """B_{a,b} = Omega_{a,b} - l_a l_{b+1}."""
-    return omega(seq, a, b) - seq.ell(a) * seq.ell(b + 1)
-
-
 def diagonal(f, seq: LenardSequence, a: int, b: int, count: int):
     """Yield f(seq, a - q, b + q) for q = 0..count-1: the anti-diagonal walk
     of every bracket sum."""
@@ -199,12 +195,26 @@ def diagonal(f, seq: LenardSequence, a: int, b: int, count: int):
         yield f(seq, a - q, b + q)
 
 
+def bracket_diagonal(seq: LenardSequence, a: int, b: int) -> Poly:
+    """sum_{q=0}^{a-b} B_{a-q,b+q}, the brackets B_{a,b} = Omega_{a,b} -
+    l_a l_{b+1} of a whole anti-diagonal, from (a, b) to (b, a); zero for
+    a < b.  Products commute, so Omega_{a,b} = Omega_{b,a}: the Omega of each
+    mirrored pair is built once and counted twice."""
+    count = max(a - b + 1, 0)
+    half = count // 2
+    omegas = 2 * sum(diagonal(omega, seq, a, b, half), seq.ring.zero())
+    if count % 2:
+        omegas += omega(seq, a - half, b + half)
+    lifts = diagonal(lambda seq, x, y: seq.ell(x) * seq.ell(y + 1), seq, a, b, count)
+    return omegas - sum(lifts, seq.ring.zero())
+
+
 def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
     """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel, in two products
     of full jets: l_m (l_n''' + 4 u l_n' + 4 u' l_n) + l_n (l_m''' + 4 u l_m')."""
     n0, n1, n3 = seq.jet(n, 0), seq.jet(n, 1), seq.jet(n, 3)
     m0, m1, m3 = seq.jet(m, 0), seq.jet(m, 1), seq.jet(m, 3)
-    u4, du4 = 4 * seq.u, 4 * seq.ring.var("u", 1)
+    u4, du4 = 4 * seq.u, 4 * seq.du
     return m0 * (n3 + u4 * n1 + du4 * n0) + n0 * (m3 + u4 * m1)
 
 
@@ -214,7 +224,7 @@ def _bracket_prime(seq: LenardSequence, a: int, b: int) -> Poly:
     + l_a (l_b''' + 4 u l_b' - l_{b+1}') - l_a' l_{b+1}."""
     a0, a1, a3 = seq.jet(a, 0), seq.jet(a, 1), seq.jet(a, 3)
     b0, b1, b3 = seq.jet(b, 0), seq.jet(b, 1), seq.jet(b, 3)
-    u4, du4 = 4 * seq.u, 4 * seq.ring.var("u", 1)
+    u4, du4 = 4 * seq.u, 4 * seq.du
     return (b0 * (a3 + u4 * a1 + du4 * a0) + a0 * (b3 + u4 * b1 - seq.jet(b + 1, 1))
             - a1 * seq.ell(b + 1))
 
@@ -271,7 +281,9 @@ def _closed_form_list(count: int) -> list:
     seed = SeedCondition.standard()
     seq = LenardSequence(seed, [seed.poly], [], U_RING)
     for p in range(1, count + 1):
-        # sigma_p = 0 with l_0 = 1/2: l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1}
-        seq.ells.append(sum(diagonal(bracket, seq, p - 1, 0, p - 1),
-                            omega(seq, 0, p - 1)))
+        # sigma_p = 0 with l_0 = 1/2: l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1},
+        # which is the whole bracket diagonal taken while l_p is still zero
+        # (its only l_p is the -l_0 l_p of B_{0,p-1})
+        seq.ells.append(U_RING.zero())
+        seq.ells[p] = bracket_diagonal(seq, p - 1, 0)
     return seq.ells

@@ -160,10 +160,10 @@ class CompiledSystem(SimpleNamespace):
     ``source`` is the generated Python of both.  The fields stay assignable,
     so a wrapper can replace ``rhs`` or ``monitors``."""
 
-    def __init__(self, dimension: int, state_names: tuple, rhs,
+    def __init__(self, state_names: tuple, rhs,
                  monitors: dict | None = None, constants: dict | None = None,
                  source: str = ""):
-        super().__init__(dimension=dimension, state_names=state_names, rhs=rhs,
+        super().__init__(state_names=state_names, rhs=rhs,
                          monitors={} if monitors is None else monitors,
                          constants={} if constants is None else constants,
                          source=source)
@@ -326,7 +326,7 @@ def _compile_system(k: int, tau_values: tuple) -> CompiledSystem:
     exact = _exact_system(k, tau_values)
     source, rhs, monitors = _generate(exact)
     return CompiledSystem(
-        dimension=2 * k, state_names=exact.state_names, rhs=rhs,
+        state_names=exact.state_names, rhs=rhs,
         monitors=monitors, constants=exact.constants, source=source)
 
 
@@ -399,12 +399,12 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     if cfg.decimate < 1:
         raise ValueError("decimate must be >= 1")
     y = tuple(float(v) for v in init)
-    if len(y) != sys.dimension:
-        raise ValueError(f"state dimension {len(y)} != {sys.dimension}")
+    if len(y) != len(sys.state_names):
+        raise ValueError(f"state dimension {len(y)} != {len(sys.state_names)}")
     if not all(math.isfinite(v) for v in y):
         raise ValueError("initial state must be finite")
 
-    step = _materialize(_step_source(sys.dimension))["step"]
+    step = _materialize(_step_source(len(y)))["step"]
     s_start, h, decimate, rhs = cfg.s_start, cfg.step, cfg.decimate, sys.rhs
     monitors = tuple(sys.monitors.values())
     samples = []
@@ -439,7 +439,7 @@ def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
     names them in that order from ``sys``, and every row, the header
     included, ends in ``\\r\\n``.  Rows are formatted from one template
     per run and streamed to the file, never held all at once."""
-    fields = ["%.17g"] * (1 + sys.dimension + len(sys.monitors))
+    fields = ["%.17g"] * (1 + len(sys.state_names) + len(sys.monitors))
     fields += [f"{float(v):.17g}" for v in sys.constants.values()]
     row = ",".join(fields) + "\r\n"
     header = ("s", *sys.state_names, *sys.monitors, *sys.constants)

@@ -117,6 +117,13 @@ def poly_to_obj(poly: Poly) -> dict:
     return {"terms": terms}
 
 
+def _whole(value) -> int:
+    """A JSON exponent, s power or jet order, never truncated to an int."""
+    if isinstance(value, float) and not value.is_integer():    # 2.7, 1e400, NaN
+        raise ValueError(f"exponent or order {value!r} is not a whole number")
+    return int(value)
+
+
 def poly_from_obj(obj: dict, ring: Ring) -> Poly:
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()
@@ -125,17 +132,17 @@ def poly_from_obj(obj: dict, ring: Ring) -> Poly:
             coef = Fraction(entry["coef"])
         except OverflowError as exc:       # an infinite JSON number
             raise ValueError(f"coefficient {entry['coef']!r}: {exc}") from exc
-        term = ring.s(int(entry.get("s", 0))) * coef
+        term = ring.s(_whole(entry.get("s", 0))) * coef
         jets = entry.get("jets", {})
         if single:
             for o, e in jets.items():
-                term = term * ring.var(ring.dependents[0], int(o)) ** int(e)
+                term = term * ring.var(ring.dependents[0], _whole(o)) ** _whole(e)
         else:
             for name, orders in jets.items():
                 for o, e in orders.items():
-                    term = term * ring.var(name, int(o)) ** int(e)
+                    term = term * ring.var(name, _whole(o)) ** _whole(e)
             for name, e in entry.get("params", {}).items():
-                term = term * ring.param(name) ** int(e)
+                term = term * ring.param(name) ** _whole(e)
         out += term
     return out
 

@@ -103,6 +103,32 @@ class TestGenLenard:
             assert (code, out) == (cli.EXIT_USAGE, "")
             assert err.startswith("bad custom seed: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("term", [
+        '"jets":{"0":2.7}', '"s":1e400', '"s":0.5', '"jets":{"0":1e400}',
+        '"jets":{"0":NaN}', '"jets":{"0":-Infinity}', '"jets":{"1.5":1}',
+    ], ids=["fractional-exponent", "infinite-s-power", "fractional-s-power",
+            "infinite-exponent", "nan-exponent", "negative-infinite-exponent",
+            "fractional-order"])
+    def test_json_exponent_must_be_a_whole_number(self, capsys, term):
+        """An exponent, s power or jet order is never truncated (2.7 read as
+        2) or reported as a runtime error (1e400): each is a bad seed."""
+        code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                             '{"terms":[{"coef":"1",%s}]}' % term, "--count", "1")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("bad custom seed: ") and err.count("\n") == 1
+
+    def test_json_whole_float_exponent_is_read(self, capsys):
+        # 2.0 is the exponent 2, and 40000.0 still overflows (exit 3)
+        whole = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                    '{"terms":[{"coef":"1","jets":{"0":2.0}}]}', "--count", "1")
+        assert whole == run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                            "u^2", "--count", "1")
+        code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                             '{"terms":[{"coef":"1","jets":{"0":40000.0}}]}',
+                             "--count", "1")
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err.startswith("runtime error: an exponent reached 2**15")
+
     @pytest.mark.parametrize("argv, message", [
         (("--count", "0"), "--count must be positive"),
         (("--count", "-2"), "--count must be positive"),

@@ -5,15 +5,15 @@ import pytest
 
 from fractions import Fraction
 
-from p3lenard import jetring
-from p3lenard.diffpoly import s as s_poly
+from p3lenard import hierarchy, jetring, lenard
+from p3lenard.diffpoly import U_RING, s as s_poly
 from p3lenard.hierarchy import (boundary_jet_sequence, build_p3_system,
                                 conservation_residual, conserved_sigma,
                                 conserved_tau, equation_equivalent,
                                 hierarchy_ring)
 from p3lenard.jetring import RatExpr, ZeroDenominator
-from p3lenard.lenard import (IndexOutOfRange, SeedCondition, generate, omega,
-                             symbolic)
+from p3lenard.lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
+                             closed_form_standard, generate, omega, symbolic)
 
 
 def _wrap(ring):
@@ -294,3 +294,90 @@ class TestRecoveryProperty:
         ring = hierarchy_ring(2)
         assert ring.dependents == ("u", "l1", "l2")
         assert ring.params == ("tau0", "tau1", "tau2")
+
+
+# -- the anti-diagonal sums against a plain sum of brackets ----------------------
+
+def plain_brackets(seq, a, b, count):
+    """sum_{q<count} B_{a-q,b+q}, every Omega built on its own."""
+    return sum((omega(seq, a - q, b + q) - seq.ell(a - q) * seq.ell(b + q + 1)
+                for q in range(count)), seq.ring.zero())
+
+
+def plain_closed_form(count):
+    """l_1..l_count of the standard seed from sigma_p = 0 spelled out:
+    l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1}."""
+    seed = SeedCondition.standard()
+    seq = LenardSequence(seed, [seed.poly], [], U_RING)
+    for p in range(1, count + 1):
+        seq.ells.append(plain_brackets(seq, p - 1, 0, p - 1) + omega(seq, 0, p - 1))
+    return seq.ells
+
+
+def wrong_mirror(seq, a, b):
+    """``bracket_diagonal`` with the Omega at step q counted again at step
+    p - q - 1 (p = a - b) in place of its mirror p - q: a corruption that
+    the checks below must catch."""
+    count = max(a - b + 1, 0)
+    acc = seq.ring.zero()
+    for q in range(count // 2):
+        r = count - 2 - q
+        acc += omega(seq, a - q, b + q) + omega(seq, a - r, b + r)
+    if count % 2:
+        acc += omega(seq, a - count // 2, b + count // 2)
+    return acc - sum((seq.ell(a - q) * seq.ell(b + q + 1) for q in range(count)),
+                     seq.ring.zero())
+
+
+def diagonal_sum_mismatches(top=6):
+    """(kind, sequence label, k, p) where tau_p, sigma_p or the closed form
+    differ from the plain sum of brackets, for k, p <= ``top``."""
+    found = []
+    for label in ("boundary", "standard", "painleve3", "custom"):
+        for k in range(1, top + 1):
+            seq = (boundary_jet_sequence(k) if label == "boundary"
+                   else _seed_sequence(label, k + 1))
+            found += [("tau", label, k, p) for p in range(k + 1)
+                      if conserved_tau(seq, k, p) != -(plain_brackets(seq, k, k - p, p + 1)
+                                                       + seq.ell(k + 1) * seq.ell(k - p))]
+        if label != "boundary":
+            seq = _seed_sequence(label, top + 1)
+            found += [("sigma", label, 0, p) for p in range(top + 2)
+                      if conserved_sigma(seq, p) != (plain_brackets(seq, p - 1, 0, p)
+                                                     - seq.ell(0) * seq.ell(p))]
+    ells = plain_closed_form(top)
+    found += [("closedform", "standard", 0, p) for p in range(1, top + 1)
+              if closed_form_standard(p) != ells[p]]
+    return found
+
+
+class TestDiagonalSums:
+    """tau_p, sigma_p and the closed form build each Omega of a mirrored
+    pair once; each must still equal the plain sum of brackets."""
+
+    def test_each_sum_equals_the_plain_sum_of_brackets(self):
+        assert diagonal_sum_mismatches() == []
+
+    def test_each_omega_pair_is_built_once(self, monkeypatch):
+        built = []
+
+        def counted(seq, n, m):
+            built.append(frozenset((n, m)))
+            return omega(seq, n, m)
+
+        monkeypatch.setattr(lenard, "omega", counted)
+        for k in range(1, 7):
+            seq = boundary_jet_sequence(k)
+            for p in range(k + 1):
+                built.clear()
+                conserved_tau(seq, k, p)
+                assert len(built) == len(set(built)) == (p + 2) // 2
+        built.clear()
+        build_p3_system(6)
+        assert len(built) == sum((p + 2) // 2 for p in range(7))
+
+    def test_a_wrong_mirror_fails_the_check(self, monkeypatch):
+        for module in (lenard, hierarchy):
+            monkeypatch.setattr(module, "bracket_diagonal", wrong_mirror)
+        kinds = {kind for kind, *_ in diagonal_sum_mismatches(4)}
+        assert kinds == {"tau", "sigma", "closedform"}

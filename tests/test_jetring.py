@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import p3lenard
+from p3lenard import jetring
 from p3lenard.hierarchy import hierarchy_ring
 from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring, _decode,
-                              _encode, monomial_sort_key)
+                              _encode, _occupied, monomial_sort_key)
 
 RING = Ring(("u", "v"), ("a", "b"))
 U, V = 0, 1
@@ -200,6 +201,36 @@ def refs(max_v_order=2, max_size=4):
                     max_size=max_size).map(ref_clean)
 
 
+def map_terms(p: Poly, fn) -> Poly:
+    """The sum of c * q / k times m2 over the terms c * m of ``p``, where
+    ``fn(m) = (m2, q, k)`` on triple monomials: the body of the former
+    ``Poly.map_terms``, which ``formal_integral`` called with
+    :func:`raise_power` before ``Poly.integrate_power`` replaced it."""
+    out = {}
+    for m, c in p.sorted_terms():
+        m2, q, k = fn(m)
+        out[m2] = out.get(m2, 0) + c * Fraction(q, k)
+    return Poly(p.ring, out)
+
+
+def raise_power(x: Poly):
+    """m -> (m x, 1, a + 1) on triples, where a is the exponent in m of the
+    variable ``x``, as ``formal_integral`` spelled it on triples."""
+    (s_pow, jets, pars), _ = x.leading()
+
+    def fn(m):
+        if s_pow:
+            return (m[0] + 1, m[1], m[2]), 1, m[0] + 1
+        (key, _), = jets or pars
+        grown = dict(m[1] if jets else m[2])
+        a = grown.get(key, 0)
+        grown[key] = a + 1
+        grown = tuple(sorted(grown.items()))
+        return (m[0], grown, m[2]) if jets else (m[0], m[1], grown), 1, a + 1
+
+    return fn
+
+
 def as_ref(p: Poly) -> dict:
     return dict(p.sorted_terms())
 
@@ -323,16 +354,20 @@ class TestSubstitutionAndContent:
         check(got, ref_subs_param(r, RING.params.index(name), value))
 
     @EXAMPLES
-    @given(r=refs())
-    def test_map_terms(self, r):
-        # s and the parameters are dropped, so distinct terms merge; q is
-        # zero for s^1, so terms vanish as well
-        def fn(m):
-            return (0, m[1], ()), 1 - m[0], m[0] + 1
+    @given(r=refs(), var=st.sampled_from([("s", 0), ("u", 0), ("u", 2), ("v", 1),
+                                          ("a", 0)]))
+    def test_integrate_power(self, r, var):
+        name, order = var
+        x = (RING.s() if name == "s" else RING.param(name) if name in RING.params
+             else RING.var(name, order))
+        got = Poly(RING, r).integrate_power(x)
+        check(got, as_ref(map_terms(Poly(RING, r), raise_power(x))))
 
-        want = ref_clean([((0, m[1], ()), c * Fraction(1 - m[0], m[0] + 1))
-                          for m, c in r.items()])
-        check(Poly(RING, r).map_terms(fn), want)
+    def test_integrate_power_refuses_all_but_one_variable(self):
+        u, v = RING.var("u"), RING.var("v", 1)
+        for x in (RING.zero(), RING.one(), u * 2, u * Fraction(1, 2), u * u, u * v, u + v):
+            with pytest.raises(ValueError, match="not a single variable"):
+                RING.s().integrate_power(x)
 
     @EXAMPLES
     @given(r=refs(), name=st.sampled_from(["u", "v"]), order=st.integers(0, 2))
@@ -445,6 +480,124 @@ class TestPackedLayout:
                 Poly(WIDE, {m: 1})
 
 
+# -- the occupied-slot walk against slot-by-slot reading -----------------------
+
+SLOTS = 4096                              # the slots the guard mask covers
+
+
+def ref_slots(key, start=0):
+    """(slot, exponent) of each nonzero slot of ``key`` from ``start`` up,
+    read one 16-bit slot at a time."""
+    out, slot = [], start
+    while key >> (16 * slot):
+        e = (key >> (16 * slot)) & 0xFFFF
+        if e:
+            out.append((slot, e))
+        slot += 1
+    return out
+
+
+def ref_decode(ring, key):
+    """The triple of ``key`` from :func:`ref_slots`."""
+    first, n_dep = 1 + len(ring.params), len(ring.dependents)
+    slots = dict(ref_slots(key))
+    pars = tuple((j - 1, e) for j, e in sorted(slots.items()) if 1 <= j < first)
+    jets = tuple(sorted((((j - first) % n_dep, (j - first) // n_dep), e)
+                        for j, e in slots.items() if j >= first))
+    return slots.get(0, 0), jets, pars
+
+
+def ref_key_derivative(ring, key, rules):
+    """(key, multiplier) pairs of d/ds of one packed monomial, read slot by
+    slot; ``rules`` maps a dependent index to the (key, numerator) pairs of
+    its derivative."""
+    first, n_dep = 1 + len(ring.params), len(ring.dependents)
+    out = []
+    for j, e in ref_slots(key):
+        unit = 1 << (16 * j)
+        if j == 0:
+            out.append((key - 1, e))
+        elif j >= first and (j - first) % n_dep in rules:
+            out += [(key - unit + kr, e * cr) for kr, cr in rules[(j - first) % n_dep]]
+        elif j >= first:
+            out.append((key - unit + (unit << (16 * n_dep)), e))
+    return out
+
+
+def packed_keys(max_slot=SLOTS - 1):
+    """Packed monomials with up to five occupied slots, among the first 20
+    (s, the parameters, the low jets) or anywhere up to ``max_slot``, the
+    last guarded slot by default, each exponent below 2**15."""
+    slots = st.one_of(st.integers(0, min(20, max_slot)), st.integers(0, max_slot))
+    return st.dictionaries(slots, st.integers(1, LIMIT - 1), max_size=5).map(
+        lambda slots: sum(e << (16 * j) for j, e in slots.items()))
+
+
+def ring_of(n_par, n_dep):
+    return Ring(tuple(f"x{d}" for d in range(n_dep)), tuple(f"c{p}" for p in range(n_par)))
+
+
+shapes = st.tuples(st.integers(0, 9), st.integers(1, 6))
+
+
+class TestOccupiedSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(key=packed_keys(), start=st.integers(0, SLOTS))
+    def test_walk_matches_slot_by_slot_reading(self, key, start):
+        assert list(_occupied(key, start)) == ref_slots(key, start)
+
+    def test_walk_reaches_the_last_guarded_slot(self):
+        key = (LIMIT - 1) << (16 * (SLOTS - 1)) | 1 << 16 | LIMIT - 1
+        assert list(_occupied(key)) == [(0, LIMIT - 1), (1, 1), (SLOTS - 1, LIMIT - 1)]
+        assert list(_occupied(key, SLOTS - 1)) == [(SLOTS - 1, LIMIT - 1)]
+        assert list(_occupied(0)) == [] and list(_occupied(key, SLOTS)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shape=shapes)
+    def test_decode_matches_slot_by_slot_reading(self, data, shape):
+        ring = ring_of(*shape)
+        key = data.draw(packed_keys())
+        assert _decode(ring, key) == ref_decode(ring, key)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=shapes, ruled=st.sets(st.integers(0, 5)))
+    def test_total_derivative_matches_slot_by_slot_reading(self, data, shape, ruled):
+        """With and without rules; a rule-defined dependent occurs at order 0
+        only, and no jet sits in a slot without a next order."""
+        n_par, n_dep = shape
+        ring = ring_of(n_par, n_dep)
+        ruled = {d for d in ruled if d < n_dep}
+        first, top = 1 + n_par, SLOTS - n_dep - 1
+        keys = data.draw(st.lists(packed_keys(top), max_size=4))
+        keys = [k for k in keys if all(j < first or (j - first) % n_dep not in ruled
+                                       or j - first < n_dep for j, _ in ref_slots(k))]
+        nums = {k: data.draw(st.integers(-9, 9).filter(bool)) for k in keys}
+        rules = {d: {data.draw(packed_keys(40)): 1} for d in ruled}
+        want = {}
+        for key, c in nums.items():
+            for k2, f in ref_key_derivative(ring, key, {d: r.items() for d, r in rules.items()}):
+                want[k2] = want.get(k2, 0) + c * f
+        want = {k: c for k, c in want.items() if c}
+        poly = jetring._make(ring, dict(nums), 1)
+        rule_polys = {f"x{d}": jetring._make(ring, r, 1) for d, r in rules.items()}
+        if any(k2 & jetring._GUARD for k2 in want):     # an exponent reached 2**15
+            with pytest.raises(ExponentOverflow):
+                poly.total_derivative(rule_polys or None)
+        else:
+            got = poly.total_derivative(rule_polys or None)
+            assert (got.terms, got.den) == (want, 1)
+
+    def test_a_highest_first_walk_fails_the_parity_checks(self, monkeypatch):
+        """The walk's order is what ``_decode`` reads parameters in, so
+        walking the slots highest-first must fail both checks above."""
+        ring = ring_of(3, 2)
+        key = 2 << 16 | 3 << 48 | 5 << (16 * 700)
+        monkeypatch.setattr(jetring, "_occupied",
+                            lambda key, start=0: reversed(ref_slots(key, start)))
+        assert list(jetring._occupied(key)) != ref_slots(key)
+        assert _decode(ring, key) != ref_decode(ring, key)
+
+
 # -- exponents that reach 2**15 -------------------------------------------------
 
 def single(ring, m):
@@ -488,6 +641,13 @@ class TestExponentOverflow:
             Poly(RING, r).total_derivative({"u": RING.var("v")})
         check(Poly(RING, r).total_derivative({"u": RING.s()}),
               ref_derivative(r, {U: {mono(1): Fraction(1)}}))
+
+    def test_integral(self):
+        x = single(RING, mono(LIMIT - 2, {(V, 1): LIMIT - 1}))
+        check(x.integrate_power(RING.s()),
+              {mono(LIMIT - 1, {(V, 1): LIMIT - 1}): Fraction(1, LIMIT - 1)})
+        with pytest.raises(ExponentOverflow):
+            x.integrate_power(RING.var("v", 1))
 
     def test_order_shift(self):
         # d/ds turns one factor u^(2) into u^(3); beside u^(3) to the power

@@ -39,15 +39,14 @@ def k2_demo():
 
 
 def _double(rhs, dimension=1):
-    return CompiledSystem(dimension=dimension,
-                          state_names=tuple(f"y{i}" for i in range(dimension)),
+    return CompiledSystem(state_names=tuple(f"y{i}" for i in range(dimension)),
                           rhs=rhs)
 
 
 class TestCompileK1:
     def test_rhs_golden_minus_one(self):
         sys = compile_k1(0, 0)
-        assert sys.dimension == 2
+        assert len(sys.state_names) == 2
         _, ddl1 = sys.rhs(1.0, (1.0, 0.0))
         assert ddl1 == pytest.approx(-1.0, abs=1e-14)
 
@@ -70,7 +69,7 @@ class TestCompileK1:
 
 class TestCompileK2:
     def test_dimension_and_monitors(self, k2_demo):
-        assert k2_demo.dimension == 4
+        assert len(k2_demo.state_names) == 4
         assert tuple(k2_demo.monitors) == ("u",)
         assert k2_demo.constants == {"tau1": 2, "tau2": 3, "ell_next_drift": 0}
 
@@ -269,7 +268,7 @@ _EXTREME = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
 def _assert_csv_parity(system, directory):
     """Search trajectories of finite floats for one whose ``write_csv``
     bytes differ from the ``csv.writer`` reference."""
-    width, monitors = system.dimension, len(system.monitors)
+    width, monitors = len(system.state_names), len(system.monitors)
     sample = st.tuples(_FINITE, st.tuples(*[_FINITE] * width),
                        st.tuples(*[_FINITE] * monitors))
     fast, ref = directory / "fast.csv", directory / "ref.csv"
@@ -464,7 +463,7 @@ def _reference_step(rhs, s, h, y):
 def _assert_step_parity(system, step):
     """Search random finite (s, h, y) for a step of ``system`` whose new
     state or exception differs from the reference stage loop."""
-    dimension = system.dimension
+    dimension = len(system.state_names)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(s=_FINITE, h=st.one_of(st.floats(1e-6, 1.0), _FINITE),

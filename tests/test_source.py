@@ -159,6 +159,52 @@ def test_container_rule_can_fail():
         "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8]}
 
 
+# One slot walk: only ``jetring._occupied`` steps through the slots of a
+# packed key, by its lowest set bit.  No other function takes a lowest set
+# bit or unpacks a key into bytes or per-slot values.
+SLOT_READERS = ("to_bytes", "memoryview", "cast", "compress")
+
+
+def _slot_walkers(tree):
+    """Sorted names of the functions and methods of ``tree`` that take a
+    lowest set bit (``x & -x``) or call one of ``SLOT_READERS``, nested
+    functions included."""
+    def walks(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            return isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None)) in SLOT_READERS
+        return False
+
+    return sorted(name for name, fn in _functions(tree.body)
+                  if any(walks(node) for node in ast.walk(fn)))
+
+
+def test_jetring_has_one_slot_walk():
+    path = Path(jetring.__file__)
+    assert _slot_walkers(ast.parse(path.read_text(), str(path))) == ["_occupied"]
+
+
+def test_slot_walk_rule_can_fail():
+    sample = ("def _occupied(key, start=0):\n"
+              "    return key & -key\n"
+              "def _exponents(key):\n"
+              "    return memoryview(key.to_bytes(8, 'little')).cast('H')\n"
+              "def _decode(ring, key):\n"
+              "    return list(compress(range(9), _exponents(key)))\n"
+              "class Poly:\n"
+              "    def max_order(self, dep):\n"
+              "        def top(key):\n"
+              "            return (key & -key).bit_length()\n"
+              "        return top\n"
+              "    def collect(self, name, order):\n"
+              "        return (self.key >> 16) & 0xFFFF, self.key & -1 + 2\n")
+    assert _slot_walkers(ast.parse(sample)) == [
+        "Poly.max_order", "_decode", "_exponents", "_occupied"]
+
+
 # Only the jet table differentiates.  Omega, the brackets, their
 # derivatives, the lattice residuals, the constants of motion, the
 # hierarchy system and the Lax series read the jets D^i(l_j) of
@@ -167,7 +213,7 @@ def test_container_rule_can_fail():
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
                   "build_p3_system"),
-    "lenard": ("omega", "bracket", "diagonal", "_omega_prime", "_bracket_prime",
+    "lenard": ("omega", "bracket_diagonal", "diagonal", "_omega_prime", "_bracket_prime",
                "master_identity_residual", "shift_identity_residual",
                "transport_residual", "transport_residuals", "generate",
                "symbolic", "LenardSequence.recursion_rhs"),
@@ -349,7 +395,7 @@ def test_step_source_enters_through_materialize(monkeypatch):
         seen.clear()
         odesolve.integrate(system, init,
                            odesolve.SolverConfig(1.0, 1.01, 1e-3))
-        assert seen == [odesolve._step_source(system.dimension)]
+        assert seen == [odesolve._step_source(len(system.state_names))]
         tree = ast.parse(seen[0])
         assert [node.name for node in tree.body] == ["step"]
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
