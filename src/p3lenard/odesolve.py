@@ -16,10 +16,12 @@ compile raises ``ConstantMismatch``.  The CSV columns ``tau_p`` and
 ``ell_next_drift`` hold these exact constants.
 
 Integration is fixed-step classical RK4, deterministic and bit-for-bit
-reproducible.  Each run generates one straight-line step function for the
-state dimension: it calls the right-hand side four times with literal stage
-tuples and returns the update as one tuple, with no per-step loop over the
-components.  The step size must split [s_start, s_end] into a whole number
+reproducible.  Each run generates one loop on unpacked scalars that holds
+the whole integration: the four stages, the finiteness check, the
+sampling and the monitors.  While a compiled system's ``rhs`` and
+``monitors`` are the generated ones, their bodies are written inline into
+each stage and sample, so a step makes no call; any other evaluator is
+called.  The step size must split [s_start, s_end] into a whole number
 of steps; a range is never stretched or cut to fit.  A run stops only at a
 non-finite or singular evaluation (a guarded zero l_p or determinant, a
 vanishing denominator, an overflow).  A sign change of l1 between two steps
@@ -31,6 +33,7 @@ s = 4.317 (ROADMAP open item "Continue through the zeros of l_k").
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
@@ -62,14 +65,14 @@ STEP_FIT_RTOL = 1e-9
 # -- float code generation for exact expressions --------------------------------
 
 class _Emitter:
-    """Straight-line body of one generated evaluator ``(s, y) -> ...``.
-
-    ``layout`` maps (dependent name, order) to a state-vector slot; the body
-    unpacks ``y`` into ``y0, y1, ...``.  Each distinct power of exponent 2 or
-    more is assigned once, just before the first polynomial that uses it, so
-    an ``OverflowError`` fires at the same point as in a term-by-term
-    evaluation.  Source text is built only from float reprs, integer
-    exponents and slot indices.
+    """Straight-line body of one generated evaluator, as a template that
+    reads ``{q}s`` and the slots ``{q}y0, {q}y1, ...`` of ``layout`` and
+    names what it assigns ``{p}...``: both prefixes are empty in a function
+    ``(s, y)`` that unpacks ``y``, and set per stage or monitor in an RK4
+    loop.  Each distinct power of exponent 2 or more is assigned once, just
+    before the first polynomial that uses it, so an ``OverflowError`` fires
+    at the same point as in a term-by-term evaluation.  Source text is built
+    only from float reprs, integer exponents and slot indices.
 
     Three rewrites drop float operations that IEEE 754 makes exact no-ops,
     so every result and exception is that of the term-by-term evaluation:
@@ -83,18 +86,19 @@ class _Emitter:
     inf, and a run must stop where it stopped before.
     """
 
-    def __init__(self, layout: dict, dimension: int):
+    def __init__(self, layout: dict):
         self.layout = layout
-        self.lines = [f"({', '.join(f'y{i}' for i in range(dimension))},) = y"]
+        self.lines = []
         self.powers = set()
 
     def _power(self, base: str, e: int) -> str:
+        """``base`` is ``s`` or ``y<slot>``."""
         if e == 1:
-            return base
-        name = f"{base}_{e}"
+            return "{q}" + base
+        name = f"{{p}}{base}_{e}"
         if name not in self.powers:
             self.powers.add(name)
-            self.lines.append(f"{name} = {base} ** {e}")
+            self.lines.append(f"{name} = {{q}}{base} ** {e}")
         return name
 
     def poly(self, p: Poly) -> str:
@@ -124,33 +128,51 @@ class _Emitter:
         return expr
 
     def ratio(self, target: str, e: RatExpr, det: Poly | None = None) -> None:
-        """Emit ``target = num / den``; a zero denominator raises
+        """Emit ``{p}target = num / den``; a zero denominator raises
         ZeroDivisionError before the numerator is evaluated.  A denominator
-        equal to ``det``, already emitted as ``det`` and found nonzero, is
-        read by that name and not tested again."""
-        den = "det"
+        equal to ``det``, already emitted as ``{p}det`` and found nonzero,
+        is read by that name and not tested again."""
+        den = "{p}det"
         if e.den != det:
-            den = f"{target}_den"
+            den = f"{{p}}{target}_den"
             value = self.poly(e.den)
             self.lines += [f"{den} = {value}",
                            f"if {den} == 0.0:",
                            "    raise ZeroDivisionError("
-                           "f'denominator vanished at s = {s!r}')"]
+                           "f'denominator vanished at s = {{{q}s!r}}')"]
         num = self.poly(e.num)
-        self.lines.append(f"{target} = ({num}) / {den}")
+        self.lines.append(f"{{p}}{target} = ({num}) / {den}")
 
-    def function(self, name: str, result: str) -> str:
-        body = "".join(f"    {line}\n" for line in self.lines)
-        return f"def {name}(s, y):\n{body}    return {result}\n"
+    def function(self, name: str, result: str, dimension: int) -> str:
+        lines = [f"{_tuple([f'y{i}' for i in range(dimension)])} = y", *self.lines]
+        body = "".join(f"    {line.format(p='', q='')}\n" for line in lines)
+        return f"def {name}(s, y):\n{body}    return {result.format(p='', q='')}\n"
 
 
-def _materialize(source: str) -> dict:
-    """The only place generated source becomes code.  Its globals hold the
-    one exception class it raises and no other builtins."""
-    namespace = {"__builtins__": {"ZeroDivisionError": ZeroDivisionError},
-                 "SingularMassMatrix": SingularMassMatrix}
+def _tuple(items: list) -> str:
+    """Source of a tuple display of ``items``, the empty tuple included."""
+    return f"({', '.join(items)},)" if items else "()"
+
+
+# the builtins generated code reads
+_BUILTINS = {"range": range, "ZeroDivisionError": ZeroDivisionError,
+             "OverflowError": OverflowError}
+
+
+def _materialize(source: str, **evaluators) -> dict:
+    """The only place generated source becomes code: a compiled system's
+    evaluators once per compile, and the RK4 loop once per run.  Its globals
+    hold ``SingularMassMatrix``, the ``evaluators`` a loop calls, and of the
+    builtins only ``_BUILTINS``."""
+    namespace = {"__builtins__": dict(_BUILTINS),
+                 "SingularMassMatrix": SingularMassMatrix, **evaluators}
     exec(compile(source, "<p3lenard.odesolve generated>", "exec"), namespace)
     return namespace
+
+
+# the (body lines, results) templates of the evaluators ``_generate`` made,
+# keyed by the function: no wrapper is found, even one that copies attributes
+_TEMPLATES = weakref.WeakKeyDictionary()
 
 
 class CompiledSystem(SimpleNamespace):
@@ -158,7 +180,9 @@ class CompiledSystem(SimpleNamespace):
     constants of motion proved for it: ``rhs`` maps (s, y) to a tuple, each
     monitor (s, y) to a float, ``constants`` a CSV column to a Fraction, and
     ``source`` is the generated Python of both.  The fields stay assignable,
-    so a wrapper can replace ``rhs`` or ``monitors``."""
+    so a wrapper can replace ``rhs`` or ``monitors``; ``integrate`` then
+    calls it, once per stage or sample, where it writes a compiled body
+    inline."""
 
     def __init__(self, state_names: tuple, rhs,
                  monitors: dict | None = None, constants: dict | None = None,
@@ -295,28 +319,32 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
 
 def _generate(exact: _ExactSystem):
     """Straight-line float evaluators of an exact system: returns
-    (source, rhs, {monitor name: evaluator})."""
+    (source, rhs, {monitor name: evaluator}), each evaluator's template
+    kept in ``_TEMPLATES``."""
     dimension = len(exact.state_names)
-    em = _Emitter(exact.layout, dimension)
+    em = _Emitter(exact.layout)
     # an equation that divides by l_p has a pole at l_p = 0 even where the
     # cleared determinant stays finite
     for name in exact.guarded:
-        em.lines += [f"if y{exact.layout[(name, 0)]} == 0.0:",
-                     "    raise SingularMassMatrix(s)"]
+        em.lines += [f"if {{q}}y{exact.layout[(name, 0)]} == 0.0:",
+                     "    raise SingularMassMatrix({q}s)"]
     det = em.poly(exact.det)
-    em.lines += [f"det = {det}", "if det == 0.0:",
-                 "    raise SingularMassMatrix(s)"]
+    em.lines += [f"{{p}}det = {det}", "if {p}det == 0.0:",
+                 "    raise SingularMassMatrix({q}s)"]
     result = []
     for p, f in enumerate(exact.second, start=1):
         em.ratio(f"f{p}", f, exact.det)
-        result += [f"y{exact.layout[(f'l{p}', 1)]}", f"f{p}"]
-    parts = [em.function("rhs", f"({', '.join(result)})")]
+        result += [f"{{q}}y{exact.layout[(f'l{p}', 1)]}", f"{{p}}f{p}"]
+    emitted = {"rhs": (em, result, f"({', '.join(result)})")}
     for i, expr in enumerate(exact.monitors.values()):
-        em = _Emitter(exact.layout, dimension)
+        em = _Emitter(exact.layout)
         em.ratio("value", expr)
-        parts.append(em.function(f"monitor_{i}", "value"))
-    source = "\n\n".join(parts)
+        emitted[f"monitor_{i}"] = (em, ["{p}value"], "{p}value")
+    source = "\n\n".join(em.function(name, returned, dimension)
+                          for name, (em, _, returned) in emitted.items())
     namespace = _materialize(source)
+    for name, (em, results, _) in emitted.items():
+        _TEMPLATES[namespace[name]] = (tuple(em.lines), tuple(results))
     monitors = {name: namespace[f"monitor_{i}"]
                 for i, name in enumerate(exact.monitors)}
     return source, namespace["rhs"], monitors
@@ -342,35 +370,69 @@ def compile_k2(tau) -> CompiledSystem:
 
 # -- integration ----------------------------------------------------------------
 
-def _step_source(dimension: int) -> str:
-    """Source of ``step(rhs, s, h, y)``, one classical RK4 step of a
-    ``dimension``-component state, returning the new state.
+def _evaluation(fn, name: str, p: str, q: str, dimension: int, lines: list):
+    """Append to ``lines`` one evaluation of ``fn`` at ``{q}s, {q}y0, ...``
+    and return its result expressions: the template of an evaluator
+    ``_generate`` made, written inline, or else a call of ``fn`` bound as
+    ``name``, a tuple for ``rhs`` and a scalar for a monitor."""
+    template = _TEMPLATES.get(fn)
+    if template is None:
+        args = _tuple([f"{{q}}y{i}" for i in range(dimension)])
+        results = ([f"{{p}}k{i}" for i in range(dimension)] if name == "rhs"
+                   else ["{p}value"])
+        target = _tuple(results) if name == "rhs" else results[0]
+        template = ([f"{target} = {name}({{q}}s, {args})"], results)
+    body, results = template
+    lines += [line.format(p=p, q=q) for line in body]
+    return [r.format(p=p, q=q) for r in results]
 
-    The stages are straight-line code on unpacked scalars: k1 = rhs(s, y),
-    then k2, k3 and k4 from literal tuples ``y_i + hh * k1_i`` and so on,
-    with hh = h / 2, and the update ``y_i + h6 * (k1_i + 2 * k2_i + 2 * k3_i
-    + k4_i)`` with h6 = h / 6.  Source text is built only from slot indices.
-    """
-    slots = range(dimension)
 
-    def names(prefix):
-        return ", ".join(f"{prefix}_{i}" for i in slots)
+def _loop_source(rhs, monitors: tuple, dimension: int) -> str:
+    """Source of ``run(s_start, h, n, decimate, y, samples)``, a whole RK4
+    run that appends each sample to ``samples`` and returns the s it
+    aborted at, or None.  Step i from s has the stages k1 = rhs(s, y),
+    k2 = rhs(s + hh, y + hh * k1), k3 = rhs(s + hh, y + hh * k2) and
+    k4 = rhs(s + h, y + h * k3), hh = h / 2, then the update ``y_i + h6 *
+    (k1_i + 2 * k2_i + 2 * k3_i + k4_i)``, h6 = h / 6, and s = s_start +
+    i * h.  A ``SingularMassMatrix`` aborts at its own s, anything else at
+    the s of the step or sample it stops."""
+    def nonfinite(values):  # x - x is nan for an inf or nan x, else 0.0
+        return " or ".join(f"{v} - {v} != 0.0" for v in values)
 
-    def stage(weight, k):
-        return ", ".join(f"y{i} + {weight} * {k}_{i}" for i in slots)
+    state = [f"y{i}" for i in range(dimension)]
+    step = []
+    stages = [_evaluation(rhs, "rhs", "a_", "", dimension, step)]
+    for p, stage_s, weight in (("b_", "s + hh", "hh"), ("c_", "s + hh", "hh"),
+                               ("d_", "s + h", "h")):
+        step.append(f"{p}s = {stage_s}")
+        step += [f"{p}y{i} = y{i} + {weight} * {k}"
+                 for i, k in enumerate(stages[-1])]
+        stages.append(_evaluation(rhs, "rhs", p, p, dimension, step))
+    update = [f"y{i} + h6 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
+              for i, (k1, k2, k3, k4) in enumerate(zip(*stages))]
+    step += [f"{_tuple(state)} = {_tuple(update)}", "s = s_start + i * h",
+             f"if {nonfinite(state)}:", "    return s"]
+    sample = [f"y = {_tuple(state)}"]
+    row = []
+    for j, fn in enumerate(monitors):
+        row += _evaluation(fn, f"monitor_{j}", f"m{j}_", "", dimension, sample)
+    if row:
+        sample += [f"if {nonfinite(row)}:", "    return s"]
+    sample.append(f"samples.append((s, y, {_tuple(row)}))")
 
-    update = ", ".join(
-        f"y{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})" for i in slots)
-    lines = [f"({', '.join(f'y{i}' for i in slots)},) = y",
-             "hh = h / 2",
-             f"({names('k1')},) = rhs(s, y)",
-             f"({names('k2')},) = rhs(s + hh, ({stage('hh', 'k1')},))",
-             f"({names('k3')},) = rhs(s + hh, ({stage('hh', 'k2')},))",
-             f"({names('k4')},) = rhs(s + h, ({stage('h', 'k3')},))",
-             "h6 = h / 6",
-             f"return ({update},)"]
-    body = "".join(f"    {line}\n" for line in lines)
-    return f"def step(rhs, s, h, y):\n{body}"
+    def block(lines, depth):
+        return "".join(f"{'    ' * depth}{line}\n" for line in lines)
+
+    return ("def run(s_start, h, n, decimate, y, samples):\n"
+            + block([f"{_tuple(state)} = y", "hh = h / 2", "h6 = h / 6",
+                     "s = s_start", "i = 0", "try:",
+                     "    for stop in range(0, n + decimate, decimate):",
+                     "        if stop > n:", "            stop = n",
+                     "        for i in range(i + 1, stop + 1):"], 1)
+            + block(step, 4) + block(sample, 3)
+            + block(["except SingularMassMatrix as exc:", "    return exc.s",
+                     "except (ZeroDivisionError, OverflowError):",
+                     "    return s"], 1))
 
 
 def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
@@ -404,32 +466,13 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     if not all(math.isfinite(v) for v in y):
         raise ValueError("initial state must be finite")
 
-    step = _materialize(_step_source(len(y)))["step"]
-    s_start, h, decimate, rhs = cfg.s_start, cfg.step, cfg.decimate, sys.rhs
     monitors = tuple(sys.monitors.values())
+    run = _materialize(
+        _loop_source(sys.rhs, monitors, len(y)), rhs=sys.rhs,
+        **{f"monitor_{j}": fn for j, fn in enumerate(monitors)})["run"]
     samples = []
-    status = "completed"
-    abort_s = None
-
-    try:
-        s_i = s_start
-        for i in range(n + 1):
-            if i:
-                y = step(rhs, s_i, h, y)
-                s_i = s_start + i * h
-                if not all(map(math.isfinite, y)):
-                    status, abort_s = "aborted-nonfinite", s_i
-                    break
-            if i % decimate == 0 or i == n:
-                row = tuple([fn(s_i, y) for fn in monitors])
-                if not all(map(math.isfinite, row)):
-                    status, abort_s = "aborted-nonfinite", s_i
-                    break
-                samples.append((s_i, y, row))
-    except (SingularMassMatrix, ZeroDivisionError, OverflowError) as exc:
-        status = "aborted-nonfinite"
-        abort_s = getattr(exc, "s", s_i)
-
+    abort_s = run(cfg.s_start, cfg.step, n, cfg.decimate, y, samples)
+    status = "completed" if abort_s is None else "aborted-nonfinite"
     return Trajectory(samples=samples, status=status, abort_s=abort_s)
 
 

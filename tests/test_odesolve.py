@@ -3,17 +3,20 @@ derived guard), RK4 behaviour, and the trajectory CSV."""
 
 import ast
 import csv
+import functools
 import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import p3lenard
@@ -23,9 +26,8 @@ from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, ConstantMismatch, DomainError,
                                SingularMassMatrix, SolverConfig, Trajectory,
                                _compile_system,
-                               _exact_system, _generate, _materialize,
-                               _step_source, compile_k1, compile_k2, integrate,
-                               write_csv)
+                               _exact_system, _generate, compile_k1,
+                               compile_k2, integrate, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +451,7 @@ class TestGeneratedParity:
         assert (traj.status, traj.abort_s, len(traj.samples)) == expected
 
 
-# -- reference RK4 step: the zip stage loop the generated step replaced ------
+# -- reference RK4 loop: the hand-written loop the generated one replaced ----
 
 def _reference_step(rhs, s, h, y):
     k1 = rhs(s, y)
@@ -460,47 +462,240 @@ def _reference_step(rhs, s, h, y):
                  for a, p, q, r, w in zip(y, k1, k2, k3, k4))
 
 
-def _assert_step_parity(system, step):
-    """Search random finite (s, h, y) for a step of ``system`` whose new
-    state or exception differs from the reference stage loop."""
+def _reference_integrate(system, init, cfg):
+    """``integrate`` past its argument checks, as a loop over
+    ``_reference_step``: a sample at i = 0, at every ``decimate``-th step and
+    at the last; a non-finite state or monitor aborts at the s of its step
+    or sample, and an exception at its own s or that of the step or sample
+    it interrupted."""
+    n = round((cfg.s_end - cfg.s_start) / cfg.step)
+    y = tuple(float(v) for v in init)
+    monitors = tuple(system.monitors.values())
+    samples, status, abort_s = [], "completed", None
+    s_i = cfg.s_start
+    try:
+        for i in range(n + 1):
+            if i:
+                y = _reference_step(system.rhs, s_i, cfg.step, y)
+                s_i = cfg.s_start + i * cfg.step
+                if not all(map(math.isfinite, y)):
+                    status, abort_s = "aborted-nonfinite", s_i
+                    break
+            if i % cfg.decimate == 0 or i == n:
+                row = tuple([fn(s_i, y) for fn in monitors])
+                if not all(map(math.isfinite, row)):
+                    status, abort_s = "aborted-nonfinite", s_i
+                    break
+                samples.append((s_i, y, row))
+    except (SingularMassMatrix, ZeroDivisionError, OverflowError) as exc:
+        status = "aborted-nonfinite"
+        abort_s = getattr(exc, "s", s_i)
+    return Trajectory(samples=samples, status=status, abort_s=abort_s)
+
+
+def _run_bits(traj):
+    """(status, abort_s, sample count, samples), every float as its repr,
+    which tells each float and -0.0 from 0.0."""
+    return (traj.status, repr(traj.abort_s), len(traj.samples),
+            repr(traj.samples))
+
+
+def _squared_slope(s, y):
+    # y1 ** 2 can overflow, so exceptions are compared too
+    return (y[1], s * y[0] - y[1] ** 2)
+
+
+def _abort_cause(system, init, cfg):
+    """What stops the reference run: "stage1" to "stage4" or "monitor" for
+    the evaluator that raised, "state" or "row" for a non-finite state or
+    monitor value, None when the run completes."""
+    calls = []
+
+    def watch(fn, monitor=False):
+        def watched(s, y):
+            stages = sum(c.startswith("stage") for c in calls)
+            calls.append("monitor" if monitor else f"stage{stages % 4 + 1}")
+            value = fn(s, y)
+            calls[-1] += ":ok"
+            return value
+        return watched
+
+    watched = CompiledSystem(
+        state_names=system.state_names, rhs=watch(system.rhs),
+        monitors={name: watch(fn, monitor=True)
+                  for name, fn in system.monitors.items()})
+    if _reference_integrate(watched, init, cfg).status == "completed":
+        return None
+    if not calls[-1].endswith(":ok"):
+        return calls[-1]
+    return "row" if calls[-1] == "monitor:ok" else "state"
+
+
+# Two steps from s = 1 that stop where labelled, found by a random search
+# over magnitudes: system, label, state and step
+STOPS = [
+    ("k1", "stage2", (-1.0, 4.0), 0.5),
+    ("k1", "stage3", (4.731203474687016e-68, 4.924710289661288e+22), 0.001),
+    ("k1", "stage4", (-1.2967518771802126e-17, -2.0), 0.25),
+    ("k1", "monitor", (-9.8309857975921e-12, -2.0), 1.0),
+    ("k1", "monitor", (0.0, -2.411469524566322e-33), 1.0),
+    ("k1", "state", (4.463061952546921e-109, 0.0), 0.001),
+    ("k1", "row", (-3.642940515128352e+26, 1.0), 0.5),
+    ("k1", "row", (5.184248081362799e-94, -6.136198083069578e+133), 0.001),
+    ("k2", "stage1", (-2.5232217690516767e-47, 3.9998606802795754e-77,
+                      -2.1545824653561886e-98, 0.0), 0.25),
+    ("k2", "stage2", (3.8331453296952655e-46, 0.25, 4.0, -8.0), 1.0),
+    ("k2", "stage3", (0.0, 3.596834347394802e-111, -1.0, 1.0), 1.0),
+    ("k2", "stage4", (-50835825688.64587, 14206455009.273355, 0.25, 2.0), 0.25),
+    ("k2", "state", (-1.118960352001262e-150, 2.0, 5.2112974323467056e-14, 0.0),
+     0.001),
+    ("k2", "monitor", (2.2581906105701831e-88, 1.0707319442750124e-155,
+                       -1.7887568343121635e+24, -1.0), 0.25),
+    ("k3", "stage1", (-8.0, -4.308714771976632e-63, 4.5855862019007544e-148,
+                      1.8246546268247854e-138, 6.145988691909664e-67, 1.0), 0.125),
+    ("k3", "stage2", (2.136540071480226e-31, 4.0, -6.420664356252235e-62,
+                      5.903044110737454e+79, 1.0, -8.0), 0.25),
+    ("k3", "stage3", (4.0, -7.850685438169836e-52, -1.965072053430087e-27,
+                      2.4540071109454342e+39, -7.14929923812413e+33, 2.0), 1.0),
+    ("k3", "stage4", (2.0, -1.2222530381647065e-50, -8.0, -304539704362.12866,
+                      4.0, 4.0), 1.0),
+    ("k3", "monitor", (2879921434680781.0, 1.0, -4.640465520617334e-39, -2.0,
+                       2.0, 5.8976275965276554e-105), 1.0),
+    ("hand", "stage1", (-21192912666.58495, 68700245857156.836), 0.25),
+    ("hand", "stage2", (-2.288307823450725e-57, 9.719541301301392e+126), 1.0),
+    ("hand", "stage3", (2.26532604967548e+149, -2.665149850472639e-112), 1.0),
+    ("hand", "stage4", (-1.1895617400028052e+70, 2.0), 1.0),
+]
+
+
+@pytest.fixture(scope="module")
+def run_systems(k1_demo, k2_demo):
+    return {"k1": k1_demo, "k2": k2_demo,
+            "k3": _compile_system(3, (1, 2, 3, 4)),
+            "hand": _double(_squared_slope, dimension=2)}
+
+
+def _assert_loop_parity(system, label):
+    """Search random runs of ``system`` for one whose samples, status,
+    abort_s or sample count differ from ``_reference_integrate``'s.  The
+    ``STOPS`` of ``label`` run first, then runs of the demo state whose
+    ``decimate`` does and does not divide the step count."""
     dimension = len(system.state_names)
 
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(s=_FINITE, h=st.one_of(st.floats(1e-6, 1.0), _FINITE),
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(s_start=st.floats(0.25, 4.0),
+           h=st.one_of(st.sampled_from([1e-3, 0.125, 0.5]), st.floats(1e-3, 1.0)),
+           n=st.integers(1, 24), decimate=st.integers(1, 30),
            y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
-    @_edge_examples(dimension, h=1e-3)
-    def check(s, h, y):
-        y = tuple(y)
-        got = _outcome(lambda s, y: step(system.rhs, s, h, y), s, y)
-        want = _outcome(lambda s, y: _reference_step(system.rhs, s, h, y),
-                        s, y)
-        assert got == want
+    def check(s_start, h, n, decimate, y):
+        cfg = SolverConfig(s_start, s_start + n * h, h, decimate)
+        try:
+            got = integrate(system, y, cfg)
+        except DomainError:
+            assume(False)
+        assert _run_bits(got) == _run_bits(_reference_integrate(system, y, cfg))
 
+    demo = [1.0, 0.0] * (dimension // 2)
+    for decimate in (1, 3, 4, 12, 30):
+        check = example(s_start=1.0, h=0.01, n=12, decimate=decimate, y=demo)(check)
+    for key, _, y, h in STOPS:
+        if key == label:
+            check = example(s_start=1.0, h=h, n=2, decimate=1, y=list(y))(check)
     check()
 
 
+def _mutate_loop(monkeypatch, system, transform):
+    """Pass the source of every generated RK4 loop through ``transform``
+    before it becomes code; ``transform`` must change the loop of
+    ``system``."""
+    source = odesolve._loop_source(system.rhs, tuple(system.monitors.values()),
+                                   len(system.state_names))
+    if transform(source) == source:
+        raise ValueError("the mutation leaves the loop unchanged")
+    materialize = odesolve._materialize
+
+    def mutated(source, **evaluators):
+        if source.startswith("def run("):
+            source = transform(source)
+        return materialize(source, **evaluators)
+
+    monkeypatch.setattr(odesolve, "_materialize", mutated)
+
+
+def _swap_weights(source):
+    return re.sub(r"\((\w+) \+ 2 \* (\w+) \+ 2 \* (\w+) \+ (\w+)\)",
+                  r"(2 * \1 + \2 + \3 + 2 * \4)", source)
+
+
+def _monitor_before_update(source):
+    """Move the monitor evaluations of each sample ahead of the steps that
+    lead to it, so they read the state before its update."""
+    tree = ast.parse(source)
+    blocks = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.For) and node.target.id == "stop")
+    clamp, steps, state, *monitors, check, append = blocks.body
+    blocks.body = [clamp, *monitors, steps, state, check, append]
+    return ast.unparse(tree)
+
+
 class TestGeneratedStep:
-    """The generated RK4 step against the stage loop it replaced."""
+    """The generated RK4 loop against the hand-written loop it replaced."""
 
-    def test_k1_bit_parity(self, k1_demo):
-        _assert_step_parity(k1_demo, _materialize(_step_source(2))["step"])
+    def test_k1_bit_parity(self, run_systems):
+        _assert_loop_parity(run_systems["k1"], "k1")
 
-    def test_k2_bit_parity(self, k2_demo):
-        _assert_step_parity(k2_demo, _materialize(_step_source(4))["step"])
+    def test_k2_bit_parity(self, run_systems):
+        _assert_loop_parity(run_systems["k2"], "k2")
 
-    def test_hand_written_rhs_bit_parity(self):
-        # y1 ** 2 can overflow, so exceptions are compared too
-        system = _double(lambda s, y: (y[1], s * y[0] - y[1] ** 2),
-                         dimension=2)
-        _assert_step_parity(system, _materialize(_step_source(2))["step"])
+    def test_k3_bit_parity(self, run_systems):
+        _assert_loop_parity(run_systems["k3"], "k3")
 
-    def test_swapped_weights_are_caught(self, k1_demo):
-        source = _step_source(2)
-        bad = source.replace("(k1_0 + 2 * k2_0 + 2 * k3_0 + k4_0)",
-                             "(2 * k1_0 + k2_0 + k3_0 + 2 * k4_0)")
-        assert bad != source
+    def test_hand_written_rhs_bit_parity(self, run_systems):
+        _assert_loop_parity(run_systems["hand"], "hand")
+
+    @pytest.mark.parametrize("key, label, y, h", STOPS)
+    def test_stops_where_labelled(self, run_systems, key, label, y, h):
+        assert _abort_cause(run_systems[key], y,
+                            SolverConfig(1.0, 1.0 + 2 * h, h)) == label
+
+    @pytest.mark.parametrize("transform", [
+        _swap_weights, lambda source: source.replace("c_s = s + hh", "c_s = s + h"),
+        _monitor_before_update], ids=["swapped-weights", "stage3-at-s+h",
+                                      "monitor-before-update"])
+    def test_mutations_are_caught(self, monkeypatch, run_systems, transform):
+        _mutate_loop(monkeypatch, run_systems["k1"], transform)
         with pytest.raises(AssertionError):
-            _assert_step_parity(k1_demo, _materialize(bad)["step"])
+            _assert_loop_parity(run_systems["k1"], "k1")
+
+    def test_swapped_weights_are_caught(self, monkeypatch, run_systems):
+        # the weights of a called rhs, not only of an inline one
+        _mutate_loop(monkeypatch, run_systems["hand"], _swap_weights)
+        with pytest.raises(AssertionError):
+            _assert_loop_parity(run_systems["hand"], "hand")
+
+    @pytest.mark.parametrize("copy_attributes", [False, True],
+                             ids=["closure", "functools.wraps"])
+    def test_replaced_fields_are_called(self, copy_attributes):
+        # wrapped the way a tracer wraps them, after the compile; a wrapper
+        # that copies the function's attributes is called too
+        system = compile_k1(1, 2)
+        cfg = SolverConfig(1.0, 1.5, 1e-2, decimate=7)
+        plain = integrate(system, (1.0, 0.0), cfg)
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(s, y):
+                calls[name] += 1
+                return fn(s, y)
+            return functools.wraps(fn)(counted) if copy_attributes else counted
+
+        system.rhs = counting("rhs", system.rhs)
+        system.monitors = {name: counting(name, fn)
+                           for name, fn in system.monitors.items()}
+        wrapped = integrate(system, (1.0, 0.0), cfg)
+        assert calls == {"rhs": 4 * 50, "u": len(plain.samples)}
+        assert len(plain.samples) == 9
+        assert _run_bits(wrapped) == _run_bits(plain)
 
     def test_integrate_calls_rhs_four_times_per_step(self):
         calls = []

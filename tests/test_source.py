@@ -379,26 +379,99 @@ def test_generated_source_has_no_assert():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
 
 
-def test_step_source_enters_through_materialize(monkeypatch):
-    """``integrate`` turns the generated RK4 step into code only through
-    ``_materialize``, once per run, and the step holds no ``assert``."""
+def _wrapped(system):
+    """``system`` with its rhs and monitors behind plain wrappers."""
+    def wrap(fn):
+        return lambda s, y: fn(s, y)
+
+    return odesolve.CompiledSystem(
+        state_names=system.state_names, rhs=wrap(system.rhs),
+        monitors={name: wrap(fn) for name, fn in system.monitors.items()})
+
+
+def _run_sources(monkeypatch):
+    """(system, init, source of every ``_materialize`` call while it is run)
+    for the compiled k = 1 and k = 2 systems, as compiled and wrapped."""
     seen = []
     materialize = odesolve._materialize
 
-    def record(source):
+    def record(source, **evaluators):
         seen.append(source)
-        return materialize(source)
+        return materialize(source, **evaluators)
 
+    systems = ((compile_k1(1, 2), (1.0, 0.0)),
+               (compile_k2((1, 2, 3)), (1.0, 0.0, 1.0, 0.0)))
     monkeypatch.setattr(odesolve, "_materialize", record)
-    for system, init in ((compile_k1(1, 2), (1.0, 0.0)),
-                         (compile_k2((1, 2, 3)), (1.0, 0.0, 1.0, 0.0))):
-        seen.clear()
-        odesolve.integrate(system, init,
-                           odesolve.SolverConfig(1.0, 1.01, 1e-3))
-        assert seen == [odesolve._step_source(len(system.state_names))]
+    runs = []
+    for system, init in systems:
+        for variant in (system, _wrapped(system)):
+            seen.clear()
+            odesolve.integrate(variant, init,
+                               odesolve.SolverConfig(1.0, 1.01, 1e-3))
+            runs.append((variant, list(seen)))
+    monkeypatch.undo()
+    return runs
+
+
+def test_loop_source_enters_through_materialize(monkeypatch):
+    """``integrate`` turns its generated RK4 loop into code only through
+    ``_materialize``, once per run, and the loop holds no ``assert``."""
+    for system, seen in _run_sources(monkeypatch):
+        assert len(seen) == 1
         tree = ast.parse(seen[0])
-        assert [node.name for node in tree.body] == ["step"]
+        assert [node.name for node in tree.body] == ["run"]
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+
+def _global_reads(source):
+    """Names that ``source`` reads without assigning them anywhere: its
+    globals and builtins."""
+    tree = ast.parse(source)
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+    bound |= {arg.arg for node in ast.walk(tree) if isinstance(node, ast.arguments)
+              for arg in node.args}
+    bound |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ExceptHandler)) and node.name}
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id not in bound}
+
+
+def test_materialize_grants_only_the_builtins_generated_code_reads(monkeypatch):
+    granted = set(odesolve._materialize("")["__builtins__"])
+    assert granted == {"range", "ZeroDivisionError", "OverflowError"}
+    runs = _run_sources(monkeypatch)
+    sources = [system.source for system, _ in runs] + [seen[0] for _, seen in runs]
+    reads = set().union(*map(_global_reads, sources))
+    assert reads == granted | {"SingularMassMatrix", "rhs", "monitor_0"}
+
+
+def _statement_loops(tree, name):
+    """Line numbers of the ``for`` and ``while`` statements in the
+    module-level function ``name`` of ``tree``."""
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    return sorted(node.lineno for node in ast.walk(fn)
+                  if isinstance(node, (ast.For, ast.While)))
+
+
+def test_integrate_has_one_stage_loop():
+    """The RK4 stages exist once, in the generated loop: ``integrate``
+    holds no loop statement, and no step function is generated beside it."""
+    path = Path(odesolve.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    assert _statement_loops(tree, "integrate") == []
+    assert "_step_source" not in {node.name for node in tree.body
+                                  if isinstance(node, ast.FunctionDef)}
+
+
+def test_stage_loop_rule_can_fail():
+    sample = ("def integrate(sys, init, cfg):\n"
+              "    ok = all(v for v in init)\n"
+              "    for i in range(3):\n"
+              "        while i:\n"
+              "            i -= 1\n")
+    assert _statement_loops(ast.parse(sample), "integrate") == [3, 4]
 
 
 # Importing the CLI loads only the standard-library modules it calls:
