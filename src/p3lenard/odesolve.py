@@ -375,7 +375,10 @@ def _evaluation(fn, name: str, p: str, q: str, dimension: int, lines: list):
     and return its result expressions: the template of an evaluator
     ``_generate`` made, written inline, or else a call of ``fn`` bound as
     ``name``, a tuple for ``rhs`` and a scalar for a monitor."""
-    template = _TEMPLATES.get(fn)
+    try:
+        template = _TEMPLATES.get(fn)
+    except TypeError:  # unhashable or not weakly referable: not generated
+        template = None
     if template is None:
         args = _tuple([f"{{q}}y{i}" for i in range(dimension)])
         results = ([f"{{p}}k{i}" for i in range(dimension)] if name == "rhs"

@@ -3,6 +3,7 @@ derived guard), RK4 behaviour, and the trajectory CSV."""
 
 import ast
 import csv
+import dataclasses
 import functools
 import hashlib
 import math
@@ -354,21 +355,27 @@ def _outcome(fn, s, y):
 
 _FINITE = st.one_of(st.floats(-4.0, 4.0),
                     st.floats(allow_nan=False, allow_infinity=False))
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
-def _edge_examples(dimension, **fixed):
-    """Explicit (s, y) examples that every parity search runs first: all
+def _edge_states(dimension):
+    """Explicit (s, y) cases that every parity search runs first: all
     -0.0; -0.0 slopes beside unit values, so signed zeros reach the
     polynomials; all subnormal; y ** 3 overflowing; and slopes whose
     square alone overflows.  Even slots hold values, odd slots slopes."""
     def interleave(value, slope):
         return [value if i % 2 == 0 else slope for i in range(dimension)]
 
+    return [(-0.0, [-0.0] * dimension), (1.0, interleave(1.0, -0.0)),
+            (1.0, [1e-310] * dimension), (1.0, [1e120] * dimension),
+            (1.0, interleave(1.0, 1e200))]
+
+
+def _edge_examples(dimension):
+    """Run the ``_edge_states`` of ``dimension`` as explicit examples."""
     def decorate(check):
-        for s, y in ((-0.0, [-0.0] * dimension), (1.0, interleave(1.0, -0.0)),
-                     (1.0, [1e-310] * dimension), (1.0, [1e120] * dimension),
-                     (1.0, interleave(1.0, 1e200))):
-            check = example(s=s, y=y, **fixed)(check)
+        for s, y in _edge_states(dimension):
+            check = example(s=s, y=y)(check)
         return check
 
     return decorate
@@ -578,13 +585,15 @@ def run_systems(k1_demo, k2_demo):
 def _assert_loop_parity(system, label):
     """Search random runs of ``system`` for one whose samples, status,
     abort_s or sample count differ from ``_reference_integrate``'s.  The
-    ``STOPS`` of ``label`` run first, then runs of the demo state whose
-    ``decimate`` does and does not divide the step count."""
+    ``STOPS`` of ``label`` and the ``_edge_states`` run first, then runs far
+    from s = 1, then runs of the demo state whose ``decimate`` does and
+    does not divide the step count."""
     dimension = len(system.state_names)
 
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(s_start=st.floats(0.25, 4.0),
-           h=st.one_of(st.sampled_from([1e-3, 0.125, 0.5]), st.floats(1e-3, 1.0)),
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s_start=st.one_of(st.floats(0.25, 4.0), _POSITIVE),
+           h=st.one_of(st.sampled_from([1e-3, 0.125, 0.5]),
+                       st.floats(1e-3, 1.0), _POSITIVE),
            n=st.integers(1, 24), decimate=st.integers(1, 30),
            y=st.lists(_FINITE, min_size=dimension, max_size=dimension))
     def check(s_start, h, n, decimate, y):
@@ -598,6 +607,13 @@ def _assert_loop_parity(system, label):
     demo = [1.0, 0.0] * (dimension // 2)
     for decimate in (1, 3, 4, 12, 30):
         check = example(s_start=1.0, h=0.01, n=12, decimate=decimate, y=demo)(check)
+    # s_start + i * h and s + h large or tiny, and a subnormal step
+    for s_start, h in ((2.0 ** 60, 2.0 ** 10), (2.0 ** 1020, 2.0 ** 1000),
+                       (2.0 ** -1000, 2.0 ** -1040), (2.0 ** -1070, 5e-324)):
+        check = example(s_start=s_start, h=h, n=3, decimate=2, y=demo)(check)
+    # integrate takes no s_start <= 0, so the states run from s = 1
+    for _, y in _edge_states(dimension):
+        check = example(s_start=1.0, h=1e-3, n=2, decimate=1, y=y)(check)
     for key, _, y, h in STOPS:
         if key == label:
             check = example(s_start=1.0, h=h, n=2, decimate=1, y=list(y))(check)
@@ -696,6 +712,32 @@ class TestGeneratedStep:
         assert calls == {"rhs": 4 * 50, "u": len(plain.samples)}
         assert len(plain.samples) == 9
         assert _run_bits(wrapped) == _run_bits(plain)
+
+    def test_unhashable_or_unreferable_fields_are_called(self, k1_demo):
+        # an eq=True dataclass has no hash; a __slots__ class no weak reference
+        @dataclasses.dataclass
+        class Unhashable:
+            fn: object
+
+            def __call__(self, s, y):
+                return self.fn(s, y)
+
+        class Slotted:
+            __slots__ = ("fn",)
+
+            def __init__(self, fn):
+                self.fn = fn
+
+            def __call__(self, s, y):
+                return self.fn(s, y)
+
+        cfg = SolverConfig(1.0, 1.5, 1e-2, decimate=7)
+        for wrap in (Unhashable, Slotted):
+            system = CompiledSystem(
+                state_names=k1_demo.state_names, rhs=wrap(k1_demo.rhs),
+                monitors={name: wrap(fn) for name, fn in k1_demo.monitors.items()})
+            assert (_run_bits(integrate(system, (1.0, 0.0), cfg))
+                    == _run_bits(_reference_integrate(system, (1.0, 0.0), cfg)))
 
     def test_integrate_calls_rhs_four_times_per_step(self):
         calls = []
