@@ -26,7 +26,10 @@ Outside the kernel a monomial is the triple (s_power, jets, params): jets
 is a sorted tuple of ((dependent, order), exponent), params a sorted tuple
 of (parameter, exponent), every exponent positive.  ``Poly(ring, mapping)``,
 ``sorted_terms``, ``leading``, ``monomial_content`` and ``divide_monomial``
-speak triples, and coefficients leave the kernel as Fractions.
+speak triples, and coefficients leave the kernel as Fractions.  Triples
+stay the boundary: ``_ordered``, the one definition of the monomial order,
+reads each term's triple and its order key, a flat tuple of ints, from one
+``_occupied`` walk, and ``sorted_terms`` and ``leading`` sort on that key.
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -101,18 +104,39 @@ def _encode(ring: "Ring", m: Monomial) -> int:
     return _guarded((key,))[0]            # a slot given twice may overflow
 
 
+def _ordered(ring: "Ring", items):
+    """(order, triple, numerator) of each (packed key, numerator) of
+    ``items``, from one ``_occupied`` walk per key.  The order is the
+    monomial order as a flat tuple of ints, (degree, d1, -o1, e1, ..., -1,
+    p1, e1, ..., -1, s_power): total degree, then the jets by dependent and
+    descending order, then the parameters, then the s power; a -1 lies
+    below every index, so jets or parameters that end first sort lower."""
+    first, n_dep = 1 + len(ring.params), len(ring.dependents)
+    for key, c in items:
+        s_pow = degree = key & _SLOT
+        pars, jets = [], []
+        for j, e in _occupied(key, 1):
+            degree += e
+            if j < first:
+                pars.append((j - 1, e))
+            else:
+                o, d = divmod(j - first, n_dep)
+                jets.append(((d, o), e))
+        if n_dep > 1:                     # the walk reads jets order-major
+            jets.sort()
+        order = [degree]
+        for (d, o), e in jets:
+            order += d, -o, e
+        order.append(-1)
+        for pe in pars:
+            order += pe
+        order += -1, s_pow
+        yield tuple(order), (s_pow, tuple(jets), tuple(pars)), c
+
+
 def _decode(ring: "Ring", key: int) -> Monomial:
     """The triple of the packed ``key``."""
-    first, n_dep = 1 + len(ring.params), len(ring.dependents)
-    pars, jets = [], []
-    for j, e in _occupied(key, 1):
-        if j < first:
-            pars.append((j - 1, e))
-        else:
-            o, d = divmod(j - first, n_dep)
-            jets.append(((d, o), e))
-    jets.sort()
-    return (key & _SLOT, tuple(jets), tuple(pars))
+    return next(_ordered(ring, ((key, 0),)))[1]
 
 
 def _guarded(keys):
@@ -120,15 +144,6 @@ def _guarded(keys):
     if reduce(or_, keys, 0) & _GUARD:
         raise _overflow("an exponent reached 2**15")
     return keys
-
-
-def monomial_sort_key(m: Monomial):
-    """Graded order: total degree, then jets by (dependent, order descending),
-    then parameters, with s_power as the final tie-break."""
-    s_pow, jets, pars = m
-    degree = s_pow + sum(e for _, e in jets) + sum(e for _, e in pars)
-    jet_key = tuple(((d, -o), e) for (d, o), e in jets)
-    return (degree, jet_key, pars, s_pow)
 
 
 def _accumulate(out: dict, pairs) -> dict:
@@ -288,18 +303,17 @@ class Poly:
 
     def sorted_terms(self):
         """(monomial, Fraction coefficient) pairs, greatest monomial first."""
-        ring, den = self.ring, self.den
-        return sorted(((_decode(ring, k), Fraction(c, den)) for k, c in self.terms.items()),
-                      key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        den = self.den
+        rows = sorted(_ordered(self.ring, self.terms.items()), reverse=True)
+        return [(m, Fraction(c, den)) for _, m, c in rows]
 
     def leading(self):
         """(monomial, Fraction coefficient) of the greatest monomial, or None
         if zero."""
         if not self.terms:
             return None
-        ring = self.ring
-        k = max(self.terms, key=lambda k: monomial_sort_key(_decode(ring, k)))
-        return _decode(ring, k), Fraction(self.terms[k], self.den)
+        _, m, c = max(_ordered(self.ring, self.terms.items()))
+        return m, Fraction(c, self.den)
 
     def max_order(self, dep: str) -> int | None:
         """Highest derivative order of ``dep`` occurring, or None if absent."""

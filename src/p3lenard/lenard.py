@@ -24,7 +24,8 @@ terms to multiply full jets only two and three times, and the anti-diagonal
 sweep ``transport_residuals`` adds one B' per step.  Products commute, so
 Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a
 whole anti-diagonal (tau_p, sigma_p and the closed form), builds the Omega
-of each mirrored pair once and counts it twice.  A jet is reused only
+of each mirrored pair once and counts it twice, and so each mirrored lift
+l_{a-q} l_{b+q+1}.  A jet is reused only
 while ``seq.ell(j)`` is the object it was computed from, so replacing an
 entry, even in place through ``seq.ells[j] = ...``, recomputes its jets;
 ``with_entry`` starts an empty table.  Symbolic rules are fixed when built;
@@ -195,18 +196,33 @@ def diagonal(f, seq: LenardSequence, a: int, b: int, count: int):
         yield f(seq, a - q, b + q)
 
 
+def _lift(seq: LenardSequence, a: int, b: int) -> Poly:
+    """l_a l_{b+1}, the product that B_{a,b} takes from Omega_{a,b}."""
+    return seq.ell(a) * seq.ell(b + 1)
+
+
+def _mirrored(f, seq: LenardSequence, a: int, b: int, count: int) -> Poly:
+    """sum_{q<count} f(seq, a - q, b + q) for an f whose steps q and
+    count - 1 - q agree: each mirrored pair is built once and counted
+    twice."""
+    half = count // 2
+    total = 2 * sum(diagonal(f, seq, a, b, half), seq.ring.zero())
+    if count % 2:
+        total += f(seq, a - half, b + half)
+    return total
+
+
 def bracket_diagonal(seq: LenardSequence, a: int, b: int) -> Poly:
     """sum_{q=0}^{a-b} B_{a-q,b+q}, the brackets B_{a,b} = Omega_{a,b} -
     l_a l_{b+1} of a whole anti-diagonal, from (a, b) to (b, a); zero for
-    a < b.  Products commute, so Omega_{a,b} = Omega_{b,a}: the Omega of each
-    mirrored pair is built once and counted twice."""
-    count = max(a - b + 1, 0)
-    half = count // 2
-    omegas = 2 * sum(diagonal(omega, seq, a, b, half), seq.ring.zero())
-    if count % 2:
-        omegas += omega(seq, a - half, b + half)
-    lifts = diagonal(lambda seq, x, y: seq.ell(x) * seq.ell(y + 1), seq, a, b, count)
-    return omegas - sum(lifts, seq.ring.zero())
+    a < b.  Products commute, so Omega_{a,b} = Omega_{b,a}, and the lifts
+    l_{a-q} l_{b+q+1} of steps q and a - b - 1 - q are one product: the
+    Omega of each mirrored pair and each mirrored lift are built once and
+    counted twice.  The last lift, l_b l_{a+1}, has no mirror."""
+    if a < b:
+        return seq.ring.zero()
+    lifts = _mirrored(_lift, seq, a, b, a - b) + _lift(seq, b, a)
+    return _mirrored(omega, seq, a, b, a - b + 1) - lifts
 
 
 def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:

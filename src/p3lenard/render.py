@@ -32,48 +32,54 @@ def latex_symbol(name: str) -> str:
     return _GREEK.get(name, name)
 
 
-def _jet_ascii(name: str, order: int) -> str:
-    if order == 0:
-        return name
+def _jet_ascii(sym: str, order: int) -> str:
     if order <= 2:
-        return name + "'" * order
-    return f"D{order}({name})"
+        return sym + "'" * order
+    return f"D{order}({sym})"
 
 
-def _jet_latex(name: str, order: int) -> str:
-    sym = latex_symbol(name)
-    if order == 0:
-        return sym
+def _jet_latex(sym: str, order: int) -> str:
     if order <= 3:
         return sym + "'" * order
     return f"{sym}^{{({order})}}"
 
 
-def _coef_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return rf"{sign}\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+def _coef_ascii(n: int, d: int) -> str:
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
-def _poly_text(poly: Poly, jet, power, coef, sep: str) -> str:
+def _coef_latex(n: int, d: int) -> str:
+    return rf"\frac{{{n}}}{{{d}}}" if d != 1 else str(n)
+
+
+def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:
     """The terms of ``poly``, greatest first, joined by their signs: each is
     its coefficient (left out before factors when it is 1) and its factors,
-    ``sep`` between them.  ``jet(name, order)`` spells a symbol,
-    ``power(symbol, exponent)`` a factor and ``coef(c)`` a positive
-    coefficient."""
+    ``sep`` between them.  ``symbol(name)`` spells a dependent or parameter,
+    ``jet(symbol, order)`` a derivative of it, ``power(text, exponent)`` a
+    factor and ``coef(n, d)`` the positive coefficient n/d.  Each jet and
+    parameter is spelled once per call, on its first use."""
     if poly.is_zero():
         return "0"
-    ring = poly.ring
+    deps, params = poly.ring.dependents, poly.ring.params
+    jets, pars = {}, {}                   # (dependent, order), parameter -> text
     chunks = []
-    for (s_pow, jets, pars), c in poly.sorted_terms():
-        factors = [("s", s_pow)] if s_pow else []
-        factors += [(jet(ring.dependents[d], o), e) for (d, o), e in jets]
-        factors += [(jet(ring.params[p], 0), e) for p, e in pars]
-        parts = [power(f, e) if e > 1 else f for f, e in factors]
-        if abs(c) != 1 or not parts:
-            parts.insert(0, coef(abs(c)))
-        chunks.append(("- " if c < 0 else "+ ") + sep.join(parts))
+    for (s_pow, js, ps), c in poly.sorted_terms():
+        parts = [power("s", s_pow) if s_pow > 1 else "s"] if s_pow else []
+        for de, e in js:
+            f = jets.get(de)
+            if f is None:
+                f = jets[de] = jet(symbol(deps[de[0]]), de[1])
+            parts.append(power(f, e) if e > 1 else f)
+        for p, e in ps:
+            f = pars.get(p)
+            if f is None:
+                f = pars[p] = symbol(params[p])
+            parts.append(power(f, e) if e > 1 else f)
+        n, d = c.numerator, c.denominator
+        if d != 1 or not parts or (n != 1 and n != -1):
+            parts.insert(0, coef(abs(n), d))
+        chunks.append(("- " if n < 0 else "+ ") + sep.join(parts))
     out = " ".join(chunks)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
@@ -83,11 +89,11 @@ def _power_latex(f: str, e: int) -> str:
 
 
 def poly_ascii(poly: Poly) -> str:
-    return _poly_text(poly, _jet_ascii, "{}^{}".format, str, "*")
+    return _poly_text(poly, str, _jet_ascii, "{}^{}".format, _coef_ascii, "*")
 
 
 def poly_latex(poly: Poly) -> str:
-    return _poly_text(poly, _jet_latex, _power_latex, _coef_latex, " ")
+    return _poly_text(poly, latex_symbol, _jet_latex, _power_latex, _coef_latex, " ")
 
 
 def ratexpr_latex(expr: RatExpr) -> str:
@@ -98,20 +104,20 @@ def ratexpr_latex(expr: RatExpr) -> str:
 
 def poly_to_obj(poly: Poly) -> dict:
     """JSON-ready dict.  Single-dependent rings use flat jet keys."""
-    single = len(poly.ring.dependents) == 1 and not poly.ring.params
+    deps, pars = poly.ring.dependents, poly.ring.params
+    single = len(deps) == 1 and not pars
     terms = []
-    for m, c in poly.sorted_terms():
-        s_pow, jets, pars = m
+    for (s_pow, jets, ps), c in poly.sorted_terms():
         entry: dict = {"s": s_pow}
         if single:
             entry["jets"] = {str(o): e for (_, o), e in jets}
         else:
             nested: dict = {}
             for (d, o), e in jets:
-                nested.setdefault(poly.ring.dependents[d], {})[str(o)] = e
+                nested.setdefault(deps[d], {})[str(o)] = e
             entry["jets"] = nested
-            if pars:
-                entry["params"] = {poly.ring.params[p]: e for p, e in pars}
+            if ps:
+                entry["params"] = {pars[p]: e for p, e in ps}
         entry["coef"] = str(c)
         terms.append(entry)
     return {"terms": terms}

@@ -4,6 +4,8 @@ released behaviour.  A refactor that changes a single byte of any of these
 outputs fails here."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,14 @@ STDOUT_GOLDENS = {
         "77177d35b3cacc2ed1f5061f2dec2786c00afad44e5e972067d7ef907804689f",
     ("gen-lax", "--k", "5", "--format", "latex"):
         "f0d97f11881de5c3d085a632029919f85c98a09e0725b678c309554cd3033d83",
+    ("gen-lax", "--k", "9"):
+        "8a756111d9df914133ddcba6045d7c3b540699d3074fbe3632254a99baffae31",
+    ("gen-lax", "--k", "9", "--format", "latex"):
+        "17480702789d9d17f9415dc88efd48fe9ead7a62c9d7e5c8d1069affe05382ca",
+    ("gen-hierarchy", "--k", "16"):
+        "b6e54cad837282f27a20d5df7762efe6de59c4425f51985f31f97beafd2a7a99",
+    ("gen-hierarchy", "--k", "16", "--format", "latex"):
+        "2c2432b563815426a11e9bb5effa33c81f87a65ccc033f4a6b4a09a1b2f6b325",
     ("verify", "--suite", "all", "--max-index", "2"):
         "6d380eaa58c542dfbac43b178dd1afa40d98d3646d35708c93459b82cf3500c0",
 }
@@ -87,6 +97,22 @@ def test_stdout_bytes(capsys, argv):
     code = cli.run(list(argv))
     out = capsys.readouterr().out
     assert (code, _sha256(out.encode())) == (cli.EXIT_OK, STDOUT_GOLDENS[argv])
+
+
+# the goldens above that the benchmark's emit workload gates on, by its names
+BENCHMARK_GOLDENS = {
+    "gen-lax-9-json": ("gen-lax", "--k", "9"),
+    "gen-lax-9-latex": ("gen-lax", "--k", "9", "--format", "latex"),
+    "gen-hierarchy-16-json": ("gen-hierarchy", "--k", "16"),
+    "gen-hierarchy-16-latex": ("gen-hierarchy", "--k", "16", "--format", "latex"),
+}
+
+
+def test_benchmark_size_goldens_match_the_benchmark():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden_sha256.json"
+    bench = json.loads(path.read_text())
+    assert {name: STDOUT_GOLDENS[argv] for name, argv in BENCHMARK_GOLDENS.items()} \
+        == {name: bench[name] for name in BENCHMARK_GOLDENS}
 
 
 @pytest.mark.parametrize("argv", list(CSV_GOLDENS), ids=" ".join)

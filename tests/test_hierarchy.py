@@ -329,6 +329,24 @@ def wrong_mirror(seq, a, b):
                      seq.ring.zero())
 
 
+LIFT, MIRRORED = lenard._lift, lenard._mirrored
+
+
+def wrong_lift_mirror(f, seq, a, b, count):
+    """``lenard._mirrored`` with each lift at step q counted again at step
+    count - 2 - q in place of its mirror count - 1 - q; Omega keeps the
+    right pairing."""
+    if f is not LIFT:
+        return MIRRORED(f, seq, a, b, count)
+    acc = seq.ring.zero()
+    for q in range(count // 2):
+        r = count - 2 - q
+        acc += f(seq, a - q, b + q) + f(seq, a - r, b + r)
+    if count % 2:
+        acc += f(seq, a - count // 2, b + count // 2)
+    return acc
+
+
 def diagonal_sum_mismatches(top=6):
     """(kind, sequence label, k, p) where tau_p, sigma_p or the closed form
     differ from the plain sum of brackets, for k, p <= ``top``."""
@@ -375,6 +393,33 @@ class TestDiagonalSums:
         built.clear()
         build_p3_system(6)
         assert len(built) == sum((p + 2) // 2 for p in range(7))
+
+    def test_each_lift_pair_is_built_once(self, monkeypatch):
+        """Lift q of the diagonal from (a, b), l_{a-q} l_{b+q+1}, is lift
+        a - b - 1 - q: tau_p forms ceil(p/2) + 1 of its p + 1 lifts, and
+        the k = 32 system 305 of 561."""
+        built = []
+
+        def counted(seq, a, b):
+            built.append(frozenset((a, b + 1)))
+            return LIFT(seq, a, b)
+
+        monkeypatch.setattr(lenard, "_lift", counted)
+        for k in range(1, 7):
+            seq = boundary_jet_sequence(k)
+            for p in range(k + 1):
+                built.clear()
+                conserved_tau(seq, k, p)
+                assert len(built) == len(set(built)) == (p + 1) // 2 + 1
+        built.clear()
+        build_p3_system(32)
+        assert len(built) == 305
+
+    def test_a_wrong_lift_mirror_fails_the_check(self, monkeypatch):
+        """Lifts paired step q with count - 2 - q, not count - 1 - q."""
+        monkeypatch.setattr(lenard, "_mirrored", wrong_lift_mirror)
+        kinds = {kind for kind, *_ in diagonal_sum_mismatches(4)}
+        assert kinds == {"tau", "sigma", "closedform"}
 
     def test_a_wrong_mirror_fails_the_check(self, monkeypatch):
         for module in (lenard, hierarchy):

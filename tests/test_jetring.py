@@ -24,7 +24,7 @@ import p3lenard
 from p3lenard import jetring
 from p3lenard.hierarchy import hierarchy_ring
 from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring, _decode,
-                              _encode, _occupied, monomial_sort_key)
+                              _encode, _occupied)
 
 RING = Ring(("u", "v"), ("a", "b"))
 U, V = 0, 1
@@ -141,6 +141,18 @@ def ref_divide(r, m):
         out[mono(s_pow - m[0], {k: e for k, e in jets.items() if e},
                  {k: e for k, e in pars.items() if e})] = c
     return out
+
+
+def monomial_sort_key(m):
+    """The monomial order on triples, as a nested tuple: total degree, then
+    jets by (dependent, order descending), then parameters, with the s
+    power as the final tie-break.  The kernel once sorted by this key; it
+    now reads the same order from one walk of the packed key, and this is
+    the oracle it is checked against."""
+    s_pow, jets, pars = m
+    degree = s_pow + sum(e for _, e in jets) + sum(e for _, e in pars)
+    jet_key = tuple(((d, -o), e) for (d, o), e in jets)
+    return (degree, jet_key, pars, s_pow)
 
 
 def ref_content(coeffs):
@@ -596,6 +608,86 @@ class TestOccupiedSlots:
                             lambda key, start=0: reversed(ref_slots(key, start)))
         assert list(jetring._occupied(key)) != ref_slots(key)
         assert _decode(ring, key) != ref_decode(ring, key)
+
+
+# -- the monomial order against the triple oracle ------------------------------
+
+def oracle_terms(p: Poly):
+    """The terms of ``p`` sorted by :func:`monomial_sort_key` on the triples
+    of :func:`ref_decode`, greatest first."""
+    return sorted(((ref_decode(p.ring, k), Fraction(c, p.den)) for k, c in p.terms.items()),
+                  key=lambda t: monomial_sort_key(t[0]), reverse=True)
+
+
+def order_mismatches(p: Poly) -> list:
+    """Which of ``sorted_terms`` and ``leading`` disagree with the oracle."""
+    want = oracle_terms(p)
+    return [name for name, got, ref in (("sorted_terms", p.sorted_terms(), want),
+                                        ("leading", p.leading(), want[0] if want else None))
+            if got != ref]
+
+
+ORDERED = jetring._ordered
+low_keys = st.dictionaries(st.integers(0, 12), st.integers(1, 2), max_size=4).map(
+    lambda slots: sum(e << (16 * j) for j, e in slots.items()))
+
+
+def slot_order(ring, items):
+    """``jetring._ordered`` with the jets of its order key taken in slot
+    order, order-major, as the walk reads them, instead of by dependent."""
+    for order, m, c in ORDERED(ring, items):
+        s_pow, jets, pars = m
+        jets = sorted(jets, key=lambda jet: jet[0][::-1])
+        yield ((order[0], *[x for (d, o), e in jets for x in (d, -o, e)], -1,
+                *[x for pe in pars for x in pe], -1, s_pow), m, c)
+
+
+class TestMonomialOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), shape=shapes)
+    def test_sorted_terms_and_leading_follow_the_oracle(self, data, shape):
+        """Keys anywhere in the guarded slots, or in the first 13 with small
+        exponents so that degrees and jet prefixes tie, on rings of 1 to 6
+        dependents and 0 to 9 parameters, with terms that tie on every
+        field but the s power."""
+        ring = ring_of(*shape)
+        keys = data.draw(st.lists(st.one_of(packed_keys(), low_keys), max_size=6))
+        s_pows = data.draw(st.lists(st.integers(0, LIMIT - 1), max_size=3))
+        keys += [k - (k & 0xFFFF) + s for k in keys[:2] for s in s_pows]
+        nums = {k: data.draw(st.integers(-9, 9).filter(bool)) for k in keys}
+        p = jetring._make(ring, nums, data.draw(st.integers(1, 12)))
+        assert order_mismatches(p) == []
+
+    def test_zero_and_constant_polynomials(self):
+        for ring in (RING, ring_of(0, 1), ring_of(9, 6)):
+            assert ring.zero().sorted_terms() == [] and ring.zero().leading() is None
+            c = ring.const(Fraction(-3, 4))
+            assert c.sorted_terms() == [((0, (), ()), Fraction(-3, 4))]
+            assert order_mismatches(c) == order_mismatches(ring.zero()) == []
+
+    def test_ties_but_for_the_s_power(self):
+        """The s power moves the degree, which decides before the jets."""
+        x = RING.var("u", 1) * RING.var("v") * RING.param("b")
+        p = x + 2 * RING.s(3) * x + 3 * RING.s() * x
+        assert [m[0] for m, _ in p.sorted_terms()] == [3, 1, 0]
+        assert order_mismatches(p) == []
+
+    def test_jets_that_end_first_sort_lower(self):
+        """u v and u b tie on degree and on their first jet; u b has no
+        second jet, so it sorts below u v whatever parameter follows."""
+        u, v, b = RING.var("u"), RING.var("v"), RING.param("b")
+        p = u * b + u * v + u * RING.var("u", 1)
+        assert p.sorted_terms()[-1][0] == mono(jets={(U, 0): 1}, pars={B: 1})
+        assert order_mismatches(p) == []
+
+    def test_an_order_major_key_fails_on_two_dependents(self, monkeypatch):
+        """u' v and u v' differ in which dependent carries the derivative:
+        by dependent u v' sorts first, order-major u' v does."""
+        monkeypatch.setattr(jetring, "_ordered", slot_order)
+        one = Ring(("u",), ("a",))
+        assert order_mismatches(one.var("u", 1) * one.var("u") + one.var("u", 2)) == []
+        two = RING.var("u", 1) * RING.var("v") + RING.var("u") * RING.var("v", 1)
+        assert order_mismatches(two) == ["sorted_terms", "leading"]
 
 
 # -- exponents that reach 2**15 -------------------------------------------------

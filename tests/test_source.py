@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -203,6 +204,64 @@ def test_slot_walk_rule_can_fail():
               "        return (self.key >> 16) & 0xFFFF, self.key & -1 + 2\n")
     assert _slot_walkers(ast.parse(sample)) == [
         "Poly.max_order", "_decode", "_exponents", "_occupied"]
+
+
+# One monomial order: ``jetring._ordered`` builds the order key of every term
+# in its walk, and ``Poly.sorted_terms`` and ``Poly.leading`` both sort or
+# pick on its rows.  No other function of the package defines an order: none
+# passes a ``key`` to ``sorted``, ``min``, ``max`` or ``.sort``, and none is
+# named for a sort or order key.
+ORDER_CALLS = ("sorted", "min", "max", "sort")
+ORDER_KEY_NAME = re.compile(r"(sort|order)_?key", re.IGNORECASE)
+
+
+def _order_definers(tree):
+    """Sorted names of the functions and methods of ``tree`` that order by
+    a key of their own, nested functions and lambdas included, or whose
+    name says they build a sort or order key."""
+    def keyed(node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in ORDER_CALLS and any(kw.arg == "key" for kw in node.keywords)
+
+    return sorted(name for name, fn in _functions(tree.body)
+                  if ORDER_KEY_NAME.search(fn.name)
+                  or any(isinstance(node, ast.Call) and keyed(node) for node in ast.walk(fn)))
+
+
+def _callers(tree, callee):
+    """Sorted names of the functions and methods of ``tree`` that call
+    ``callee`` by its bare name."""
+    return sorted(name for name, fn in _functions(tree.body)
+                  if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == callee for node in ast.walk(fn)))
+
+
+def test_package_has_one_monomial_order():
+    trees = _parsed(PACKAGE.rglob("*.py"))
+    assert [name for tree in trees for name in _order_definers(tree)] == []
+    path = Path(jetring.__file__)
+    callers = _callers(ast.parse(path.read_text(), str(path)), "_ordered")
+    assert {"Poly.sorted_terms", "Poly.leading"} <= set(callers)
+
+
+def test_one_order_rule_can_fail():
+    sample = ("def monomial_sort_key(m):\n"
+              "    s_pow, jets, pars = m\n"
+              "    return (s_pow + sum(e for _, e in jets), jets, pars, s_pow)\n"
+              "class Poly:\n"
+              "    def sorted_terms(self):\n"
+              "        return sorted(self.terms.items(),\n"
+              "                      key=lambda t: monomial_sort_key(t[0]))\n"
+              "    def leading(self):\n"
+              "        return max(_ordered(self.ring, self.terms.items()))\n"
+              "    def max_order(self, dep):\n"
+              "        return max(self.terms, default=None)\n"
+              "def _pick(rows):\n"
+              "    rows.sort(key=len)\n")
+    tree = ast.parse(sample)
+    assert _order_definers(tree) == ["Poly.sorted_terms", "_pick", "monomial_sort_key"]
+    assert _callers(tree, "_ordered") == ["Poly.leading"]
 
 
 # Only the jet table differentiates.  Omega, the brackets, their
