@@ -621,24 +621,22 @@ class RatExpr:
         return RatExpr(self.num.subs_param(name, value), self.den.subs_param(name, value))
 
     def subs_var(self, name: str, order: int, repl: "RatExpr") -> "RatExpr":
-        """Replace one jet variable (polynomial occurrences in the numerator
-        and denominator) by a rational expression."""
+        """Replace one jet variable x (polynomial occurrences in the numerator
+        and denominator) by a rational expression p / q.  Each side is
+        collected in x and cleared by q to its own top degree: with N and D
+        of top degrees n and d, the result is the one ``RatExpr``
+        (q^n N(p/q) * q^d) / (q^d D(p/q) * q^n), whose construction strips
+        the joint content that intermediate quotients would have."""
         splits = [p.collect(name, order) for p in (self.num, self.den)]
-        highest = max(max(parts, default=0) for parts in splits)
+        tops = [max(parts, default=0) for parts in splits]
         num_pows, den_pows = [self.ring.one()], [self.ring.one()]
-        for _ in range(highest):
+        for _ in range(max(tops)):
             num_pows.append(num_pows[-1] * repl.num)
             den_pows.append(den_pows[-1] * repl.den)
-
-        def subs_poly(parts: dict) -> "RatExpr":
-            top = max(parts, default=0)
-            num = self.ring.zero()
-            for e, coeff in parts.items():
-                num += coeff * num_pows[e] * den_pows[top - e]
-            return RatExpr(num, den_pows[top])
-
-        num, den = map(subs_poly, splits)
-        return num / den
+        num, den = (sum((coeff * num_pows[e] * den_pows[top - e]
+                         for e, coeff in parts.items()), self.ring.zero())
+                    for parts, top in zip(splits, tops))
+        return RatExpr(num * den_pows[tops[1]], den * den_pows[tops[0]])
 
     def eval(self, s_value, jet_values=None, param_values=None) -> float:
         d = self.den.eval(s_value, jet_values, param_values)

@@ -285,21 +285,17 @@ def _bracket_sums(seq: LenardSequence, m: int, n: int, top: int):
 
 # -- closed-form route for the classical seed ----------------------------------
 
-def closed_form_standard(p: int) -> Poly:
-    """p-th Lenard differential polynomial via the sigma-degeneration
-    rearrangement, with no integration performed."""
-    if p < 1:
-        raise IndexOutOfRange("closed form defined for p >= 1")
-    return _closed_form_list(p)[p]
-
-
-def _closed_form_list(count: int) -> list:
+def closed_form_standard(count: int) -> list:
+    """[l_0, ..., l_count] of the classical seed l_0 = 1/2 via the sigma-
+    degeneration rearrangement, from one sweep with no integration
+    performed: sigma_p = 0 gives l_p = sum_{q<p-1} B_{p-1-q,q} +
+    Omega_{0,p-1}, the whole bracket diagonal taken while l_p is still zero
+    (its only l_p is the -l_0 l_p of B_{0,p-1})."""
+    if count < 1:
+        raise IndexOutOfRange("closed form defined for count >= 1")
     seed = SeedCondition.standard()
     seq = LenardSequence(seed, [seed.poly], [], U_RING)
     for p in range(1, count + 1):
-        # sigma_p = 0 with l_0 = 1/2: l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1},
-        # which is the whole bracket diagonal taken while l_p is still zero
-        # (its only l_p is the -l_0 l_p of B_{0,p-1})
         seq.ells.append(U_RING.zero())
         seq.ells[p] = bracket_diagonal(seq, p - 1, 0)
     return seq.ells

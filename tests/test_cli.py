@@ -189,6 +189,21 @@ class TestGenLax:
         assert code == 0
         assert "b = " in out and "z^{-2}" in out
 
+    @pytest.mark.parametrize("k, fmt", [(1, "json"), (4, "latex")])
+    def test_builds_only_the_printed_entries(self, capsys, monkeypatch, k, fmt):
+        # the series a, b and c read l_0..l_k; l_{k+1} would cost D^3(l_k)
+        built = []
+        symbolic = cli.symbolic
+
+        def recorded(seed, count):
+            seq = symbolic(seed, count)
+            built.append(len(seq))
+            return seq
+
+        monkeypatch.setattr(cli, "symbolic", recorded)
+        code, _, _ = run(capsys, "gen-lax", "--k", str(k), "--format", fmt)
+        assert code == 0 and built == [k + 1]
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

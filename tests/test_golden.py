@@ -64,6 +64,8 @@ STDOUT_GOLDENS = {
         "2c2432b563815426a11e9bb5effa33c81f87a65ccc033f4a6b4a09a1b2f6b325",
     ("verify", "--suite", "all", "--max-index", "2"):
         "6d380eaa58c542dfbac43b178dd1afa40d98d3646d35708c93459b82cf3500c0",
+    ("verify", "--suite", "all", "--max-index", "5"):
+        "2d3042cb10631e62c0dce1732167eb218bfbc8db3e1bce222cc1b687be7777c9",
 }
 
 CSV_GOLDENS = {

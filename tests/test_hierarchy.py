@@ -363,9 +363,9 @@ def diagonal_sum_mismatches(top=6):
             found += [("sigma", label, 0, p) for p in range(top + 2)
                       if conserved_sigma(seq, p) != (plain_brackets(seq, p - 1, 0, p)
                                                      - seq.ell(0) * seq.ell(p))]
-    ells = plain_closed_form(top)
-    found += [("closedform", "standard", 0, p) for p in range(1, top + 1)
-              if closed_form_standard(p) != ells[p]]
+    ells, closed = plain_closed_form(top), closed_form_standard(top)
+    found += [("closedform", "standard", 0, p) for p in range(top + 1)
+              if closed[p] != ells[p]]
     return found
 
 

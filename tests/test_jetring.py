@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 import p3lenard
 from p3lenard import jetring
 from p3lenard.hierarchy import hierarchy_ring
-from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring, _decode,
-                              _encode, _occupied)
+from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring,
+                              ZeroDenominator, _decode, _encode, _occupied)
 
 RING = Ring(("u", "v"), ("a", "b"))
 U, V = 0, 1
@@ -422,6 +422,110 @@ class TestSubstitutionAndContent:
         assert (e.num, e.den) == (RING.const(-3), x * 2 + 3)
         with pytest.raises(ZeroDivisionError):
             RatExpr(x, RING.zero())
+
+
+# -- substituting a jet variable ----------------------------------------------
+
+def ref_subs_var(e: RatExpr, name: str, order: int, repl: RatExpr) -> RatExpr:
+    """The body of ``RatExpr.subs_var`` before it built one ``RatExpr``: each
+    side substituted into a ``RatExpr`` of its own, then their quotient."""
+    splits = [p.collect(name, order) for p in (e.num, e.den)]
+    highest = max(max(parts, default=0) for parts in splits)
+    num_pows, den_pows = [e.ring.one()], [e.ring.one()]
+    for _ in range(highest):
+        num_pows.append(num_pows[-1] * repl.num)
+        den_pows.append(den_pows[-1] * repl.den)
+
+    def subs_poly(parts: dict) -> RatExpr:
+        top = max(parts, default=0)
+        num = e.ring.zero()
+        for k, coeff in parts.items():
+            num += coeff * num_pows[k] * den_pows[top - k]
+        return RatExpr(num, den_pows[top])
+
+    num, den = map(subs_poly, splits)
+    return num / den
+
+
+# the substituted variable: two jet orders of u and one of v
+SUBS_VARS = [("u", 0), ("u", 2), ("v", 1)]
+
+
+@st.composite
+def in_powers_of(draw, x: Poly):
+    """sum_{e<=3} c_e x^e with reference coefficients c_e, which may hold x
+    themselves, other jets, s and the parameters."""
+    coeffs = draw(st.lists(refs(max_size=3), min_size=1, max_size=4))
+    return sum((Poly(RING, c) * x ** e for e, c in enumerate(coeffs)), RING.zero())
+
+
+@st.composite
+def substitutions(draw):
+    """(expression, name, order, replacement): the variable up to the cube
+    on both sides, replaced by a quotient whose denominator is not a
+    constant."""
+    name, order = draw(st.sampled_from(SUBS_VARS))
+    x = RING.var(name, order)
+    num = draw(in_powers_of(x))
+    den = draw(in_powers_of(x).filter(bool))
+    repl_den = draw(refs(max_size=3).filter(lambda r: any(m != mono() for m in r)))
+    repl = RatExpr(Poly(RING, draw(refs(max_size=3))), Poly(RING, repl_den))
+    return RatExpr(num, den), name, order, repl
+
+
+def ratexprs_built(subs, e, name, order, repl, monkeypatch) -> int:
+    """How many ``RatExpr`` the substitution ``subs`` constructs."""
+    built = []
+    init = RatExpr.__init__
+
+    def counted(self, num, den=None):
+        built.append(None)
+        init(self, num, den)
+
+    monkeypatch.setattr(RatExpr, "__init__", counted)
+    subs(e, name, order, repl)
+    return len(built)
+
+
+class TestSubsVar:
+    @settings(max_examples=200, deadline=None)
+    @given(case=substitutions())
+    def test_matches_the_quotient_of_substituted_sides(self, case):
+        """A nonzero result is the oracle's canonical pair; a zero one
+        compares equal (its denominator may carry other content)."""
+        e, name, order, repl = case
+        try:
+            want = ref_subs_var(e, name, order, repl)
+        except ZeroDenominator:
+            with pytest.raises(ZeroDenominator):
+                e.subs_var(name, order, repl)
+            return
+        got = e.subs_var(name, order, repl)
+        assert got == want
+        if want.is_zero():
+            assert got.is_zero()
+        else:
+            check(got.num, as_ref(want.num))
+            check(got.den, as_ref(want.den))
+
+    def test_each_side_cleared_to_its_own_top_degree(self):
+        x, a, s = RING.var("u", 1), RING.param("a"), RING.s()
+        q = s + 1
+        got = RatExpr(x * x + a, s * x).subs_var("u", 1, RatExpr(a, q))
+        # (a^2 + a q^2) / q^2 over s a / q: the numerator cleared by q^2 and
+        # the denominator by q, each then multiplied by the other's power,
+        # and the joint content a divided out; no polynomial gcd is taken
+        assert (got.num, got.den) == ((a + q * q) * q, s * q * q)
+
+    CASE = (RatExpr(RING.var("u") ** 2 + RING.s(), RING.var("v", 1) * RING.var("u")),
+            "u", 0, RatExpr(RING.param("a"), RING.s() + 1))
+
+    def test_builds_one_ratexpr(self, monkeypatch):
+        assert ratexprs_built(RatExpr.subs_var, *self.CASE, monkeypatch) == 1
+
+    def test_quotient_of_sides_fails_the_count(self, monkeypatch):
+        # the former body: one RatExpr per side and a third for the quotient
+        assert ratexprs_built(ref_subs_var, *self.CASE, monkeypatch) == 3
 
 
 # -- the packed layout --------------------------------------------------------

@@ -15,6 +15,7 @@ import p3lenard
 from p3lenard import cli, jetring, lenard
 from p3lenard.diffpoly import NotExactDerivative, u, s, const
 from p3lenard.hierarchy import boundary_jet_sequence
+from p3lenard.laxpair import c_relation_residual, compatibility_residual
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
                              shift_identity_residual, symbolic,
@@ -106,13 +107,10 @@ class TestGenerate:
 
 class TestClosedForm:
     def test_goldens(self):
-        assert closed_form_standard(1) == L1
-        assert closed_form_standard(2) == L2
-        assert closed_form_standard(3) == L3
+        assert closed_form_standard(3) == [const(Fraction(1, 2)), L1, L2, L3]
 
     def test_route_equivalence(self, std_seq):
-        for p in range(1, 7):
-            assert closed_form_standard(p) == std_seq.ell(p)
+        assert closed_form_standard(6) == std_seq.ells
 
     def test_requires_positive_index(self):
         with pytest.raises(IndexOutOfRange):
@@ -181,6 +179,64 @@ class TestIdentities:
     def test_corrupted_sequence_breaks_master(self, std_seq):
         bad = std_seq.with_entry(2, std_seq.ell(2) + u())
         assert not master_identity_residual(bad, 1, 1).is_zero()
+
+
+# -- paired routes -----------------------------------------------------------------
+# verify checks two polynomials each by two hand-factored routes: the master
+# residual is the shift residual one index up, since B_{n,m}' = Omega_{n,m}'
+# - l_n' l_{m+1} - l_n l_{m+1}', and the Lax c-relation residual is twice the
+# b-relation (compatibility) residual.  Both are algebra, not recursion, so
+# they hold on sequences that break it: free jets, and a corrupted entry.
+
+def _corrupted_p3():
+    seq = symbolic(SeedCondition.painleve3(), 5)
+    return seq.with_entry(2, seq.ell(2) + seq.u)
+
+
+PAIRED_SEQS = {"free jets": boundary_jet_sequence(6), "corrupted p3": _corrupted_p3()}
+
+
+def master_shift_pairs(seq):
+    """(master(n, m), shift(n + 1, m)) for every n, m the sequence reaches."""
+    top = len(seq) - 1
+    return [(master_identity_residual(seq, n, m), shift_identity_residual(seq, n + 1, m))
+            for n in range(top) for m in range(top)]
+
+
+def lax_pairs(seq):
+    """(c-relation(k), 2 compatibility(k)) for every k the sequence reaches."""
+    return [(c_relation_residual(seq, k), compatibility_residual(seq, k) * 2)
+            for k in range(1, len(seq) - 1)]
+
+
+class TestPairedRoutes:
+    @pytest.mark.parametrize("label", sorted(PAIRED_SEQS))
+    def test_master_is_the_shift_one_index_up(self, label):
+        pairs = master_shift_pairs(PAIRED_SEQS[label])
+        assert all(master == shift for master, shift in pairs)
+        assert sum(not master.is_zero() for master, _ in pairs) >= len(pairs) // 2
+
+    @pytest.mark.parametrize("label", sorted(PAIRED_SEQS))
+    def test_c_relation_is_twice_the_b_relation(self, label):
+        pairs = lax_pairs(PAIRED_SEQS[label])
+        assert all(c_rel == b_rel for c_rel, b_rel in pairs)
+        assert not any(b_rel.is_zero() for _, b_rel in pairs)
+
+    def test_a_bracket_term_verify_cannot_see_breaks_the_pair(self, capsys, monkeypatch):
+        # l_b (l_{a+1}' - recursion_rhs(a)) is zero on every symbolic
+        # sequence, so verify still passes with it added to B'; on free jets
+        # it is not, and the master and shift routes part
+        bracket_prime = lenard._bracket_prime
+
+        def widened(seq, a, b):
+            extra = seq.ell(b) * (seq.jet(a + 1, 1) - seq.recursion_rhs(a))
+            return bracket_prime(seq, a, b) + extra
+
+        monkeypatch.setattr(lenard, "_bracket_prime", widened)
+        assert cli.run(["verify", "--suite", "shift", "--max-index", "2"]) == cli.EXIT_OK
+        capsys.readouterr()
+        pairs = master_shift_pairs(PAIRED_SEQS["free jets"])
+        assert sum(master != shift for master, shift in pairs) > 0
 
 
 # -- memo ------------------------------------------------------------------------
