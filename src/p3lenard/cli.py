@@ -19,11 +19,11 @@ from fractions import Fraction
 
 from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
-from .hierarchy import build_p3_system, conservation_residual
+from .hierarchy import build_p3_system, conservation_residual, conservation_window
 from .jetring import ZeroDenominator
-from .lenard import (SeedCondition, closed_form_standard, generate,
+from .lenard import (Brackets, SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
-                     symbolic, transport_residuals)
+                     symbolic)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, SingularMassMatrix, SolverConfig,
                        compile_k1, compile_k2, integrate, write_csv)
@@ -133,19 +133,27 @@ def _cmd_gen_lax(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
+# how far past --max-index each suite reads: l_0 .. l_{N + reach}
+_REACH = {"master": 0, "shift": 0, "transport": 1, "conservation": 1, "lax": 2}
+
+
 def _verify_sequences(max_index: int, suites) -> dict:
     """The symbolic sequence of each seed that ``suites`` read, by seed label:
-    closedform reads none, lax only p3, every other suite all three."""
-    needed = {label for suite in suites if suite != "closedform"
-              for label in (("p3",) if suite == "lax" else _SEED_LABELS)}
-    return {label: symbolic(_seed_from_label(label), max_index + 2)
-            for label in _SEED_LABELS if label in needed}
+    closedform reads none, lax only p3, every other suite all three, each
+    through l_{N + reach} for the longest reach of its readers (N = ``max_index``)."""
+    reach = {}
+    for suite in (suite for suite in suites if suite in _REACH):
+        for label in ("p3",) if suite == "lax" else _SEED_LABELS:
+            reach[label] = max(reach.get(label, 0), _REACH[suite])
+    return {label: symbolic(_seed_from_label(label), max_index + reach[label])
+            for label in _SEED_LABELS if label in reach}
 
 
 def _verify_checks(suite: str, max_index: int, seqs: dict):
     """Yield (ok, suite, indices-description) tuples, deterministic order.
     ``seqs`` comes from ``_verify_sequences``; suites that share it reuse
-    each sequence's jet table."""
+    each sequence's jet table, and the checks of one suite on one seed
+    share one ``Brackets`` table of B'."""
     count = max_index + 2
 
     if suite == "master":
@@ -161,21 +169,22 @@ def _verify_checks(suite: str, max_index: int, seqs: dict):
                     ok = shift_identity_residual(seq, n, m).is_zero()
                     yield ok, "shift", f"{label} n={n} m={m}"
     elif suite == "transport":
+        windows = [(m, n, min(n, count - 1 - m))
+                   for n in range(max_index + 1) for m in range(max_index)]
         for label, seq in seqs.items():
-            for n in range(max_index + 1):
-                for m in range(max_index):
-                    sweep = transport_residuals(seq, m, n, min(n, count - 1 - m))
-                    for r, resid in enumerate(sweep):
-                        yield resid.is_zero(), "transport", f"{label} m={m} n={n} r={r}"
+            table = Brackets(seq, windows)
+            for m, n, top in windows:
+                for r, (jets, brackets) in enumerate(table.window(m, n, top)):
+                    yield jets == brackets, "transport", f"{label} m={m} n={n} r={r}"
     elif suite == "conservation":
+        checks = [(k, p, "tau") for k in range(1, max_index + 1) for p in range(k + 1)]
+        checks += [(0, p, "sigma") for p in range(count)]
         for label, seq in seqs.items():
-            for k in range(1, max_index + 1):
-                for p in range(k + 1):
-                    ok = conservation_residual(seq, k, p, "tau").is_zero()
-                    yield ok, "conservation", f"{label} tau k={k} p={p}"
-            for p in range(count):
-                ok = conservation_residual(seq, 0, p, "sigma").is_zero()
-                yield ok, "conservation", f"{label} sigma p={p}"
+            table = Brackets(seq, [conservation_window(*check) for check in checks])
+            for k, p, kind in checks:
+                ok = conservation_residual(seq, k, p, kind, table=table).is_zero()
+                where = f"k={k} p={p}" if kind == "tau" else f"p={p}"
+                yield ok, "conservation", f"{label} {kind} {where}"
     elif suite == "closedform":
         seed = SeedCondition.standard()
         top = max_index + 1

@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
-from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
+from .lenard import (Brackets, IndexOutOfRange, LenardSequence, SeedCondition,
                      bracket_diagonal, transport_residual)
 
 
@@ -116,14 +116,21 @@ def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
     return bracket_diagonal(seq, p - 1, 0) - seq.ell(0) * seq.ell(p)
 
 
-def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:
-    """D(tau_p) + 2 l_{k-p} D(l_{k+1}), the transport residual with
-    (m, n, r) = (k-p, k+1, p+1), or D(sigma_p) + 2 l_p D(l_0), minus the one
-    with (m, n, r) = (0, p, p); zero for every recursion-consistent sequence."""
+def conservation_window(k: int, p: int, kind: str) -> tuple:
+    """(m, n, r) of the T(m, n, r) that ``conservation_residual`` is, up to sign."""
     if kind == "tau":
         if not 0 <= p <= k:
             raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
-        return transport_residual(seq, k - p, k + 1, p + 1)
+        return k - p, k + 1, p + 1
     if kind == "sigma":
-        return -transport_residual(seq, 0, p, p)
+        return 0, p, p
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str, *,
+                          table: Brackets | None = None) -> Poly:
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}), the transport residual with
+    (m, n, r) = (k-p, k+1, p+1), or D(sigma_p) + 2 l_p D(l_0), minus the one
+    with (m, n, r) = (0, p, p); zero for every recursion-consistent sequence."""
+    resid = transport_residual(seq, *conservation_window(k, p, kind), table=table)
+    return resid if kind == "tau" else -resid

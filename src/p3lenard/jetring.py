@@ -327,11 +327,11 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check(other)
         den = lcm(self.den, other.den)
@@ -352,17 +352,24 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
             n = other.numerator
             if not n:
                 return self.ring.zero()
             return _make(self.ring, {m: c * n for m, c in self.terms.items()},
                          self.den * other.denominator)
         self._check(other)
-        pairs = ((ka + kb, ca * cb)
-                 for ka, ca in self.terms.items()
-                 for kb, cb in other.terms.items())
-        return _make(self.ring, _guarded(_accumulate({}, pairs)), self.den * other.den)
+        a, b = self.terms, other.terms
+        if not (a and b):
+            return self.ring.zero()
+        one, many = (b, a) if len(b) == 1 else (a, b)
+        if len(one) == 1:           # no two keys collide, no product is zero
+            (kb, cb), = one.items()
+            nums = {ka + kb: ca * cb for ka, ca in many.items()}
+        else:
+            nums = _accumulate({}, ((ka + kb, ca * cb) for ka, ca in a.items()
+                                    for kb, cb in b.items()))
+        return _make(self.ring, _guarded(nums), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -20,23 +20,24 @@ Every derivative below comes from one jet table per sequence,
 Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
 derivatives are bilinear in the entries and follow by Leibniz from jets with
 i <= 3, so no product is differentiated; Omega' and B' gather their u and u'
-terms to multiply full jets only two and three times, and the anti-diagonal
-sweep ``transport_residuals`` adds one B' per step.  Products commute, so
-Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a
-whole anti-diagonal (tau_p, sigma_p and the closed form), builds the Omega
-of each mirrored pair once and counts it twice, and so each mirrored lift
-l_{a-q} l_{b+q+1}.  A jet is reused only
-while ``seq.ell(j)`` is the object it was computed from, so replacing an
-entry, even in place through ``seq.ells[j] = ...``, recomputes its jets;
+terms to multiply full jets only two and three times.  A ``Brackets`` table
+builds each B' of a sequence once, drops it after the last window that
+reads it, and its ``window`` adds one B' per step of an anti-diagonal sweep.
+Products commute, so Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the
+one sum of B over a whole anti-diagonal (tau_p, sigma_p and the closed
+form), builds the Omega of each mirrored pair once and counts it twice, and
+so each mirrored lift l_{a-q} l_{b+q+1}.  A jet is reused only while
+``seq.ell(j)`` is the object it was computed from, so replacing an entry,
+even in place through ``seq.ells[j] = ...``, recomputes its jets;
 ``with_entry`` starts an empty table.  Symbolic rules are fixed when built;
 the jets of l_j read only those of l_1 .. l_j.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 
 from .jetring import Poly, Ring
 from .diffpoly import U_RING, NotExactDerivative, formal_integral
@@ -189,11 +190,10 @@ def omega(seq: LenardSequence, n: int, m: int) -> Poly:
     return n2 * m0 - n1 * m1 + n0 * m2 + 4 * seq.u * (n0 * m0)
 
 
-def diagonal(f, seq: LenardSequence, a: int, b: int, count: int):
-    """Yield f(seq, a - q, b + q) for q = 0..count-1: the anti-diagonal walk
-    of every bracket sum."""
-    for q in range(count):
-        yield f(seq, a - q, b + q)
+def diagonal(a: int, b: int, count: int) -> list:
+    """[(a - q, b + q) for q = 0..count-1]: the anti-diagonal walk of every
+    bracket sum."""
+    return [(a - q, b + q) for q in range(count)]
 
 
 def _lift(seq: LenardSequence, a: int, b: int) -> Poly:
@@ -206,7 +206,7 @@ def _mirrored(f, seq: LenardSequence, a: int, b: int, count: int) -> Poly:
     count - 1 - q agree: each mirrored pair is built once and counted
     twice."""
     half = count // 2
-    total = 2 * sum(diagonal(f, seq, a, b, half), seq.ring.zero())
+    total = 2 * sum((f(seq, *key) for key in diagonal(a, b, half)), seq.ring.zero())
     if count % 2:
         total += f(seq, a - half, b + half)
     return total
@@ -259,28 +259,47 @@ def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
     return transport_residual(seq, m, n, 1)
 
 
-def transport_residual(seq: LenardSequence, m: int, n: int, r: int) -> Poly:
+class Brackets(dict):
+    """B'_{a,b} of one sequence by (a, b), each built once through the
+    module's ``_bracket_prime``.  Given the (m, n, top) of every window a
+    run reads, it drops each entry after its last read."""
+
+    def __init__(self, seq: LenardSequence, windows=()):
+        self.seq = seq
+        self.reads = Counter(key for m, n, top in windows
+                             for key in diagonal(n - 1, m, top))
+
+    def __call__(self, a: int, b: int) -> Poly:
+        key = a, b
+        if key not in self:
+            self[key] = _bracket_prime(self.seq, a, b)
+        self.reads[key] -= 1
+        return self[key] if self.reads[key] else self.pop(key)
+
+    def window(self, m: int, n: int, top: int, start: int = 0):
+        """Yield the two sides of T(m, n, r) for r = start..top: the jet
+        products l_m l_n' - l_{m+r} l_{n-r}' and the running sum of B',
+        which adds one entry per step.  T(m, n, r) is zero iff they agree."""
+        if not 0 <= top <= n:
+            raise IndexOutOfRange(f"transport distance {top} outside 0..{n}")
+        seq = self.seq
+        head = seq.ell(m) * seq.jet(n, 1)
+        sums = accumulate(starmap(self, diagonal(n - 1, m, top)),
+                          initial=seq.ring.zero())
+        for r, brackets in enumerate(sums):
+            if r >= start:
+                yield head - seq.ell(m + r) * seq.jet(n - r, 1), brackets
+
+
+def transport_residual(seq: LenardSequence, m: int, n: int, r: int, *,
+                       table: Brackets | None = None) -> Poly:
     """Residual of moving l_m l_n' a distance r along an anti-diagonal,
     T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}',
-    from exactly r bracket derivatives B' (three products of full jets each);
-    ``transport_residuals`` gives T(m, n, 0..top) from top of them."""
-    *_, brackets = _bracket_sums(seq, m, n, r)
-    return seq.ell(m) * seq.jet(n, 1) - seq.ell(m + r) * seq.jet(n - r, 1) - brackets
-
-
-def transport_residuals(seq: LenardSequence, m: int, n: int, top: int):
-    """Yield T(m, n, r) for r = 0..top, adding one new B' per step."""
-    head = seq.ell(m) * seq.jet(n, 1)
-    for r, brackets in enumerate(_bracket_sums(seq, m, n, top)):
-        yield head - seq.ell(m + r) * seq.jet(n - r, 1) - brackets
-
-
-def _bracket_sums(seq: LenardSequence, m: int, n: int, top: int):
-    """Yield the running sums sum_{q<r} B_{n-q-1,m+q}' for r = 0..top."""
-    if not 0 <= top <= n:
-        raise IndexOutOfRange(f"transport distance {top} outside 0..{n}")
-    yield from accumulate(diagonal(_bracket_prime, seq, n - 1, m, top),
-                          initial=seq.ring.zero())
+    from exactly r bracket derivatives B' (three products of full jets each)
+    of ``table``, a fresh ``Brackets(seq)`` by default."""
+    table = Brackets(seq) if table is None else table
+    jets, brackets = next(table.window(m, n, r, start=r))
+    return jets - brackets
 
 
 # -- closed-form route for the classical seed ----------------------------------

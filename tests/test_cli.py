@@ -2,7 +2,13 @@
 and the CSV integration path."""
 
 import json
+import marshal
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -12,6 +18,7 @@ from p3lenard.diffpoly import U_RING, u
 from p3lenard.hierarchy import (build_p3_system, equation_equivalent,
                                 hierarchy_ring)
 from p3lenard.jetring import RatExpr
+from p3lenard.lenard import IndexOutOfRange
 
 from test_odesolve import _flip_tau_sign
 
@@ -239,29 +246,46 @@ class TestVerify:
         assert last in out.splitlines()
 
     @pytest.mark.parametrize("suite, seeds", [
-        ("master", ["standard", "painleve3", "custom"]),
-        ("shift", ["standard", "painleve3", "custom"]),
-        ("transport", ["standard", "painleve3", "custom"]),
-        ("conservation", ["standard", "painleve3", "custom"]),
+        ("master", [("standard", 4), ("painleve3", 4), ("custom", 4)]),
+        ("shift", [("standard", 4), ("painleve3", 4), ("custom", 4)]),
+        ("transport", [("standard", 5), ("painleve3", 5), ("custom", 5)]),
+        ("conservation", [("standard", 5), ("painleve3", 5), ("custom", 5)]),
         ("closedform", []),
-        ("lax", ["painleve3"]),
-        ("all", ["standard", "painleve3", "custom"]),
+        ("lax", [("painleve3", 6)]),
+        ("all", [("standard", 5), ("painleve3", 6), ("custom", 5)]),
     ])
     def test_symbolic_sequences_per_command(self, capsys, monkeypatch, suite,
                                             seeds):
-        # one sequence per seed a suite reads, each through l_{N+2}
-        built = []
+        # one sequence per seed a suite reads, each only as long as the
+        # suites reading it: at N = 4, master and shift read l_0..l_N,
+        # transport and conservation l_0..l_{N+1}, lax l_0..l_{N+2}
+        calls = []
         symbolic = cli.symbolic
 
         def counted(seed, count):
-            built.append((seed.variant, count))
+            calls.append((seed.variant, count))
             return symbolic(seed, count)
 
         monkeypatch.setattr(cli, "symbolic", counted)
         code, out, _ = run(capsys, "verify", "--suite", suite,
-                           "--max-index", "2")
+                           "--max-index", "4")
         assert code == 0 and out.endswith(" passed, 0 failed\n")
-        assert built == [(seed, 4) for seed in seeds]
+        assert calls == seeds
+
+    @pytest.mark.parametrize("suite", ["master", "shift", "transport",
+                                       "conservation", "lax"])
+    def test_a_sequence_one_entry_short_raises_or_fails(self, capsys,
+                                                        monkeypatch, suite):
+        # the reach above is the least each suite can run on
+        symbolic = cli.symbolic
+        monkeypatch.setattr(cli, "symbolic",
+                            lambda seed, count: symbolic(seed, count - 1))
+        try:
+            code = cli.run(["verify", "--suite", suite, "--max-index", "4"])
+        except IndexOutOfRange:
+            code = None
+        capsys.readouterr()
+        assert code != cli.EXIT_OK
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_verify_checks",
@@ -401,3 +425,31 @@ class TestTopLevel:
 
     def test_help_is_success(self, capsys):
         assert run(capsys, "--help")[0] == cli.EXIT_OK
+
+
+# -- the benchmark's traced pass ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestTracedBenchmark:
+    """perfbench/child.py runs one command with the package traced; a
+    traced pass must keep running when the names it wraps change."""
+
+    @pytest.mark.parametrize("suite, layer", [
+        ("transport", "lenard.symbolic"),
+        ("conservation", "hierarchy.conservation_residual")])
+    def test_child_writes_spans(self, tmp_path, suite, layer):
+        spans = tmp_path / "spans.bin"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "perfbench")]))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"),
+             repr(time.perf_counter()), str(spans), "0", "--",
+             "verify", "--suite", suite, "--max-index", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["rc"] == cli.EXIT_OK
+        assert spans.stat().st_size > 0
+        layers = {span[0] for span in marshal.loads(spans.read_bytes())["spans"]}
+        assert {"cli.run", layer} <= layers

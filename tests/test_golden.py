@@ -66,6 +66,20 @@ STDOUT_GOLDENS = {
         "6d380eaa58c542dfbac43b178dd1afa40d98d3646d35708c93459b82cf3500c0",
     ("verify", "--suite", "all", "--max-index", "5"):
         "2d3042cb10631e62c0dce1732167eb218bfbc8db3e1bce222cc1b687be7777c9",
+    ("verify", "--suite", "all", "--max-index", "8"):
+        "f8a9f9473db6716b9b629bcd96622471993c2fe69ff5542d913f7c04ce39ae35",
+    ("verify", "--suite", "master", "--max-index", "6"):
+        "b66f8ac46207db5703935c7cd5211f119e21c2faffe9717b361f4fe2725650f6",
+    ("verify", "--suite", "shift", "--max-index", "6"):
+        "f01752399afccc480e358e1ce38af875a166d753f4a903deb332df83ab1387f6",
+    ("verify", "--suite", "transport", "--max-index", "6"):
+        "1694f097f4bcd3ab8d53e6cab8d1c2d72b7a273f51e0f6bf7e289b65d4573b0d",
+    ("verify", "--suite", "conservation", "--max-index", "6"):
+        "a024b2bc28a3bd67286894da07c3467517c79be732aaa613174e0fbdddb99102",
+    ("verify", "--suite", "closedform", "--max-index", "6"):
+        "53e80e7e9942ee4bc5a7d54e287a719cbbc773419d7dba840f347d63ed1888f7",
+    ("verify", "--suite", "lax", "--max-index", "6"):
+        "42b43a923ad80952f7ffb2b9d1eeb91a69b98495b18366a9d73c74083d1e5647",
 }
 
 CSV_GOLDENS = {

@@ -10,6 +10,7 @@ on a wide ring, with parameters, jet orders and exponents far beyond the
 first slots, and every way an exponent can reach 2**15 must raise.
 """
 
+import operator
 import os
 import subprocess
 import sys
@@ -24,7 +25,8 @@ import p3lenard
 from p3lenard import jetring
 from p3lenard.hierarchy import hierarchy_ring
 from p3lenard.jetring import (ExponentOverflow, Poly, RatExpr, Ring,
-                              ZeroDenominator, _decode, _encode, _occupied)
+                              ZeroDenominator, _accumulate, _decode, _encode,
+                              _guarded, _make, _occupied)
 
 RING = Ring(("u", "v"), ("a", "b"))
 U, V = 0, 1
@@ -904,3 +906,97 @@ def test_rule_defined_dependent_above_order_zero_is_refused():
         (ring.var("l2", 1) * ring.var("l1")).total_derivative(rules)
     with pytest.raises(ValueError, match="jet order 3 of rule-defined dependent 'l1'"):
         ring.var("l1", 3).total_derivative(rules)
+
+
+# -- products with a one-term factor ---------------------------------------------
+
+def merge_mul(p: Poly, q: Poly) -> Poly:
+    """The product as ``Poly.__mul__`` formed every one before products with
+    a one-term factor took their own path: the merge of every pair of terms.
+    Bound at import, so a test that patches the kernel leaves it alone."""
+    pairs = ((ka + kb, ca * cb) for ka, ca in p.terms.items()
+             for kb, cb in q.terms.items())
+    return _make(p.ring, _guarded(_accumulate({}, pairs)), p.den * q.den)
+
+
+def one_term_refs():
+    return st.tuples(monomials(), coefficients).map(lambda t: {t[0]: t[1]})
+
+
+def one_term_faults():
+    """The cases where ``*`` departs from the merge: a product whose
+    denominator the gcd must cancel, and one whose s power reaches 2**15."""
+    faults = []
+    half, x = RING.var("u", 1) * Fraction(1, 2), RING.var("u", 1) * 4
+    many = RING.param("b") * 2 + x
+    got, want = half * many, merge_mul(half, many)
+    if (got.terms, got.den) != (want.terms, want.den):
+        faults.append("canonical")
+    high = single(RING, mono(LIMIT // 2))
+    try:
+        high * (high + x)
+        faults.append("overflow")
+    except ExponentOverflow:
+        pass
+    return faults
+
+
+def ungcd_make(ring, nums, den):
+    """``_make`` without the gcd: ``nums / den`` as given."""
+    p = object.__new__(Poly)
+    p.ring, p.terms, p.den = ring, nums, den if nums else 1
+    return p
+
+
+class TestOneTermProducts:
+    @EXAMPLES
+    @given(t=one_term_refs(), r=refs(), left=st.booleans())
+    def test_matches_the_merge(self, t, r, left):
+        a, b = Poly(RING, t), Poly(RING, r)
+        if left:
+            a, b = b, a
+        got, want = a * b, merge_mul(a, b)
+        assert_canonical(got)
+        assert (list(got.terms.items()), got.den) == (list(want.terms.items()), want.den)
+
+    @EXAMPLES
+    @given(r=refs(), c=coefficients)
+    def test_constant_factors(self, r, c):
+        p = Poly(RING, r)
+        assert list((p * RING.one()).terms.items()) == list(p.terms.items())
+        assert list((RING.one() * p).terms.items()) == list(p.terms.items())
+        k = RING.const(c)
+        for got, want in ((p * k, merge_mul(p, k)), (k * p, merge_mul(k, p))):
+            assert_canonical(got)
+            assert (got.terms, got.den) == (want.terms, want.den)
+        check(p * RING.zero(), {})
+        check(RING.zero() * p, {})
+
+    @EXAMPLES
+    @given(e=st.integers(LIMIT // 2 - 2, LIMIT // 2 + 1), r=refs(),
+           left=st.booleans())
+    def test_a_slot_reaching_2_15_raises_as_in_the_merge(self, e, r, left):
+        # s powers e and LIMIT/2 - 2 .. LIMIT/2 sum to LIMIT - 4 .. LIMIT + 1
+        a = single(RING, mono(e, {(U, 1): 1}))
+        b = Poly(RING, {(s + LIMIT // 2 - 2, jets, pars): c
+                        for (s, jets, pars), c in r.items()})
+        if left:
+            a, b = b, a
+        outcomes = []
+        for mul in (operator.mul, merge_mul):
+            try:
+                outcomes.append(mul(a, b).terms)
+            except ExponentOverflow:
+                outcomes.append("raised")
+        assert outcomes[0] == outcomes[1]
+
+    def test_one_term_path_has_no_fault(self):
+        assert one_term_faults() == []
+
+    def test_an_unguarded_one_term_path_fails(self, monkeypatch):
+        monkeypatch.setattr(jetring, "_guarded", lambda keys: keys)
+        assert one_term_faults() == ["overflow"]
+
+    def test_a_one_term_path_without_the_gcd_fails(self, monkeypatch):
+        monkeypatch.setattr(jetring, "_make", ungcd_make)
+        assert one_term_faults() == ["canonical"]

@@ -19,7 +19,7 @@ from p3lenard.laxpair import c_relation_residual, compatibility_residual
 from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standard,
                              generate, master_identity_residual, omega,
                              shift_identity_residual, symbolic,
-                             transport_residual, transport_residuals)
+                             transport_residual)
 
 L1 = u()
 L2 = u(2) + 3 * u() ** 2
@@ -168,7 +168,7 @@ class TestIdentities:
             transport_residual(sym_seq, 0, 2, -1)
         for top in (3, -1):
             with pytest.raises(IndexOutOfRange):
-                list(transport_residuals(sym_seq, 0, 2, top))
+                list(lenard.Brackets(sym_seq).window(0, 2, top))
 
     def test_identities_hold_on_generated_sequence(self, std_seq):
         # same identities on the explicitly integrated representation
@@ -315,7 +315,8 @@ class TestMemo:
         for m in range(MAX_INDEX):
             for n in range(MAX_INDEX + 1):
                 top = min(n, MAX_INDEX + 1 - m)
-                assert list(transport_residuals(seq, m, n, top)) == [
+                assert [jets - brackets for jets, brackets
+                        in lenard.Brackets(seq).window(m, n, top)] == [
                     refs["transport", (m, n, r)] for r in range(top + 1)], (m, n)
 
     def test_with_entry_starts_an_empty_memo(self):
@@ -376,13 +377,72 @@ class TestMemo:
 
     def test_transport_suite_takes_one_bracket_per_step(self, monkeypatch):
         # `verify --suite transport --max-index 4` on one seed sweeps each
-        # (m, n) once: sum over (m, n) of top = 36 B', not the 66 that one
-        # transport_residual per r takes
+        # (m, n) once from one table: its 19 distinct B', not the 36 of one
+        # build per step or the 66 that one transport_residual per r takes
         calls = self._count_brackets(monkeypatch)
-        seq = symbolic(SeedCondition.painleve3(), 6)
+        seq = symbolic(SeedCondition.painleve3(), 5)
         checks = list(cli._verify_checks("transport", 4, {"p3": seq}))
         assert len(checks) == 56 and all(ok for ok, _, _ in checks)
-        assert len(calls) == 36
+        assert len(calls) == 19
+
+    @pytest.mark.parametrize("suite, max_index, builds", [
+        ("transport", 4, 57), ("transport", 8, 213),
+        ("conservation", 2, 27), ("conservation", 8, 243)])
+    def test_suite_builds_each_bracket_once_per_seed(self, capsys, monkeypatch,
+                                                     suite, max_index, builds):
+        built = []
+        bracket_prime = lenard._bracket_prime
+
+        def counted(seq, a, b):
+            built.append((seq.seed.variant, a, b))
+            return bracket_prime(seq, a, b)
+
+        monkeypatch.setattr(lenard, "_bracket_prime", counted)
+        code = cli.run(["verify", "--suite", suite, "--max-index", str(max_index)])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert len(built) == len(set(built)) == builds
+
+    def test_table_drops_each_bracket_after_its_last_read(self, capsys,
+                                                          monkeypatch):
+        # the transport suite at index 8 reads 71 distinct B' per seed;
+        # dropped after their last read, at most 34 are held at once, and
+        # none once the seed's checks are done
+        tables = []
+
+        class Spy(lenard.Brackets):
+            def __init__(self, seq, windows=()):
+                super().__init__(seq, windows)
+                self.live = []
+                tables.append(self)
+
+            def __call__(self, a, b):
+                value = super().__call__(a, b)
+                self.live.append(len(self))
+                return value
+
+        monkeypatch.setattr(cli, "Brackets", Spy)
+        code = cli.run(["verify", "--suite", "transport", "--max-index", "8"])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK and len(tables) == 3
+        assert all(max(t.live) <= 34 and not t for t in tables)
+
+    @pytest.mark.parametrize("suite", ["transport", "shift", "conservation"])
+    def test_a_wrong_table_entry_fails_the_suite(self, capsys, monkeypatch, suite):
+        # B'_{1,1} + l_1 l_1' for the one key every suite reads at index 2:
+        # the checks sum what the table returns, so each suite fails
+        read = lenard.Brackets.__call__
+
+        def wrong(self, a, b):
+            value = read(self, a, b)
+            return value + self.seq.ell(1) * self.seq.jet(1, 1) if (a, b) == (1, 1) \
+                else value
+
+        monkeypatch.setattr(lenard.Brackets, "__call__", wrong)
+        code = cli.run(["verify", "--suite", suite, "--max-index", "2"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert f"FAIL {suite} " in out
 
     def test_single_transport_takes_r_brackets(self, monkeypatch):
         calls = self._count_brackets(monkeypatch)

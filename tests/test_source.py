@@ -274,8 +274,8 @@ NO_DERIVATIVE_PATHS = {
                   "build_p3_system"),
     "lenard": ("omega", "bracket_diagonal", "diagonal", "_omega_prime", "_bracket_prime",
                "master_identity_residual", "shift_identity_residual",
-               "transport_residual", "transport_residuals", "generate",
-               "symbolic", "LenardSequence.recursion_rhs"),
+               "transport_residual", "Brackets.__call__", "Brackets.window",
+               "generate", "symbolic", "LenardSequence.recursion_rhs"),
     "laxpair": ("build_b", "derive_a_c", "compatibility_residual",
                 "c_relation_residual"),
 }
