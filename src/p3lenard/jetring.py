@@ -218,9 +218,6 @@ class Ring:
                 and self.dependents == other.dependents
                 and self.params == other.params)
 
-    def __hash__(self):
-        return hash((self.dependents, self.params))
-
     def __repr__(self):
         return f"Ring(dependents={self.dependents!r}, params={self.params!r})"
 
@@ -298,9 +295,6 @@ class Poly:
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.den == other.den and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.ring, self.den, tuple(sorted(self.terms.items()))))
-
     def sorted_terms(self):
         """(monomial, Fraction coefficient) pairs, greatest monomial first."""
         den = self.den
@@ -347,9 +341,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if other.__class__ is not Poly and isinstance(other, (int, Fraction)):
@@ -587,9 +578,6 @@ class RatExpr:
         if not isinstance(other, RatExpr):
             other = RatExpr.of(other, self.ring)
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        raise TypeError("RatExpr is unhashable")
 
     def __add__(self, other):
         other = RatExpr.of(other, self.ring)

@@ -47,13 +47,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "ring coeffs")):
     def powers(self) -> list:
         return sorted(self.coeffs)
 
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def __ne__(self, other):  # tuple.__ne__ would bypass __eq__
-        return not self == other
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for n, p in other.coeffs.items():

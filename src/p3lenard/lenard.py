@@ -73,8 +73,7 @@ class LenardSequence:
     ``rules`` is empty for explicitly integrated sequences (their entries are
     u-jet polynomials, differentiated as such) and maps each symbolic entry's
     name to its recursion-supplied derivative otherwise.  ``u`` and ``du``
-    are u and u' in ``ring``, built once.  Equality and repr read the five
-    fields, never the jet table or ``u`` and ``du``.
+    are u and u' in ``ring``, built once.
     """
 
     def __init__(self, seed: SeedCondition, ells: list, constants: list,
@@ -83,17 +82,6 @@ class LenardSequence:
         self.rules = {} if rules is None else rules
         self._jets = {}
         self.u, self.du = ring.var("u", 0), ring.var("u", 1)
-
-    def _key(self):
-        return self.seed, self.ells, self.constants, self.ring, self.rules
-
-    def __eq__(self, other):
-        return (self._key() == other._key()
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __repr__(self):
-        return ("LenardSequence(seed=%r, ells=%r, constants=%r, ring=%r, "
-                "rules=%r)" % self._key())
 
     def __len__(self):
         return len(self.ells)

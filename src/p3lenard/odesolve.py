@@ -2,7 +2,7 @@
 
 The compiler starts from the symbolic equations of ``build_p3_system``,
 substitutes numeric tau values, solves the (linear) second-derivative block
-once by cofactors (Cramer's rule), the same way for every k, and generates
+once by forward substitution, the same way for every k, and generates
 one straight-line Python function for the right-hand side and one for the
 monitor u.  The right-hand side guards the l_p that divide an equation
 denominator (l_k alone, for every k checked) and the block determinant.
@@ -224,16 +224,40 @@ def _second_derivative_split(num: Poly, unknowns: list):
     return rest, coeffs
 
 
-def _determinant(rows: list) -> Poly:
-    """Cofactor expansion along the first row, skipping zero entries."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = rows[0][0].ring.zero()
-    for j, entry in enumerate(rows[0]):
-        if not entry.is_zero():
-            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            total += (-1) ** j * entry * _determinant(minor)
-    return total
+def _solve_block(splits: list):
+    """(det, (l_1'', ..., l_k'')) of A_p + sum_q B_pq l_q'' = 0, one
+    (A_p, [B_pq]) of ``splits`` per equation, by fraction-free forward
+    substitution.  Equation p reads only l_{k-p}'' .. l_k'', so with
+    x_j = l_{k-j}'' the block is lower Hessenberg.  Row i < k - 1, times
+    the product D of the negated superdiagonal entries above it, gives
+    x_{i+1} = (a + b x_0) / (-B D) for its one-term superdiagonal entry B;
+    the last row, a + b x_0 = 0, fixes x_0, and its pivot b is the
+    determinant, signed by (-1)^(k(k-1)/2) for the reversed columns.  Every
+    divisor is one term, so each l_p'' is the canonical RatExpr of Cramer's
+    rule; any other shape raises ValueError."""
+    k = len(splits)
+    pairs = []                  # x_j = (a_j + b_j x_0) / den, j = 1, 2, ...
+    den = splits[0][0].ring.one()
+    for i, (rest, coeffs) in enumerate(splits):
+        row = coeffs[::-1]      # row[j] multiplies x_j
+        if any(row[i + 2:]):
+            raise ValueError(f"equation {i + 1} reads an l'' past the superdiagonal")
+        a, b = rest * den, row[0] * den
+        for entry, (aj, bj) in zip(row[1:], pairs):
+            if entry:
+                a, b = a + entry * aj, b + entry * bj
+        if i == k - 1:
+            break
+        pivot = -row[i + 1]
+        if len(pivot.terms) != 1:
+            raise ValueError(f"superdiagonal entry of equation {i + 1} is not one term")
+        pairs = [(aj * pivot, bj * pivot) for aj, bj in pairs] + [(a, b)]
+        den = den * pivot
+    if len(b.terms) != 1:
+        raise ValueError("last pivot of the l'' block is not one term")
+    return ((-1) ** (k * (k - 1) // 2) * b,
+            (*(RatExpr(aj * b - bj * a, den * b) for aj, bj in reversed(pairs)),
+             RatExpr(-a, b)))
 
 
 class _ExactSystem(namedtuple("_ExactSystem", "k state_names layout guarded "
@@ -269,10 +293,7 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
                            for eq in equations))
     # equation p reads sum_q B_pq l_q'' = -A_p
     splits = [_second_derivative_split(eq.num, unknowns) for eq in equations]
-    det = _determinant([coeffs for _, coeffs in splits])
-    f_exprs = [RatExpr(_determinant([coeffs[:q] + [-a] + coeffs[q + 1:]
-                                     for a, coeffs in splits]), det)
-               for q in range(k)]
+    det, f_exprs = _solve_block(splits)
 
     def subs_second(e: RatExpr) -> RatExpr:
         for name, f in zip(unknowns, f_exprs):
@@ -311,7 +332,7 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
         state_names.append(name + "p")
 
     return _ExactSystem(k=k, state_names=tuple(state_names), layout=layout,
-                        guarded=guarded, det=det, second=tuple(f_exprs),
+                        guarded=guarded, det=det, second=f_exprs,
                         monitors={"u": u0},
                         constants={name: value
                                    for name, (_, value) in on_shell.items()})

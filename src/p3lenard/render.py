@@ -124,8 +124,10 @@ def poly_to_obj(poly: Poly) -> dict:
 
 
 def _whole(value) -> int:
-    """A JSON exponent, s power or jet order, never truncated to an int."""
-    if isinstance(value, float) and not value.is_integer():    # 2.7, 1e400, NaN
+    """A JSON exponent, s power or jet order, never truncated to an int
+    and never read from a JSON ``true`` or ``false``."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):    # 2.7, 1e400, NaN
         raise ValueError(f"exponent or order {value!r} is not a whole number")
     return int(value)
 

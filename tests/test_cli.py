@@ -113,12 +113,14 @@ class TestGenLenard:
     @pytest.mark.parametrize("term", [
         '"jets":{"0":2.7}', '"s":1e400', '"s":0.5', '"jets":{"0":1e400}',
         '"jets":{"0":NaN}', '"jets":{"0":-Infinity}', '"jets":{"1.5":1}',
+        '"s":true', '"jets":{"0":true}',
     ], ids=["fractional-exponent", "infinite-s-power", "fractional-s-power",
             "infinite-exponent", "nan-exponent", "negative-infinite-exponent",
-            "fractional-order"])
+            "fractional-order", "boolean-s-power", "boolean-exponent"])
     def test_json_exponent_must_be_a_whole_number(self, capsys, term):
         """An exponent, s power or jet order is never truncated (2.7 read as
-        2) or reported as a runtime error (1e400): each is a bad seed."""
+        2), read from a boolean (true as 1) or reported as a runtime error
+        (1e400): each is a bad seed."""
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
                              '{"terms":[{"coef":"1",%s}]}' % term, "--count", "1")
         assert (code, out) == (cli.EXIT_USAGE, "")

@@ -1,5 +1,6 @@
-"""Numerical layer: the generic compile path (exact constants, Cramer solve,
-derived guard), RK4 behaviour, and the trajectory CSV."""
+"""Numerical layer: the generic compile path (exact constants, forward
+substitution through the l'' block with Cramer's rule as its oracle, derived
+guard), RK4 behaviour, and the trajectory CSV."""
 
 import ast
 import csv
@@ -26,9 +27,9 @@ from p3lenard.hierarchy import build_p3_system
 from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, ConstantMismatch, DomainError,
                                SingularMassMatrix, SolverConfig, Trajectory,
-                               _compile_system,
-                               _exact_system, _generate, compile_k1,
-                               compile_k2, integrate, write_csv)
+                               _compile_system, _exact_system, _generate,
+                               _second_derivative_split, _solve_block,
+                               compile_k1, compile_k2, integrate, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -772,9 +773,74 @@ def generic_exact():
     return {k: _exact_system(k, _taus(k)) for k in GENERIC_KS}
 
 
+def _block(k):
+    """(A_p, [B_pq]) of each equation A_p + sum_q B_pq l_q'' of the k-th
+    system at tau = ``_taus(k)``, split as ``_exact_system`` splits it."""
+    unknowns = [f"l{p}" for p in range(1, k + 1)]
+    splits = []
+    for eq in build_p3_system(k).equations:
+        for p, t in enumerate(_taus(k)):
+            eq = eq.subs_param(f"tau{p}", t)
+        splits.append(_second_derivative_split(eq.num, unknowns))
+    return splits
+
+
+def _determinant(rows):
+    """Cofactor expansion along the first row, skipping zero entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * entry * _determinant(minor)
+    return total
+
+
+def _cramer(splits):
+    """(det, (l_1'', ..., l_k'')) by Cramer's rule: the oracle of
+    ``_solve_block``."""
+    det = _determinant([coeffs for _, coeffs in splits])
+    return det, tuple(RatExpr(_determinant([coeffs[:q] + [-a] + coeffs[q + 1:]
+                                            for a, coeffs in splits]), det)
+                      for q in range(len(splits)))
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    return {k: _block(k) for k in range(1, 9)}
+
+
+class TestBlockSolve:
+    """Fraction-free forward substitution through the lower Hessenberg l''
+    block, against Cramer's rule."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_solve_matches_cramer(self, blocks, k):
+        # the same canonical (num, den) of every l_p'', so the same text
+        det, second = _solve_block(blocks[k])
+        cramer_det, cramer_second = _cramer(blocks[k])
+        assert det == cramer_det
+        assert [(f.num, f.den) for f in second] == [
+            (f.num, f.den) for f in cramer_second]
+
+    @pytest.mark.parametrize("row, column, match", [
+        (0, 0, "past the superdiagonal"),       # B_11, at x_2 = l_1''
+        (0, 1, "superdiagonal entry of equation 1 is not one term"),
+        (2, 2, "last pivot"),
+    ], ids=["above-superdiagonal", "two-term-superdiagonal",
+            "two-term-pivot"])
+    def test_corrupted_block_raises(self, blocks, row, column, match):
+        splits = [(a, list(coeffs)) for a, coeffs in blocks[3]]
+        coeffs = splits[row][1]
+        coeffs[column] = coeffs[column] + coeffs[column].ring.one()
+        with pytest.raises(ValueError, match=match):
+            _solve_block(splits)
+
+
 class TestGenericCompile:
-    """One cofactor solve, one derived guard and one exact constant check
-    for every k."""
+    """One forward-substitution solve, one derived guard and one exact
+    constant check for every k."""
 
     @pytest.mark.parametrize("k", GENERIC_KS)
     def test_constants_proved_exactly(self, generic_exact, k):
@@ -782,12 +848,19 @@ class TestGenericCompile:
         assert generic_exact[k].constants == {
             **{f"tau{p}": p + 1 for p in range(1, k + 1)}, "ell_next_drift": 0}
 
-    @pytest.mark.parametrize("k", GENERIC_KS)
-    def test_determinant_is_one_monomial(self, generic_exact, k):
-        det = generic_exact[k].det
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_determinant_is_one_monomial(self, blocks, k):
+        det, _ = _solve_block(blocks[k])
         monomial = (2 ** (k - 1) * det.ring.s()
                     * det.ring.var(f"l{k}", 0) ** (3 * k - 2))
         assert det == monomial or det == -monomial
+
+    @pytest.mark.parametrize("k", GENERIC_KS)
+    def test_compile_reads_the_block_solve(self, generic_exact, blocks, k):
+        det, second = _solve_block(blocks[k])
+        assert generic_exact[k].det == det
+        assert [(f.num, f.den) for f in generic_exact[k].second] == [
+            (f.num, f.den) for f in second]
 
     @pytest.mark.parametrize("k", GENERIC_KS)
     def test_generated_source_skips_exact_no_ops(self, generic_exact, k):

@@ -2,6 +2,9 @@
 
 import argparse
 import ast
+import contextlib
+import importlib
+import io
 import re
 import subprocess
 import sys
@@ -9,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import p3lenard
-from p3lenard import hierarchy, jetring, laxpair, lenard, odesolve
+from p3lenard import cli, hierarchy, jetring, laxpair, lenard, odesolve
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -586,12 +589,50 @@ def test_cli_import_leaves_startup_heavy_modules_unloaded():
     assert out.stdout == "[]\n"
 
 
+# Every function and method of the package, dunders included, is entered
+# by one of the small commands of ``_reach_commands``, or is read by the test
+# named for it here: oracles and test constructors, the operators that
+# reference computations build with, reprs, and the exception that a state of
+# exactly zero raises.
+READ_BY_TESTS = {
+    "hierarchy.HierarchySystem.equation":
+        "test_hierarchy.py::TestBuildSystem::test_k1_golden",
+    "hierarchy.equation_equivalent":
+        "test_hierarchy.py::TestBuildSystem::test_k1_golden",
+    "hierarchy.conserved_sigma":
+        "test_hierarchy.py::TestConservedQuantities::test_sigma0_standard",
+    "jetring.Poly.__init__": "test_jetring.py::TestArithmetic::test_mul",
+    "jetring.Poly.monomial_content":
+        "test_jetring.py::TestPackedLayout::test_monomial_content_on_a_wide_ring",
+    "jetring.Poly.divide_monomial":
+        "test_jetring.py::TestSubstitutionAndContent::test_divide_monomial",
+    "jetring.Poly.primitive_core":
+        "test_jetring.py::TestSubstitutionAndContent::test_primitive_core_and_content",
+    "jetring.Poly.eval": "test_odesolve.py::TestCompileK2::test_round_trip_residual",
+    "jetring.RatExpr.eval": "test_odesolve.py::TestCompileK2::test_round_trip_residual",
+    "jetring.RatExpr.is_zero":
+        "test_jetring.py::TestSubsVar::test_matches_the_quotient_of_substituted_sides",
+    "jetring.RatExpr.__neg__":
+        "test_hierarchy.py::TestBuildSystem::test_k2_published_tau2_sign_differs",
+    "jetring.RatExpr.__sub__": "test_hierarchy.py::TestBuildSystem::test_k1_golden",
+    "jetring.RatExpr.__truediv__": "test_hierarchy.py::TestBuildSystem::test_k1_golden",
+    "jetring.RatExpr.__pow__": "test_hierarchy.py::TestBuildSystem::test_k1_golden",
+    "jetring.Ring.__repr__": "test_records.py::test_record_construction_equality_and_repr",
+    "jetring.Poly.__repr__": "test_records.py::test_record_construction_equality_and_repr",
+    "jetring.RatExpr.__repr__":
+        "test_records.py::test_record_construction_equality_and_repr",
+    "lenard.LenardSequence.with_entry":
+        "test_hierarchy.py::TestConservedQuantities::test_tau0_is_minus_omega_kk",
+    "odesolve.SingularMassMatrix.__init__":
+        "test_odesolve.py::TestGeneratedParity::test_zero_component_raises_with_s",
+}
+
+
 # Every function, class and method of the package is reached from the
-# package itself, or is one of these.  Oracles are reference computations
-# and test seams that tests compare against; hooks are called by a library.
-ORACLES = ("HierarchySystem.equation", "equation_equivalent", "conserved_sigma",
-           "Poly.monomial_content", "Poly.divide_monomial", "RatExpr.eval",
-           "LenardSequence.with_entry")
+# package itself, or is one of these.  Oracles are the names above other
+# than dunders; hooks are called by a library.
+ORACLES = tuple(name.split(".", 1)[1] for name in READ_BY_TESTS
+                if not name.endswith("__"))
 HOOKS = {"_Parser._parse_optional": argparse.ArgumentParser}
 
 
@@ -668,3 +709,122 @@ def test_unreferenced_api_rule_can_fail():
     assert _unreferenced(trees, ("orphan", "Box.lonely")) == ["Unused"]
     assert _uncalled(("Box.size", "Box.gone", "orphan"), trees) == [
         "Box.gone", "orphan"]
+
+
+def _reach_commands(tmp_path):
+    """Small golden commands: each subcommand in every format, custom seeds
+    in both grammars and their error paths, and completed and aborted
+    ``integrate`` runs."""
+    out = str(tmp_path / "run.csv")
+    run = ("--s0", "1", "--s1", "1.01", "--step", "1e-3", "--out", out)
+    return [
+        ("gen-lenard", "--count", "3"),
+        ("gen-lenard", "--count", "3", "--format", "latex"),
+        ("gen-lenard", "--seed", "custom", "--custom", "-(u - 1/2)*(1 + 1)"),
+        ("gen-lenard", "--seed", "custom", "--custom", "u^40000"),
+        ("gen-lenard", "--seed", "custom", "--custom", "(u"),
+        ("gen-lenard", "--seed", "custom", "--custom",
+         '{"terms":[{"coef":"1/2","s":0,"jets":{"0":1}}]}'),
+        ("gen-lenard", "--seed", "custom"),
+        ("gen-hierarchy", "--k", "2"),
+        ("gen-hierarchy", "--k", "2", "--format", "latex"),
+        ("gen-lax", "--k", "2"),
+        ("gen-lax", "--k", "2", "--format", "latex"),
+        ("verify", "--suite", "all", "--max-index", "2"),
+        ("integrate", "--k", "2", "--tau", "1,2,3", "--init", "1,0,1,0", *run),
+        ("integrate", "--k", "1", "--tau", "1,2", "--init", "0,0", *run),
+    ]
+
+
+def _entered(run) -> set:
+    """(resolved file, qualified name) of every Python function entered
+    while ``run()`` runs."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return {(str(Path(name).resolve()), qualname) for name, qualname in entered}
+
+
+def _unreached(package: Path, entered: set, allowed=()) -> list:
+    """Sorted ``module.qualified name`` of the module-level functions and
+    class methods, dunders included, of the modules under ``package`` that
+    ``entered`` does not hold, less ``allowed``."""
+    found = []
+    for path in sorted(package.resolve().rglob("*.py")):
+        module = ".".join(path.relative_to(package.resolve()).with_suffix("").parts)
+        names = {qualname for name, qualname in entered if name == str(path)}
+        found += [f"{module}.{name}" for name, _ in _functions(_parsed([path])[0].body)
+                  if name not in names]
+    return sorted(name for name in found if name not in allowed)
+
+
+def _run_commands(commands):
+    """Run each command in-process, its output discarded; the first through
+    ``cli.main``, as the console script does."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        argv = sys.argv
+        sys.argv = ["p3lenard", *commands[0]]
+        try:
+            with contextlib.suppress(SystemExit):
+                cli.main()
+        finally:
+            sys.argv = argv
+        for command in commands[1:]:
+            cli.run(list(command))
+
+
+def test_every_function_is_entered_or_read_by_a_test(tmp_path):
+    entered = _entered(lambda: _run_commands(_reach_commands(tmp_path)))
+    assert _unreached(PACKAGE, entered, READ_BY_TESTS) == []
+    # an allowed name that a command enters, or that names no function, is stale
+    assert sorted(set(READ_BY_TESTS) - set(_unreached(PACKAGE, entered))) == []
+
+
+def _test_exists(node_id: str) -> bool:
+    """Whether ``file::[Class::]test`` names a test of this directory."""
+    filename, *names = node_id.split("::")
+    body = _parsed([Path(__file__).parent / filename])[0].body
+    for name in names:
+        node = next((node for node in body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                     and node.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_tests_read_by_name_exist():
+    assert [node for node in READ_BY_TESTS.values() if not _test_exists(node)] == []
+    assert not _test_exists("test_source.py::test_gone")
+
+
+def test_reach_rule_can_fail(tmp_path, monkeypatch):
+    package = tmp_path / "reach_sample"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n"
+        "    def __mul__(self, other):\n"
+        "        return Box(self.n * other)\n"
+        "    def __rmul__(self, other):\n"
+        "        return self * other\n"
+        "def double(n):\n"
+        "    return Box(n) * 2\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    sample = importlib.import_module("reach_sample")
+    entered = _entered(lambda: sample.double(3))
+    assert _unreached(package, entered) == ["__init__.Box.__rmul__"]
+    assert _unreached(package, entered, {"__init__.Box.__rmul__": ""}) == []
+    assert _unreached(package, _entered(lambda: 2 * sample.Box(3))) == [
+        "__init__.double"]
