@@ -11,11 +11,11 @@ error.  Non-interactive by design; no environment variables, no network.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
@@ -257,74 +257,189 @@ def _cmd_integrate(args) -> int:
     return EXIT_OK
 
 
-# -- argument grammar ------------------------------------------------------------
+# -- command line ----------------------------------------------------------------
 
+# The grammar: per subcommand its handler, help line and options.  An option
+# is (name, converter, choices, default, required, metavar, help); a value is
+# converted first, then checked against the choices.
+_FORMAT = ("--format", str, ("json", "latex"), "json", False, None, None)
+_COMMANDS = {
+    "gen-lenard": (_cmd_gen_lenard, "integrate the recursion explicitly", (
+        ("--seed", str, _SEED_LABELS, "standard", False, None, None),
+        ("--custom", str, None, None, False, "EXPR",
+         "seed expression for --seed custom (ASCII grammar)"),
+        ("--count", int, None, 3, False, None, None),
+        ("--constants", str, None, None, False, "c0,c1,...",
+         "integration constants, one per step (default zeros)"),
+        _FORMAT)),
+    "gen-hierarchy": (_cmd_gen_hierarchy, "emit the k-th ODE system", (
+        ("--k", int, None, None, True, None, None), _FORMAT)),
+    "gen-lax": (_cmd_gen_lax, "emit Lax coefficient series a, b, c", (
+        ("--k", int, None, None, True, None, None), _FORMAT)),
+    "verify": (_cmd_verify, "run identity suites", (
+        ("--suite", str, SUITES + ("all",), "all", False, None, None),
+        ("--max-index", int, None, 3, False, None, None))),
+    "integrate": (_cmd_integrate, "fixed-step RK4 run written as CSV", (
+        ("--k", int, (1, 2), None, True, None, None),
+        ("--tau", str, None, None, True, "t0,t1[,t2]", None),
+        ("--init", str, None, None, True, "l1,l1p[,l2,l2p]", None),
+        ("--s0", float, None, None, True, None, None),
+        ("--s1", float, None, None, True, None, None),
+        ("--step", float, None, None, True, None, None),
+        ("--out", str, None, None, True, None, None),
+        ("--decimate", int, None, 1, False, None, None))),
+}
+_HELP = ("-h", "--help")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads a token that starts like a negative number (``-1,2``,
-    ``-3/4,1``, ``-.5``) as a value, never as an option, so that
-    ``--tau -1,2`` parses like ``--tau=-1,2``.  No option is spelled that
-    way.  Subparsers inherit the class."""
-
-    def _parse_optional(self, arg_string):
-        if _NEGATIVE_VALUE.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
+class _Stop(Exception):
+    """Raised once help, or a usage error, is printed; ``args[0]`` is the
+    exit code."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="p3lenard",
-        description="Generate, verify, and numerically integrate the Lenard "
-                    "recursion hierarchy.")
-    sub = top.add_subparsers(dest="command", required=True)
+def _spelling(option) -> str:
+    name, _, choices, _, _, metavar, _ = option
+    if choices:
+        return f"{name} {{{','.join(map(str, choices))}}}"
+    return f"{name} {metavar or name[2:].upper()}"
 
-    g = sub.add_parser("gen-lenard", help="integrate the recursion explicitly")
-    g.add_argument("--seed", choices=_SEED_LABELS, default="standard")
-    g.add_argument("--custom", metavar="EXPR",
-                   help="seed expression for --seed custom (ASCII grammar)")
-    g.add_argument("--count", type=int, default=3)
-    g.add_argument("--constants", metavar="c0,c1,...",
-                   help="integration constants, one per step (default zeros)")
-    g.add_argument("--format", choices=("json", "latex"), default="json")
-    g.set_defaults(func=_cmd_gen_lenard)
 
-    g = sub.add_parser("gen-hierarchy", help="emit the k-th ODE system")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--format", choices=("json", "latex"), default="json")
-    g.set_defaults(func=_cmd_gen_hierarchy)
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: p3lenard [-h] {{{','.join(_COMMANDS)}}} [option ...]"
+    words = [f"usage: p3lenard {command} [-h]"]
+    for option in _COMMANDS[command][2]:
+        required = option[4]
+        words.append(_spelling(option) if required else f"[{_spelling(option)}]")
+    return " ".join(words)
 
-    g = sub.add_parser("gen-lax", help="emit Lax coefficient series a, b, c")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--format", choices=("json", "latex"), default="json")
-    g.set_defaults(func=_cmd_gen_lax)
 
-    g = sub.add_parser("verify", help="run identity suites")
-    g.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    g.add_argument("--max-index", type=int, default=3)
-    g.set_defaults(func=_cmd_verify)
+def _help(command):
+    """Print the help of ``command``, or of the top level when it is None."""
+    if command is None:
+        lines = ["Generate, verify, and numerically integrate the Lenard "
+                 "recursion hierarchy.", "", "commands:"]
+        rows = [(name, about) for name, (_, about, _) in _COMMANDS.items()]
+        tail = ["", "Run 'p3lenard COMMAND -h' for the options of COMMAND."]
+    else:
+        lines = [_COMMANDS[command][1], "", "options:"]
+        rows = [("-h, --help", "show this help and exit")]
+        for option in _COMMANDS[command][2]:
+            _, _, _, default, required, _, text = option
+            rows.append((_spelling(option), text or ("required" if required
+                                                     else f"default: {default}")))
+        tail = []
+    lines += [f"  {left:<22}  {text}" if len(left) <= 22 else f"  {left}\n{'':26}{text}"
+              for left, text in rows]
+    print(_usage(command), "", *lines, *tail, sep="\n")
+    raise _Stop(EXIT_OK)
 
-    g = sub.add_parser("integrate", help="fixed-step RK4 run written as CSV")
-    g.add_argument("--k", type=int, choices=(1, 2), required=True)
-    g.add_argument("--tau", required=True, metavar="t0,t1[,t2]")
-    g.add_argument("--init", required=True, metavar="l1,l1p[,l2,l2p]")
-    g.add_argument("--s0", type=float, required=True)
-    g.add_argument("--s1", type=float, required=True)
-    g.add_argument("--step", type=float, required=True)
-    g.add_argument("--out", required=True)
-    g.add_argument("--decimate", type=int, default=1)
-    g.set_defaults(func=_cmd_integrate)
-    return top
+
+def _fail(command, message):
+    """Print the usage of ``command`` (the top level's when None) and
+    ``message`` to stderr, and stop with a usage error."""
+    prog = "p3lenard" if command is None else f"p3lenard {command}"
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise _Stop(EXIT_USAGE)
+
+
+def _option(token: str, names, command):
+    """How ``token`` reads where ``names`` are the options: None for a value
+    (not led by a dash, a lone dash, a token that starts like a negative
+    number such as ``-1,2`` or ``-.5``, or one with a space that names no
+    option); ``(name, attached)`` for the option it names in full or by an
+    unambiguous prefix, ``attached`` being the text after ``=`` (after
+    ``-h`` for a short option) or None; ``(None, None)`` for any other
+    dash-led token."""
+    if token[:1] != "-" or token == "-" or _NEGATIVE_VALUE.match(token):
+        return None
+    if token in names:
+        return token, None
+    if token[1] != "-":
+        found = [("-h", token[2:])] if token[1] == "h" else []
+    else:
+        head, eq, tail = token.partition("=")
+        found = [(name, tail if eq else None) for name in names
+                 if name == head or (head not in names and name.startswith(head))]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {token} could match "
+                       + ", ".join(name for name, _ in found))
+    if found:
+        return found[0]
+    return None if " " in token else (None, None)
+
+
+def _walk(command, tokens: list):
+    """Take the options in ``tokens`` in order, against the table of
+    ``command``; the top level (None) has only ``-h`` and ends at its first
+    value, the command.  Every token up to ``--`` is classified before any
+    is taken, so an ambiguous prefix is a usage error even after ``-h``.
+    Returns (value by option name, tokens left over, index where the walk
+    ended)."""
+    table = {option[0]: option for option in _COMMANDS[command][2]} if command else {}
+    names = (*_HELP, *table)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, names, command) for token in tokens[:end]]
+    values, strays, at = {}, tokens[end:], 0
+    while at < end:
+        kind, token = kinds[at], tokens[at]
+        if kind is None and command is None:
+            break
+        at += 1
+        if kind is None or kind[0] is None:
+            strays.append(token)
+            continue
+        name, attached = kind
+        if name in _HELP:
+            if attached is None or (name == "-h" and not attached.strip("h")):
+                _help(command)                 # -hh is -h twice
+            _fail(command, f"argument -h/--help: ignored explicit argument {attached!r}")
+        if attached is None:
+            if at == end or kinds[at] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            attached, at = tokens[at], at + 1
+        _, convert, choices, *_ = table[name]
+        try:
+            values[name] = convert(attached)
+        except ValueError:
+            _fail(command, f"argument {name}: invalid {convert.__name__} value: {attached!r}")
+        if choices is not None and values[name] not in choices:
+            _fail(command, f"argument {name}: invalid choice: {values[name]!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return values, strays, at
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """``argv`` read against ``_COMMANDS``: ``command``, ``func`` and one
+    attribute per option of the command, its value or its default.  Prints
+    help, or a usage error to stderr, and raises ``_Stop`` instead."""
+    _, unknown, at = _walk(None, argv)
+    if at == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    values, strays, _ = _walk(command, argv[at + 1:])
+    func, _, options = _COMMANDS[command]
+    missing = [name for name, _, _, _, required, *_ in options
+               if required and name not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown or strays:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown + strays)}")
+    args = SimpleNamespace(command=command, func=func)
+    for name, _, _, default, *_ in options:
+        setattr(args, name[2:].replace("-", "_"), values.get(name, default))
+    return args
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        return stop.args[0]
     try:
         return args.func(args)
     except (SingularMassMatrix, ZeroDenominator, OverflowError,

@@ -124,18 +124,23 @@ def poly_to_obj(poly: Poly) -> dict:
 
 
 def _whole(value) -> int:
-    """A JSON exponent, s power or jet order, never truncated to an int
-    and never read from a JSON ``true`` or ``false``."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):    # 2.7, 1e400, NaN
-        raise ValueError(f"exponent or order {value!r} is not a whole number")
+    """A JSON exponent or s power: a number, never truncated to an int and
+    never read from a string or from a JSON ``true`` or ``false``."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):    # 2.7, 1e400, NaN
+        raise ValueError(f"exponent {value!r} is not a whole number")
     return int(value)
 
 
 def poly_from_obj(obj: dict, ring: Ring) -> Poly:
+    """The polynomial of a JSON term list: each coefficient a rational
+    string or a JSON number, never a boolean; each exponent and s power a
+    whole JSON number; each jet order an object key, so a string."""
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()
     for entry in obj["terms"]:
+        if isinstance(entry["coef"], bool):
+            raise ValueError(f"coefficient {entry['coef']!r} is not a rational")
         try:
             coef = Fraction(entry["coef"])
         except OverflowError as exc:       # an infinite JSON number
@@ -144,11 +149,11 @@ def poly_from_obj(obj: dict, ring: Ring) -> Poly:
         jets = entry.get("jets", {})
         if single:
             for o, e in jets.items():
-                term = term * ring.var(ring.dependents[0], _whole(o)) ** _whole(e)
+                term = term * ring.var(ring.dependents[0], int(o)) ** _whole(e)
         else:
             for name, orders in jets.items():
                 for o, e in orders.items():
-                    term = term * ring.var(name, _whole(o)) ** _whole(e)
+                    term = term * ring.var(name, int(o)) ** _whole(e)
             for name, e in entry.get("params", {}).items():
                 term = term * ring.param(name) ** _whole(e)
         out += term

@@ -113,16 +113,20 @@ class TestGenLenard:
     @pytest.mark.parametrize("term", [
         '"jets":{"0":2.7}', '"s":1e400', '"s":0.5', '"jets":{"0":1e400}',
         '"jets":{"0":NaN}', '"jets":{"0":-Infinity}', '"jets":{"1.5":1}',
-        '"s":true', '"jets":{"0":true}',
+        '"s":true', '"jets":{"0":true}', '"s":"2"', '"jets":{"0":"3"}',
+        '"coef":true',
     ], ids=["fractional-exponent", "infinite-s-power", "fractional-s-power",
             "infinite-exponent", "nan-exponent", "negative-infinite-exponent",
-            "fractional-order", "boolean-s-power", "boolean-exponent"])
+            "fractional-order", "boolean-s-power", "boolean-exponent",
+            "string-s-power", "string-exponent", "boolean-coefficient"])
     def test_json_exponent_must_be_a_whole_number(self, capsys, term):
         """An exponent, s power or jet order is never truncated (2.7 read as
-        2), read from a boolean (true as 1) or reported as a runtime error
-        (1e400): each is a bad seed."""
+        2), read from a boolean (true as 1) or a string ("3" as 3) or
+        reported as a runtime error (1e400): each is a bad seed.  Nor is a
+        boolean coefficient read as 1."""
+        fields = term if term.startswith('"coef"') else '"coef":"1",' + term
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
-                             '{"terms":[{"coef":"1",%s}]}' % term, "--count", "1")
+                             '{"terms":[{%s}]}' % fields, "--count", "1")
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err.startswith("bad custom seed: ") and err.count("\n") == 1
 

@@ -1,6 +1,5 @@
 """Rules on the package source itself."""
 
-import argparse
 import ast
 import contextlib
 import importlib
@@ -538,9 +537,10 @@ def test_stage_loop_rule_can_fail():
 
 # Importing the CLI loads only the standard-library modules it calls:
 # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
-# and execs generated code per record, and ``typing`` is not needed for
-# annotations that are never evaluated.
-STARTUP_FORBIDDEN = ("dataclasses", "inspect", "typing")
+# and execs generated code per record, ``typing`` is not needed for
+# annotations that are never evaluated, and ``argparse`` (with ``gettext``)
+# costs more than the table walk that reads the command line.
+STARTUP_FORBIDDEN = ("argparse", "dataclasses", "gettext", "inspect", "typing")
 
 
 def _forbidden_imports(tree):
@@ -572,9 +572,10 @@ def test_startup_import_rule_can_fail():
               "from collections.abc import Mapping\n"
               "def late():\n"
               "    import inspect.signature\n"
-              "from . import typing_helpers\n")
+              "from . import typing_helpers\n"
+              "import argparse\n")
     assert _forbidden_imports(ast.parse(sample)) == [
-        (1, "dataclasses"), (2, "typing"), (5, "inspect.signature")]
+        (1, "dataclasses"), (2, "typing"), (5, "inspect.signature"), (7, "argparse")]
 
 
 def test_cli_import_leaves_startup_heavy_modules_unloaded():
@@ -629,11 +630,9 @@ READ_BY_TESTS = {
 
 
 # Every function, class and method of the package is reached from the
-# package itself, or is one of these.  Oracles are the names above other
-# than dunders; hooks are called by a library.
+# package itself, or is one of these: the names above other than dunders.
 ORACLES = tuple(name.split(".", 1)[1] for name in READ_BY_TESTS
                 if not name.endswith("__"))
-HOOKS = {"_Parser._parse_optional": argparse.ArgumentParser}
 
 
 def _definitions(body, prefix=""):
@@ -677,15 +676,12 @@ def _parsed(paths):
 
 
 def test_package_has_no_unreferenced_api():
-    assert _unreferenced(_parsed(PACKAGE.rglob("*.py")), ORACLES + tuple(HOOKS)) == []
+    assert _unreferenced(_parsed(PACKAGE.rglob("*.py")), ORACLES) == []
 
 
 def test_allowed_unreferenced_names_still_have_callers():
-    """An oracle no test reads, or a hook its library no longer calls, is
-    dead code too."""
+    """An oracle no test reads is dead code too."""
     assert _uncalled(ORACLES, _parsed(Path(__file__).parent.glob("*.py"))) == []
-    assert [name for name, base in HOOKS.items()
-            if not callable(getattr(base, name.split(".")[-1], None))] == []
 
 
 def test_unreferenced_api_rule_can_fail():
@@ -713,8 +709,8 @@ def test_unreferenced_api_rule_can_fail():
 
 def _reach_commands(tmp_path):
     """Small golden commands: each subcommand in every format, custom seeds
-    in both grammars and their error paths, and completed and aborted
-    ``integrate`` runs."""
+    in both grammars and their error paths, completed and aborted
+    ``integrate`` runs, and the reader's help and usage-error paths."""
     out = str(tmp_path / "run.csv")
     run = ("--s0", "1", "--s1", "1.01", "--step", "1e-3", "--out", out)
     return [
@@ -733,6 +729,9 @@ def _reach_commands(tmp_path):
         ("verify", "--suite", "all", "--max-index", "2"),
         ("integrate", "--k", "2", "--tau", "1,2,3", "--init", "1,0,1,0", *run),
         ("integrate", "--k", "1", "--tau", "1,2", "--init", "0,0", *run),
+        ("--help",),
+        ("verify", "--help"),
+        ("verify", "--suite", "nope"),
     ]
 
 
