@@ -33,7 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-SUITES = ("master", "shift", "transport", "conservation", "closedform", "lax")
 _SEED_LABELS = ("standard", "p3", "custom")
 
 
@@ -133,88 +132,82 @@ def _cmd_gen_lax(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
-# how far past --max-index each suite reads: l_0 .. l_{N + reach}
-_REACH = {"master": 0, "shift": 0, "transport": 1, "conservation": 1, "lax": 2}
+def _master_checks(seq, max_index: int):
+    return ((master_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
+            for n in range(max_index) for m in range(max_index))
 
 
-def _verify_sequences(max_index: int, suites) -> dict:
-    """The symbolic sequence of each seed that ``suites`` read, by seed label:
-    closedform reads none, lax only p3, every other suite all three, each
-    through l_{N + reach} for the longest reach of its readers (N = ``max_index``)."""
-    reach = {}
-    for suite in (suite for suite in suites if suite in _REACH):
-        for label in ("p3",) if suite == "lax" else _SEED_LABELS:
-            reach[label] = max(reach.get(label, 0), _REACH[suite])
-    return {label: symbolic(_seed_from_label(label), max_index + reach[label])
-            for label in _SEED_LABELS if label in reach}
+def _shift_checks(seq, max_index: int):
+    return ((shift_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
+            for n in range(1, max_index + 1) for m in range(max_index))
 
 
-def _verify_checks(suite: str, max_index: int, seqs: dict):
-    """Yield (ok, suite, indices-description) tuples, deterministic order.
-    ``seqs`` comes from ``_verify_sequences``; suites that share it reuse
-    each sequence's jet table, and the checks of one suite on one seed
-    share one ``Brackets`` table of B'."""
-    count = max_index + 2
+def _transport_checks(seq, max_index: int):
+    windows = [(m, n, min(n, max_index + 1 - m))
+               for n in range(max_index + 1) for m in range(max_index)]
+    table = Brackets(seq, windows)
+    for m, n, top in windows:
+        for r, (jets, brackets) in enumerate(table.window(m, n, top)):
+            yield jets == brackets, f"m={m} n={n} r={r}"
 
-    if suite == "master":
-        for label, seq in seqs.items():
-            for n in range(max_index):
-                for m in range(max_index):
-                    ok = master_identity_residual(seq, n, m).is_zero()
-                    yield ok, "master", f"{label} n={n} m={m}"
-    elif suite == "shift":
-        for label, seq in seqs.items():
-            for n in range(1, max_index + 1):
-                for m in range(max_index):
-                    ok = shift_identity_residual(seq, n, m).is_zero()
-                    yield ok, "shift", f"{label} n={n} m={m}"
-    elif suite == "transport":
-        windows = [(m, n, min(n, count - 1 - m))
-                   for n in range(max_index + 1) for m in range(max_index)]
-        for label, seq in seqs.items():
-            table = Brackets(seq, windows)
-            for m, n, top in windows:
-                for r, (jets, brackets) in enumerate(table.window(m, n, top)):
-                    yield jets == brackets, "transport", f"{label} m={m} n={n} r={r}"
-    elif suite == "conservation":
-        checks = [(k, p, "tau") for k in range(1, max_index + 1) for p in range(k + 1)]
-        checks += [(0, p, "sigma") for p in range(count)]
-        for label, seq in seqs.items():
-            table = Brackets(seq, [conservation_window(*check) for check in checks])
-            for k, p, kind in checks:
-                ok = conservation_residual(seq, k, p, kind, table=table).is_zero()
-                where = f"k={k} p={p}" if kind == "tau" else f"p={p}"
-                yield ok, "conservation", f"{label} {kind} {where}"
-    elif suite == "closedform":
-        seed = SeedCondition.standard()
-        top = max_index + 1
-        gen_seq = generate(seed, top, [0] * top)
-        closed = closed_form_standard(top)
-        for p in range(1, top + 1):
-            yield closed[p] == gen_seq.ell(p), "closedform", f"p={p}"
-    elif suite == "lax":
-        seq = seqs["p3"]
-        for k in range(1, max_index + 2):
-            ok = compatibility_residual(seq, k).is_zero()
-            yield ok, "lax", f"compat k={k}"
-            ok = c_relation_residual(seq, k).is_zero()
-            yield ok, "lax", f"c-relation k={k}"
+
+def _conservation_checks(seq, max_index: int):
+    checks = [(k, p, "tau") for k in range(1, max_index + 1) for p in range(k + 1)]
+    checks += [(0, p, "sigma") for p in range(max_index + 2)]
+    table = Brackets(seq, [conservation_window(*check) for check in checks])
+    for k, p, kind in checks:
+        ok = conservation_residual(seq, k, p, kind, table=table).is_zero()
+        yield ok, f"{kind} k={k} p={p}" if kind == "tau" else f"{kind} p={p}"
+
+
+def _closedform_checks(seq, max_index: int):
+    top = max_index + 1
+    gen_seq = generate(SeedCondition.standard(), top, [0] * top)
+    for p, closed in enumerate(closed_form_standard(top)[1:], start=1):
+        yield closed == gen_seq.ell(p), f"p={p}"
+
+
+def _lax_checks(seq, max_index: int):
+    for k in range(1, max_index + 2):
+        yield compatibility_residual(seq, k).is_zero(), f"compat k={k}"
+        yield c_relation_residual(seq, k).is_zero(), f"c-relation k={k}"
+
+
+# suite: (checks(seq, N) yielding (ok, description), the seeds it reads, and
+# its reach: it reads l_0 .. l_{N + reach}).  Lines name the seed only when
+# a suite has several; closedform has none and runs once, on None.
+_SUITES = {
+    "master": (_master_checks, _SEED_LABELS, 0),
+    "shift": (_shift_checks, _SEED_LABELS, 0),
+    "transport": (_transport_checks, _SEED_LABELS, 1),
+    "conservation": (_conservation_checks, _SEED_LABELS, 1),
+    "closedform": (_closedform_checks, (), 0),
+    "lax": (_lax_checks, ("p3",), 2),
+}
+SUITES = tuple(_SUITES)
 
 
 def _cmd_verify(args) -> int:
-    suites = SUITES if args.suite == "all" else (args.suite,)
     if args.max_index < 1:
         print("--max-index must be positive", file=sys.stderr)
         return EXIT_USAGE
-    seqs = _verify_sequences(args.max_index, suites)
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    # one sequence per seed that the suites read, as long as the furthest reads it
+    reach = {}
+    for _, seeds, extra in map(_SUITES.get, suites):
+        for label in seeds:
+            reach[label] = max(reach.get(label, 0), extra)
+    seqs = {label: symbolic(_seed_from_label(label), args.max_index + reach[label])
+            for label in _SEED_LABELS if label in reach}
     passed = failed = 0
     for suite in suites:
-        for ok, name, desc in _verify_checks(suite, args.max_index, seqs):
-            print(f"{'PASS' if ok else 'FAIL'} {name} {desc}")
-            if ok:
-                passed += 1
-            else:
-                failed += 1
+        checks, seeds, _ = _SUITES[suite]
+        for label in seeds or (None,):
+            named = f"{suite} {label} " if len(seeds) > 1 else f"{suite} "
+            for ok, desc in checks(seqs.get(label), args.max_index):
+                print(f"{'PASS' if ok else 'FAIL'} {named}{desc}")
+                passed += ok
+                failed += not ok
     print(f"{passed} passed, {failed} failed")
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 

@@ -32,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
-from .lenard import (Brackets, IndexOutOfRange, LenardSequence, SeedCondition,
-                     bracket_diagonal, transport_residual)
+from .lenard import (Brackets, IndexOutOfRange, LenardSequence, bracket_diagonal,
+                     transport_residual)
 
 
 def hierarchy_ring(k: int) -> Ring:
@@ -42,16 +42,11 @@ def hierarchy_ring(k: int) -> Ring:
                 tuple(f"tau{p}" for p in range(k + 1)))
 
 
-class HierarchySystem(namedtuple("HierarchySystem", "k equations u_expr ring")):
-    """Equations (= 0) of the k-th member, with u already eliminated;
-    ``equations[p - 1]`` is the RatExpr of equation p."""
+class HierarchySystem(namedtuple("HierarchySystem", "equations u_expr ring")):
+    """Equations (= 0) of the k-th member, k = ``len(equations)``, with u
+    already eliminated; ``equations[p - 1]`` is the RatExpr of equation p."""
 
     __slots__ = ()
-
-    def equation(self, p: int) -> RatExpr:
-        if not 1 <= p <= self.k:
-            raise IndexOutOfRange(f"equation index {p} outside 1..{self.k}")
-        return self.equations[p - 1]
 
 
 def boundary_jet_sequence(k: int) -> LenardSequence:
@@ -65,7 +60,7 @@ def boundary_jet_sequence(k: int) -> LenardSequence:
     for p in range(1, k + 1):
         ells.append(ring.var(f"l{p}", 0))
     ells.append(ring.zero())
-    return LenardSequence(SeedCondition.painleve3(), ells, [], ring)
+    return LenardSequence(ells, ring)
 
 
 def build_p3_system(k: int) -> HierarchySystem:
@@ -79,7 +74,7 @@ def build_p3_system(k: int) -> HierarchySystem:
     part = sums[0].collect("u", 0)      # -Omega_{k,k} - tau_0, linear in u
     u_expr = RatExpr(-part[0], part[1])
     equations = [RatExpr(acc).subs_var("u", 0, u_expr) for acc in sums[1:]]
-    return HierarchySystem(k, equations, u_expr, ring)
+    return HierarchySystem(equations, u_expr, ring)
 
 
 def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:

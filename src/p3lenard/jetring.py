@@ -6,11 +6,11 @@ parameters, and slot 1 + P + order*D + dep is the jet variable of
 dependent ``dep`` (one of D) at derivative ``order``.  A product of
 monomials is one integer addition; d/ds of a jet takes one unit from its
 slot and adds one D slots up; integrating a term in one variable adds one
-unit to that variable's slot; a monomial divides another iff subtracting it
-borrows from no slot.  Exponents stay below 2**15, so the top bit of every
-slot is a guard that no valid monomial sets: one ``&`` with the module's
-guard mask finds an exponent that reached 2**15, and the operation raises
-:class:`ExponentOverflow`.  The mask covers 4096 slots; a jet variable
+unit to that variable's slot; dividing every term by the monomial content
+is one subtraction per term.  Exponents stay below 2**15, so the top bit of
+every slot is a guard that no valid monomial sets: one ``&`` with the
+module's guard mask finds an exponent that reached 2**15, and the operation
+raises :class:`ExponentOverflow`.  The mask covers 4096 slots; a jet variable
 beyond them raises the same error where its slot is created.
 
 One walk, ``_occupied``, reads the nonzero slots of a key by its lowest set
@@ -25,9 +25,8 @@ checks reduce to dict equality, and the arithmetic runs on ints.
 Outside the kernel a monomial is the triple (s_power, jets, params): jets
 is a sorted tuple of ((dependent, order), exponent), params a sorted tuple
 of (parameter, exponent), every exponent positive.  ``Poly(ring, mapping)``,
-``sorted_terms``, ``leading``, ``monomial_content`` and ``divide_monomial``
-speak triples, and coefficients leave the kernel as Fractions.  Triples
-stay the boundary: ``_ordered``, the one definition of the monomial order,
+``sorted_terms`` and ``leading`` speak triples, and coefficients leave the
+kernel as Fractions.  Triples stay the boundary: ``_ordered``, the one definition of the monomial order,
 reads each term's triple and its order key, a flat tuple of ints, from one
 ``_occupied`` walk, and ``sorted_terms`` and ``leading`` sort on that key.
 
@@ -472,19 +471,6 @@ class Poly:
                      self.den * scale)
 
     # -- content and normalization ---------------------------------------------
-
-    def monomial_content(self) -> Monomial:
-        """Componentwise minimum monomial dividing every term."""
-        return _decode(self.ring, _content_key(self.terms))
-
-    def divide_monomial(self, m: Monomial) -> "Poly":
-        """``self`` over ``m``: a borrow from any slot of a difference means
-        that ``m`` does not divide that term."""
-        c = _encode(self.ring, m)
-        nums = {k - c: v for k, v in self.terms.items()}
-        if reduce(or_, nums, 0) & _GUARD:
-            raise ValueError("monomial does not divide")
-        return _make(self.ring, nums, self.den)
 
     def primitive_core(self) -> "Poly":
         """Strip monomial and rational content; make the leading coefficient

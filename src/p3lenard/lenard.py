@@ -76,9 +76,8 @@ class LenardSequence:
     are u and u' in ``ring``, built once.
     """
 
-    def __init__(self, seed: SeedCondition, ells: list, constants: list,
-                 ring: Ring, rules: dict | None = None):
-        self.seed, self.ells, self.constants, self.ring = seed, ells, constants, ring
+    def __init__(self, ells: list, ring: Ring, rules: dict | None = None):
+        self.ells, self.ring = ells, ring
         self.rules = {} if rules is None else rules
         self._jets = {}
         self.u, self.du = ring.var("u", 0), ring.var("u", 1)
@@ -121,8 +120,7 @@ class LenardSequence:
         else:
             self.ell(j)
             ells[j] = value
-        return LenardSequence(self.seed, ells, list(self.constants),
-                              self.ring, dict(self.rules))
+        return LenardSequence(ells, self.ring, dict(self.rules))
 
 
 def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence:
@@ -131,7 +129,7 @@ def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence
         raise ValueError("count must be positive")
     if len(constants) != count:
         raise ValueError(f"need {count} integration constants, got {len(constants)}")
-    seq = LenardSequence(seed, [seed.poly], [], U_RING)
+    seq = LenardSequence([seed.poly], U_RING)
     for j in range(count):
         rhs = seq.recursion_rhs(j)
         try:
@@ -142,9 +140,7 @@ def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence
                 f"polynomial ring: {exc}")
             err.step_index = j
             raise err from exc
-        c = Fraction(constants[j])
-        seq.ells.append(nxt + U_RING.const(c))
-        seq.constants.append(c)
+        seq.ells.append(nxt + U_RING.const(Fraction(constants[j])))
         # D(l_{j+1}) is the jet the next step reads
         if seq.jet(j + 1, 1) != rhs:
             err = NotExactDerivative(
@@ -161,7 +157,7 @@ def symbolic(seed: SeedCondition, count: int) -> LenardSequence:
         raise ValueError("count must be positive")
     names = tuple(f"l{j}" for j in range(1, count + 1))
     ring = Ring(("u",) + names)
-    seq = LenardSequence(seed, [ring.embed(seed.poly)], [Fraction(0)] * count, ring)
+    seq = LenardSequence([ring.embed(seed.poly)], ring)
     for j in range(1, count + 1):
         seq.rules[f"l{j}"] = seq.recursion_rhs(j - 1)
         seq.ells.append(ring.var(f"l{j}", 0))
@@ -300,8 +296,7 @@ def closed_form_standard(count: int) -> list:
     (its only l_p is the -l_0 l_p of B_{0,p-1})."""
     if count < 1:
         raise IndexOutOfRange("closed form defined for count >= 1")
-    seed = SeedCondition.standard()
-    seq = LenardSequence(seed, [seed.poly], [], U_RING)
+    seq = LenardSequence([SeedCondition.standard().poly], U_RING)
     for p in range(1, count + 1):
         seq.ells.append(U_RING.zero())
         seq.ells[p] = bracket_diagonal(seq, p - 1, 0)

@@ -260,8 +260,8 @@ def _solve_block(splits: list):
              RatExpr(-a, b)))
 
 
-class _ExactSystem(namedtuple("_ExactSystem", "k state_names layout guarded "
-                                             "det second monitors constants")):
+class _ExactSystem(namedtuple("_ExactSystem", "state_names layout guarded det "
+                                             "second monitors constants")):
     """The exact expressions a compiled system is generated from: ``layout``
     maps (dependent name, order) to a state slot, ``guarded`` holds the l_p
     dividing an equation denominator, ``det`` is the determinant of the l''
@@ -331,7 +331,7 @@ def _exact_system(k: int, tau_values: tuple) -> _ExactSystem:
         layout[(name, 1)] = len(state_names)
         state_names.append(name + "p")
 
-    return _ExactSystem(k=k, state_names=tuple(state_names), layout=layout,
+    return _ExactSystem(state_names=tuple(state_names), layout=layout,
                         guarded=guarded, det=det, second=f_exprs,
                         monitors={"u": u0},
                         constants={name: value

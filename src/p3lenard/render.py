@@ -123,39 +123,46 @@ def poly_to_obj(poly: Poly) -> dict:
     return {"terms": terms}
 
 
-def _whole(value) -> int:
-    """A JSON exponent or s power: a number, never truncated to an int and
-    never read from a string or from a JSON ``true`` or ``false``."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float)
-                                          and not value.is_integer()):    # 2.7, 1e400, NaN
-        raise ValueError(f"exponent {value!r} is not a whole number")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_ORDER = re.compile(r"[0-9]+")
+
+
+def _matched(pattern, text, what: str) -> str:
+    """``text``, if it is a string that ``pattern`` matches in full."""
+    if not isinstance(text, str) or not pattern.fullmatch(text):
+        raise ValueError(f"{what} {text!r} does not match {pattern.pattern}")
+    return text
+
+
+def _whole(value, least: int = 1) -> int:
+    """A JSON exponent, or an s power with ``least`` 0: a number >= ``least``,
+    never truncated to an int, nor read from a string or a boolean."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())    # 2.7, 1e400, NaN
+            or value < least):
+        raise ValueError(f"exponent {value!r} is not a whole number >= {least}")
     return int(value)
 
 
 def poly_from_obj(obj: dict, ring: Ring) -> Poly:
-    """The polynomial of a JSON term list: each coefficient a rational
-    string or a JSON number, never a boolean; each exponent and s power a
-    whole JSON number; each jet order an object key, so a string."""
+    """The polynomial of a JSON term list, read by the ``term`` rules of
+    ``schemas/expression.schema.json``: rational-string coefficients, digit
+    jet orders, whole exponents >= 1 and s powers >= 0 (``2.0`` reads as 2)."""
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()
     for entry in obj["terms"]:
-        if isinstance(entry["coef"], bool):
-            raise ValueError(f"coefficient {entry['coef']!r} is not a rational")
-        try:
-            coef = Fraction(entry["coef"])
-        except OverflowError as exc:       # an infinite JSON number
-            raise ValueError(f"coefficient {entry['coef']!r}: {exc}") from exc
-        term = ring.s(_whole(entry.get("s", 0))) * coef
+        coef = Fraction(_matched(_RATIONAL, entry["coef"], "coefficient"))
+        term = ring.s(_whole(entry.get("s", 0), 0)) * coef
         jets = entry.get("jets", {})
         if single:
-            for o, e in jets.items():
-                term = term * ring.var(ring.dependents[0], int(o)) ** _whole(e)
+            jets = {ring.dependents[0]: jets}
         else:
-            for name, orders in jets.items():
-                for o, e in orders.items():
-                    term = term * ring.var(name, int(o)) ** _whole(e)
             for name, e in entry.get("params", {}).items():
                 term = term * ring.param(name) ** _whole(e)
+        for name, orders in jets.items():
+            for o, e in orders.items():
+                order = int(_matched(_ORDER, o, "jet order"))
+                term = term * ring.var(name, order) ** _whole(e)
         out += term
     return out
 

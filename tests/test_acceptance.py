@@ -39,7 +39,7 @@ def _seeds():
 def test_criterion_1_hierarchy_golden_k1():
     start = time.perf_counter()
     system = build_p3_system(1)
-    ok = equation_equivalent(system.equation(1), reference_k1(system.ring))
+    ok = equation_equivalent(system.equations[0], reference_k1(system.ring))
     elapsed = time.perf_counter() - start
     _report(1, "k=1 system matches the reference ODE display "
                f"({elapsed:.3f}s < 1s)", ok and elapsed < 1.0)
@@ -48,9 +48,9 @@ def test_criterion_1_hierarchy_golden_k1():
 def test_criterion_2_hierarchy_golden_k2():
     start = time.perf_counter()
     system = build_p3_system(2)
-    ok = (equation_equivalent(system.equation(1),
+    ok = (equation_equivalent(system.equations[0],
                               reference_k2_first(system.ring))
-          and equation_equivalent(system.equation(2),
+          and equation_equivalent(system.equations[1],
                                   reference_k2_second(system.ring)))
     elapsed = time.perf_counter() - start
     _report(2, "k=2 system matches both reference displays "

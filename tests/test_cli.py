@@ -114,16 +114,21 @@ class TestGenLenard:
         '"jets":{"0":2.7}', '"s":1e400', '"s":0.5', '"jets":{"0":1e400}',
         '"jets":{"0":NaN}', '"jets":{"0":-Infinity}', '"jets":{"1.5":1}',
         '"s":true', '"jets":{"0":true}', '"s":"2"', '"jets":{"0":"3"}',
-        '"coef":true',
+        '"coef":true', '"jets":{"0":0}', '"coef":1', '"coef":"1.5"',
+        '"jets":{"1_0":1}', '"jets":{" 1":1}',
     ], ids=["fractional-exponent", "infinite-s-power", "fractional-s-power",
             "infinite-exponent", "nan-exponent", "negative-infinite-exponent",
             "fractional-order", "boolean-s-power", "boolean-exponent",
-            "string-s-power", "string-exponent", "boolean-coefficient"])
+            "string-s-power", "string-exponent", "boolean-coefficient",
+            "zero-exponent", "number-coefficient", "decimal-coefficient",
+            "underscored-order", "spaced-order"])
     def test_json_exponent_must_be_a_whole_number(self, capsys, term):
         """An exponent, s power or jet order is never truncated (2.7 read as
         2), read from a boolean (true as 1) or a string ("3" as 3) or
-        reported as a runtime error (1e400): each is a bad seed.  Nor is a
-        boolean coefficient read as 1."""
+        reported as a runtime error (1e400), an exponent is at least 1, and a
+        jet order is decimal digits only (not "1_0" or " 1"): each other
+        value is a bad seed.  A coefficient is a rational string, never a
+        JSON number or boolean, nor a decimal such as "1.5"."""
         fields = term if term.startswith('"coef"') else '"coef":"1",' + term
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
                              '{"terms":[{%s}]}' % fields, "--count", "1")
@@ -170,7 +175,7 @@ class TestGenHierarchy:
         ring = hierarchy_ring(1)
         eq = RatExpr(render.poly_from_obj(obj["equations"][0]["num"], ring),
                      render.poly_from_obj(obj["equations"][0]["den"], ring))
-        assert equation_equivalent(eq, build_p3_system(1).equation(1))
+        assert equation_equivalent(eq, build_p3_system(1).equations[0])
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "gen-hierarchy", "--k", "2",
@@ -184,8 +189,9 @@ class TestGenHierarchy:
         assert code == cli.EXIT_USAGE
 
     def test_nonpositive_k(self, capsys):
-        code, _, _ = run(capsys, "gen-hierarchy", "--k", "0")
-        assert code == cli.EXIT_USAGE
+        for command in ("gen-hierarchy", "gen-lax"):
+            code, out, err = run(capsys, command, "--k", "0")
+            assert (code, out, err) == (cli.EXIT_USAGE, "", "--k must be positive\n")
 
 
 class TestGenLax:
@@ -294,9 +300,8 @@ class TestVerify:
         assert code != cli.EXIT_OK
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_verify_checks",
-                            lambda suite, max_index, seqs:
-                            iter([(False, suite, "x")]))
+        monkeypatch.setitem(cli._SUITES, "master",
+                            (lambda seq, max_index: iter([(False, "x")]), ("standard",), 0))
         code, out, _ = run(capsys, "verify", "--suite", "master")
         assert code == cli.EXIT_VERIFY_FAILED
         assert "FAIL master x" in out
@@ -304,6 +309,10 @@ class TestVerify:
     def test_bad_suite_name(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == cli.EXIT_USAGE
+
+    def test_nonpositive_max_index(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-index", "0")
+        assert (code, out, err) == (cli.EXIT_USAGE, "", "--max-index must be positive\n")
 
 
 class TestIntegrate:
@@ -391,6 +400,24 @@ class TestIntegrate:
         assert code == cli.EXIT_USAGE
         assert err.startswith("bad configuration: ") and message in err
         assert not out_file.exists()
+
+    def test_zero_decimate_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                             "--init", "1,0", "--s0", "1", "--s1", "2",
+                             "--step", "0.5", "--decimate", "0", "--out", str(out_file))
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "bad configuration: decimate must be >= 1\n"
+        assert not out_file.exists()
+
+    def test_unwritable_out_is_runtime_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                             "--init", "1,0", "--s0", "1", "--s1", "2",
+                             "--step", "0.5", "--out", str(out_file))
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err.startswith(f"cannot write {out_file}: ") and err.count("\n") == 1
+        assert not out_file.parent.exists()
 
     def test_k2_start_at_zero_l1_completes(self, capsys, tmp_path):
         # no k = 2 equation divides by l1, so a zero l1 is not a stop

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -240,3 +241,21 @@ def test_readme_shows_the_top_level_help(capsys):
     shown = readme.split("$ p3lenard --help\n", 1)[1].split("```", 1)[0]
     assert cli.run(["--help"]) == cli.EXIT_OK
     assert capsys.readouterr().out == shown
+
+
+def test_readme_cli_examples_succeed(capsys, tmp_path):
+    """Each ``p3lenard`` command of the README's first ``sh`` block under
+    "## CLI", continuations joined and comments dropped, exits 0, with its
+    ``--out`` file moved into ``tmp_path``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("p3lenard ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        argv = [str(tmp_path / arg) if option == "--out" else arg
+                for option, arg in zip(["", *argv], argv)]
+        assert cli.run(argv[1:]) == cli.EXIT_OK, argv
+        capsys.readouterr()
+    assert [path.name for path in tmp_path.iterdir()] == ["run.csv"]

@@ -68,27 +68,27 @@ def reference_k2_second(ring, flip_tau2=True):
 
 class TestBuildSystem:
     def test_k1_golden(self, sys1):
-        assert equation_equivalent(sys1.equation(1), reference_k1(sys1.ring))
+        assert equation_equivalent(sys1.equations[0], reference_k1(sys1.ring))
 
     def test_k1_perturbed_parameter_differs(self, sys1):
         var, S, (T0, T1) = _wrap(sys1.ring)
         perturbed = reference_k1(sys1.ring) - (T1 + 1) / S + T1 / S
-        assert not equation_equivalent(sys1.equation(1), perturbed)
+        assert not equation_equivalent(sys1.equations[0], perturbed)
 
     def test_k1_cleared_form_is_polynomial(self, sys1):
         # s*l1*(equation) clears every denominator
         ring = sys1.ring
-        cleared = sys1.equation(1) * RatExpr.of(ring.s() * ring.var("l1", 0), ring)
+        cleared = sys1.equations[0] * RatExpr.of(ring.s() * ring.var("l1", 0), ring)
         assert cleared.den == ring.one()
 
     def test_k2_goldens(self, sys2):
-        assert equation_equivalent(sys2.equation(1), reference_k2_first(sys2.ring))
-        assert equation_equivalent(sys2.equation(2), reference_k2_second(sys2.ring))
+        assert equation_equivalent(sys2.equations[0], reference_k2_first(sys2.ring))
+        assert equation_equivalent(sys2.equations[1], reference_k2_second(sys2.ring))
 
     def test_k2_published_tau2_sign_differs(self, sys2):
         # documents the sign normalization applied in reference_k2_second
         literal = reference_k2_second(sys2.ring, flip_tau2=False)
-        assert not equation_equivalent(sys2.equation(2), literal)
+        assert not equation_equivalent(sys2.equations[1], literal)
 
     def test_second_order_after_elimination(self, sys2):
         for eq in sys2.equations:
@@ -119,20 +119,16 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_p3_system(0)
 
-    def test_equation_index_range(self, sys1):
-        with pytest.raises(IndexOutOfRange):
-            sys1.equation(2)
-
 
 class TestEquationEquivalent:
     def test_scaling_invariance(self, sys1):
         ring = sys1.ring
         scale = RatExpr.of(ring.s() * ring.var("l1", 0), ring)
-        eq = sys1.equation(1)
+        eq = sys1.equations[0]
         assert equation_equivalent(eq, eq * scale)
 
     def test_symmetric(self, sys1):
-        eq = sys1.equation(1)
+        eq = sys1.equations[0]
         ref = reference_k1(sys1.ring)
         assert equation_equivalent(eq, ref) == equation_equivalent(ref, eq)
 
@@ -288,7 +284,7 @@ class TestRecoveryProperty:
             expr = RatExpr.of(conserved_tau(seq, k, p)
                               - ring.param(f"tau{p}"), ring)
             expr = expr.subs_var("u", 0, system.u_expr)
-            assert equation_equivalent(expr, system.equation(p))
+            assert equation_equivalent(expr, system.equations[p - 1])
 
     def test_hierarchy_ring_shape(self):
         ring = hierarchy_ring(2)
@@ -307,8 +303,7 @@ def plain_brackets(seq, a, b, count):
 def plain_closed_form(count):
     """l_1..l_count of the standard seed from sigma_p = 0 spelled out:
     l_p = sum_{q<p-1} B_{p-1-q,q} + Omega_{0,p-1}."""
-    seed = SeedCondition.standard()
-    seq = LenardSequence(seed, [seed.poly], [], U_RING)
+    seq = LenardSequence([SeedCondition.standard().poly], U_RING)
     for p in range(1, count + 1):
         seq.ells.append(plain_brackets(seq, p - 1, 0, p - 1) + omega(seq, 0, p - 1))
     return seq.ells

@@ -391,12 +391,6 @@ class TestSubstitutionAndContent:
             check(part, want[e])
 
     @EXAMPLES
-    @given(r=refs(), m=monomials())
-    def test_divide_monomial(self, r, m):
-        shifted = {mono_mul(k, m): c for k, c in r.items()}
-        check(Poly(RING, shifted).divide_monomial(m), r)
-
-    @EXAMPLES
     @given(r=refs())
     def test_primitive_core_and_content(self, r):
         p = Poly(RING, r)
@@ -569,22 +563,16 @@ class TestPackedLayout:
         check(p.total_derivative(), ref_derivative(r))
 
     @EXAMPLES
-    @given(r=wide_refs(LIMIT - 1).filter(bool))
-    def test_monomial_content_on_a_wide_ring(self, r):
-        p = Poly(WIDE, r)
-        content = ref_monomial_content(list(r))
-        assert p.monomial_content() == content
-        check(p.divide_monomial(content), ref_divide(r, content))
-
-    @EXAMPLES
-    @given(r=refs().filter(bool), m=monomials())
-    def test_divide_monomial_refuses_a_non_divisor(self, r, m):
-        p = Poly(RING, r)
-        if ref_monomial_content([*r, m]) == m:
-            check(p.divide_monomial(m), ref_divide(r, m))
-        else:
-            with pytest.raises(ValueError, match="does not divide"):
-                p.divide_monomial(m)
+    @given(n=wide_refs(LIMIT - 1).filter(bool), d=wide_refs(LIMIT - 1).filter(bool))
+    def test_primitive_core_on_a_wide_ring(self, n, d):
+        """The monomial content, a slotwise minimum of packed keys, over
+        every slot and exponent of the wide ring: ``primitive_core`` strips
+        it from one polynomial and ``RatExpr`` the joint one from two."""
+        check(Poly(WIDE, n).primitive_core(), ref_primitive_core(n))
+        e = RatExpr(Poly(WIDE, n), Poly(WIDE, d))
+        want_n, want_d = ref_ratexpr(n, d)
+        check(e.num, want_n)
+        check(e.den, want_d)
 
     def test_max_order_reads_every_term(self):
         p = Poly(WIDE, {mono(jets={(3, 700): 1}): 1, mono(jets={(2, 799): 2}): 1})

@@ -52,9 +52,11 @@ class TestGenerate:
         assert std_seq.ell(3) == L3
 
     def test_integration_constants_are_recorded(self):
+        # each constant is added to its own entry: l_2 moves by c_1 alone
         seq = generate(SeedCondition.standard(), 2, [1, Fraction(1, 3)])
         assert seq.ell(1) == L1 + const(1)
-        assert seq.constants == [1, Fraction(1, 3)]
+        bare = generate(SeedCondition.standard(), 2, [1, 0])
+        assert seq.ell(2) - bare.ell(2) == const(Fraction(1, 3))
 
     def test_painleve3_seed_leaves_the_ring(self):
         # RHS at step 0 is 2u + s*u', whose u-term has no differential-
@@ -381,8 +383,8 @@ class TestMemo:
         # build per step or the 66 that one transport_residual per r takes
         calls = self._count_brackets(monkeypatch)
         seq = symbolic(SeedCondition.painleve3(), 5)
-        checks = list(cli._verify_checks("transport", 4, {"p3": seq}))
-        assert len(checks) == 56 and all(ok for ok, _, _ in checks)
+        checks = list(cli._SUITES["transport"][0](seq, 4))
+        assert len(checks) == 56 and all(ok for ok, _ in checks)
         assert len(calls) == 19
 
     @pytest.mark.parametrize("suite, max_index, builds", [
@@ -394,7 +396,7 @@ class TestMemo:
         bracket_prime = lenard._bracket_prime
 
         def counted(seq, a, b):
-            built.append((seq.seed.variant, a, b))
+            built.append((str(seq.ell(0)), a, b))
             return bracket_prime(seq, a, b)
 
         monkeypatch.setattr(lenard, "_bracket_prime", counted)

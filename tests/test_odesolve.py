@@ -329,7 +329,7 @@ def _reference(exact):
     det = _ref_poly(exact.det, layout)
     second = [_ref_ratexpr(f, layout) for f in exact.second]
     values = [layout[(name, 0)] for name in exact.guarded]
-    slopes = [layout[(f"l{p}", 1)] for p in range(1, exact.k + 1)]
+    slopes = [layout[(f"l{p}", 1)] for p in range(1, len(exact.second) + 1)]
 
     def rhs(s, y):
         if any(y[i] == 0.0 for i in values) or det(s, y) == 0.0:

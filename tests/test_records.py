@@ -17,7 +17,6 @@ from p3lenard.odesolve import (CompiledSystem, SolverConfig, Trajectory,
 
 HALF = U_RING.const(Fraction(1, 2))
 U = U_RING.var("u", 0)
-SEED = SeedCondition("standard", HALF)
 
 
 def _zero_field(s, y):
@@ -28,10 +27,9 @@ def _zero_field(s, y):
 # the defaults of the rest
 RECORDS = [
     (SeedCondition, ("variant", "poly"), ("standard", HALF), {}),
-    (LenardSequence, ("seed", "ells", "constants", "ring", "rules"),
-     (SEED, [HALF, U], [Fraction(0)], U_RING), {"rules": {}}),
-    (HierarchySystem, ("k", "equations", "u_expr", "ring"),
-     (1, [RatExpr(U)], RatExpr(HALF), U_RING), {}),
+    (LenardSequence, ("ells", "ring", "rules"), ([HALF, U], U_RING), {"rules": {}}),
+    (HierarchySystem, ("equations", "u_expr", "ring"),
+     ([RatExpr(U)], RatExpr(HALF), U_RING), {}),
     (LaurentPoly, ("ring", "coeffs"), (U_RING, {-1: U}), {}),
     (CompiledSystem,
      ("state_names", "rhs", "monitors", "constants", "source"),
@@ -42,9 +40,9 @@ RECORDS = [
     (Trajectory, ("samples", "status", "abort_s"),
      ([(1.0, (0.5,), (0.25,))], "completed"), {"abort_s": None}),
     (_ExactSystem,
-     ("k", "state_names", "layout", "guarded", "det", "second", "monitors",
+     ("state_names", "layout", "guarded", "det", "second", "monitors",
       "constants"),
-     (1, ("l1", "l1p"), {("l1", 0): 0, ("l1", 1): 1}, ("l1",), U,
+     (("l1", "l1p"), {("l1", 0): 0, ("l1", 1): 1}, ("l1",), U,
       (RatExpr(U),), {"u": RatExpr(U)}, {"tau1": Fraction(2)}), {}),
 ]
 

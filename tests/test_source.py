@@ -350,10 +350,8 @@ def test_derivative_rule_can_fail():
 
 
 # One content routine: only ``_make``, which normalizes every result, and
-# ``_primitive`` take a gcd, and only ``_primitive`` and
-# ``Poly.monomial_content`` read ``_content_key``.
-CONTENT_CALLERS = {"gcd": ("_make", "_primitive"),
-                   "_content_key": ("_primitive", "Poly.monomial_content")}
+# ``_primitive`` take a gcd, and only ``_primitive`` reads ``_content_key``.
+CONTENT_CALLERS = {"gcd": ("_make", "_primitive"), "_content_key": ("_primitive",)}
 
 
 def _stray_content_calls(tree):
@@ -384,8 +382,6 @@ def test_content_rule_can_fail():
               "class Poly:\n"
               "    def rational_content(self):\n"
               "        return gcd(*self.terms.values())\n"
-              "    def monomial_content(self):\n"
-              "        return _content_key(self.terms)\n"
               "    def primitive_core(self):\n"
               "        return _divided(self, _content_key(self.terms))\n"
               "class RatExpr:\n"
@@ -596,17 +592,11 @@ def test_cli_import_leaves_startup_heavy_modules_unloaded():
 # reference computations build with, reprs, and the exception that a state of
 # exactly zero raises.
 READ_BY_TESTS = {
-    "hierarchy.HierarchySystem.equation":
-        "test_hierarchy.py::TestBuildSystem::test_k1_golden",
     "hierarchy.equation_equivalent":
         "test_hierarchy.py::TestBuildSystem::test_k1_golden",
     "hierarchy.conserved_sigma":
         "test_hierarchy.py::TestConservedQuantities::test_sigma0_standard",
     "jetring.Poly.__init__": "test_jetring.py::TestArithmetic::test_mul",
-    "jetring.Poly.monomial_content":
-        "test_jetring.py::TestPackedLayout::test_monomial_content_on_a_wide_ring",
-    "jetring.Poly.divide_monomial":
-        "test_jetring.py::TestSubstitutionAndContent::test_divide_monomial",
     "jetring.Poly.primitive_core":
         "test_jetring.py::TestSubstitutionAndContent::test_primitive_core_and_content",
     "jetring.Poly.eval": "test_odesolve.py::TestCompileK2::test_round_trip_residual",
