@@ -11,6 +11,7 @@ formal antiderivative symbols are ever introduced.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -47,32 +48,35 @@ def const(c) -> Poly:
 def formal_integral(p: Poly) -> Poly:
     """Exact antiderivative with zero integration constant.
 
-    Repeated integration by parts on the highest jet order: a term
-    c*N*(u^(r-1))^a * u^(r) contributes c/(a+1)*N*(u^(r-1))^(a+1) and its
-    derivative remainder is pushed to lower order.  Terms where the top jet
-    appears nonlinearly, or leftover u-only terms, have no differential-
-    polynomial antiderivative.
+    Integration by parts from the top jet order down, on the terms split
+    once by their highest order.  At order r, c*N*(u^(r-1))^a * u^(r)
+    integrates to c/(a+1)*N*(u^(r-1))^(a+1); the derivative of that block
+    is the part at r plus a rest, subtracted from the parts below.  A
+    nonlinear top jet or a leftover u-only term has no antiderivative.
     """
     if p.ring != U_RING:
         raise ValueError("formal_integral is defined on the u-jet ring")
-    result, work, r = U_RING.zero(), p, p.max_order("u")
-    while r is not None:
-        if r == 0:
-            raise NotExactDerivative(
-                f"no differential-polynomial antiderivative (leftover {work!s})")
-        parts = work.collect("u", r)
-        if any(e >= 2 for e in parts):
-            raise NotExactDerivative(
-                f"u^({r}) appears nonlinearly at top order")
+    result, parts = U_RING.zero(), p.by_top_order()
+    for r in range(max(parts, default=0), 0, -1):
+        part = parts.pop(r, None)
+        if not part:
+            continue
+        powers = part.collect("u", r)
+        if any(e >= 2 for e in powers):
+            raise NotExactDerivative(f"u^({r}) appears nonlinearly at top order")
         # (u^(r-1))^a -> (u^(r-1))^(a+1) / (a+1)
-        block = parts[1].integrate_power(u(r - 1))
+        block = powers[1].integrate_power(u(r - 1))
         result += block
-        work = work - block.total_derivative()
-        top, r = r, work.max_order("u")
-        if r is not None and r >= top:
+        lower = block.total_derivative().by_top_order()
+        if lower.pop(r, None) != part:
             raise NotExactDerivative("integration by parts failed to reduce order")
+        for j, rest in lower.items():
+            parts[j] = parts[j] - rest if j in parts else -rest
+    if parts.get(0):                   # quote everything still unintegrated
+        raise NotExactDerivative("no differential-polynomial antiderivative "
+                                 f"(leftover {sum(parts.values(), U_RING.zero())!s})")
     # only powers of s remain: s^n -> s^(n+1) / (n+1)
-    return result + work.integrate_power(s())
+    return result + parts.get(-1, U_RING.zero()).integrate_power(s())
 
 
 # -- ASCII expression grammar --------------------------------------------------
@@ -203,7 +207,7 @@ def parse(text: str) -> Poly:
     """Parse a differential polynomial from JSON or the ASCII grammar."""
     if text.lstrip().startswith("{"):
         try:
-            return render.poly_from_json(text, U_RING)
+            return render.poly_from_obj(json.loads(text), U_RING)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed JSON polynomial: {exc!r}", 0,
                              "the term layout of p3lenard.render") from exc

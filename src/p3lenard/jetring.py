@@ -24,11 +24,12 @@ checks reduce to dict equality, and the arithmetic runs on ints.
 
 Outside the kernel a monomial is the triple (s_power, jets, params): jets
 is a sorted tuple of ((dependent, order), exponent), params a sorted tuple
-of (parameter, exponent), every exponent positive.  ``Poly(ring, mapping)``,
-``sorted_terms`` and ``leading`` speak triples, and coefficients leave the
-kernel as Fractions.  Triples stay the boundary: ``_ordered``, the one definition of the monomial order,
-reads each term's triple and its order key, a flat tuple of ints, from one
-``_occupied`` walk, and ``sorted_terms`` and ``leading`` sort on that key.
+of (parameter, exponent), every exponent positive.  ``_ordered``, the one
+definition of the monomial order, reads each term's triple and its order
+key, a flat tuple of ints, from one ``_occupied`` walk.  Terms leave the
+kernel as ``rows``, (triple, int numerator over ``den``) sorted on that key,
+so a renderer builds no Fraction; ``sorted_terms`` and ``leading`` give
+Fraction coefficients to the callers that compute with them.
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -294,11 +295,14 @@ class Poly:
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.den == other.den and self.terms == other.terms)
 
-    def sorted_terms(self):
-        """(monomial, Fraction coefficient) pairs, greatest monomial first."""
-        den = self.den
+    def rows(self):
+        """(monomial, int numerator over ``den``) pairs, greatest first."""
         rows = sorted(_ordered(self.ring, self.terms.items()), reverse=True)
-        return [(m, Fraction(c, den)) for _, m, c in rows]
+        return [(m, c) for _, m, c in rows]
+
+    def sorted_terms(self):
+        """(monomial, Fraction coefficient) pairs of ``rows``."""
+        return [(m, Fraction(c, self.den)) for m, c in self.rows()]
 
     def leading(self):
         """(monomial, Fraction coefficient) of the greatest monomial, or None
@@ -316,6 +320,15 @@ class Poly:
         used = [j for j, _ in _occupied(reduce(or_, self.terms, 0), first)
                 if (j - first) % n_dep == d]     # nonzero where any term is
         return (used[-1] - first) // n_dep if used else None
+
+    def by_top_order(self) -> dict[int, "Poly"]:
+        """{order: part} by the highest jet order in each term, of any
+        dependent; -1 holds the terms free of jets."""
+        first, n_dep, out = 1 + len(self.ring.params), len(self.ring.dependents), {}
+        for key, c in self.terms.items():
+            j = (key.bit_length() - 1) // _W          # the top nonzero slot
+            out.setdefault((j - first) // n_dep if j >= first else -1, {})[key] = c
+        return {o: _make(self.ring, t, self.den) for o, t in out.items()}
 
     # -- arithmetic ----------------------------------------------------------
 

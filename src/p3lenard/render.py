@@ -8,13 +8,14 @@ CLI and the parser round trip:
 
 Jet keys are derivative orders as strings; coefficients are exact rational
 strings.  Rings with several unknowns nest jets under the dependent's name.
+Coefficients are spelled from each polynomial's int rows, not Fractions.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .jetring import Poly, Ring, RatExpr
 
@@ -26,22 +27,16 @@ def latex_symbol(name: str) -> str:
     """Map a symbol name like ``l2`` or ``tau0`` to LaTeX (\\ell_2, \\tau_0)."""
     m = _NAME_RE.match(name)
     if m:
-        stem, idx = m.groups()
-        stem = _GREEK.get(stem, stem)
-        return f"{stem}_{idx}"
+        return f"{_GREEK.get(m[1], m[1])}_{m[2]}"
     return _GREEK.get(name, name)
 
 
 def _jet_ascii(sym: str, order: int) -> str:
-    if order <= 2:
-        return sym + "'" * order
-    return f"D{order}({sym})"
+    return sym + "'" * order if order <= 2 else f"D{order}({sym})"
 
 
 def _jet_latex(sym: str, order: int) -> str:
-    if order <= 3:
-        return sym + "'" * order
-    return f"{sym}^{{({order})}}"
+    return sym + "'" * order if order <= 3 else f"{sym}^{{({order})}}"
 
 
 def _coef_ascii(n: int, d: int) -> str:
@@ -50,6 +45,14 @@ def _coef_ascii(n: int, d: int) -> str:
 
 def _coef_latex(n: int, d: int) -> str:
     return rf"\frac{{{n}}}{{{d}}}" if d != 1 else str(n)
+
+
+def _rows(poly: Poly) -> list:
+    """(monomial, n, d) per term, greatest first: n/d is its coefficient in
+    lowest terms, its numerator over ``poly.den`` less one gcd."""
+    den = poly.den
+    return [(m, n, 1) for m, n in poly.rows()] if den == 1 else [
+        (m, n // g, den // g) for m, n in poly.rows() for g in (gcd(n, den),)]
 
 
 def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:
@@ -64,7 +67,7 @@ def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:
     deps, params = poly.ring.dependents, poly.ring.params
     jets, pars = {}, {}                   # (dependent, order), parameter -> text
     chunks = []
-    for (s_pow, js, ps), c in poly.sorted_terms():
+    for (s_pow, js, ps), n, d in _rows(poly):
         parts = [power("s", s_pow) if s_pow > 1 else "s"] if s_pow else []
         for de, e in js:
             f = jets.get(de)
@@ -76,7 +79,6 @@ def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:
             if f is None:
                 f = pars[p] = symbol(params[p])
             parts.append(power(f, e) if e > 1 else f)
-        n, d = c.numerator, c.denominator
         if d != 1 or not parts or (n != 1 and n != -1):
             parts.insert(0, coef(abs(n), d))
         chunks.append(("- " if n < 0 else "+ ") + sep.join(parts))
@@ -107,18 +109,18 @@ def poly_to_obj(poly: Poly) -> dict:
     deps, pars = poly.ring.dependents, poly.ring.params
     single = len(deps) == 1 and not pars
     terms = []
-    for (s_pow, jets, ps), c in poly.sorted_terms():
+    for (s_pow, jets, ps), n, d in _rows(poly):
         entry: dict = {"s": s_pow}
         if single:
             entry["jets"] = {str(o): e for (_, o), e in jets}
         else:
             nested: dict = {}
-            for (d, o), e in jets:
-                nested.setdefault(deps[d], {})[str(o)] = e
+            for (dep, o), e in jets:
+                nested.setdefault(deps[dep], {})[str(o)] = e
             entry["jets"] = nested
             if ps:
                 entry["params"] = {pars[p]: e for p, e in ps}
-        entry["coef"] = str(c)
+        entry["coef"] = _coef_ascii(n, d)
         terms.append(entry)
     return {"terms": terms}
 
@@ -145,9 +147,10 @@ def _whole(value, least: int = 1) -> int:
 
 
 def poly_from_obj(obj: dict, ring: Ring) -> Poly:
-    """The polynomial of a JSON term list, read by the ``term`` rules of
+    """The polynomial of a JSON term list, read by ``$defs/poly`` of
     ``schemas/expression.schema.json``: rational-string coefficients, digit
-    jet orders, whole exponents >= 1 and s powers >= 0 (``2.0`` reads as 2)."""
+    jet orders, whole exponents >= 1 and s powers >= 0 (``2.0`` reads as 2),
+    and then, so that a bad value is named first, its keys and parameters."""
     single = len(ring.dependents) == 1 and not ring.params
     out = ring.zero()
     for entry in obj["terms"]:
@@ -164,11 +167,11 @@ def poly_from_obj(obj: dict, ring: Ring) -> Poly:
                 order = int(_matched(_ORDER, o, "jet order"))
                 term = term * ring.var(name, order) ** _whole(e)
         out += term
+    if set(obj) != {"terms"} or any(set(e) - {"params"} != {"s", "jets", "coef"}
+                                    or single and e.get("params") for e in obj["terms"]):
+        raise ValueError("keys other than terms, or term keys other than s, jets, "
+                         f"coef and params of {ring!r}")
     return out
-
-
-def poly_from_json(text: str, ring: Ring) -> Poly:
-    return poly_from_obj(json.loads(text), ring)
 
 
 def ratexpr_to_obj(expr: RatExpr) -> dict:

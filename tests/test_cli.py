@@ -1,6 +1,8 @@
 """CLI surface: subcommand behaviour, exit codes, schema-valid JSON output,
 and the CSV integration path."""
 
+import ast
+import contextlib
 import json
 import marshal
 import os
@@ -17,7 +19,7 @@ from p3lenard import cli, odesolve, render
 from p3lenard.diffpoly import U_RING, u
 from p3lenard.hierarchy import (build_p3_system, equation_equivalent,
                                 hierarchy_ring)
-from p3lenard.jetring import RatExpr
+from p3lenard.jetring import ExponentOverflow, RatExpr
 from p3lenard.lenard import IndexOutOfRange
 
 from test_odesolve import _flip_tau_sign
@@ -34,6 +36,29 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# One field of a custom-seed term that makes the seed bad, by the test id
+# that names the reason.
+BAD_TERM_FIELDS = {
+    "fractional-exponent": '"jets":{"0":2.7}', "infinite-s-power": '"s":1e400',
+    "fractional-s-power": '"s":0.5', "infinite-exponent": '"jets":{"0":1e400}',
+    "nan-exponent": '"jets":{"0":NaN}', "negative-infinite-exponent": '"jets":{"0":-Infinity}',
+    "fractional-order": '"jets":{"1.5":1}', "boolean-s-power": '"s":true',
+    "boolean-exponent": '"jets":{"0":true}', "string-s-power": '"s":"2"',
+    "string-exponent": '"jets":{"0":"3"}', "boolean-coefficient": '"coef":true',
+    "zero-exponent": '"jets":{"0":0}', "number-coefficient": '"coef":1',
+    "decimal-coefficient": '"coef":"1.5"', "underscored-order": '"jets":{"1_0":1}',
+    "spaced-order": '"jets":{" 1":1}',
+}
+
+
+def full_term_seed(field: str) -> str:
+    """The one-term seed ``1`` in the full form the schema requires, with
+    ``field`` in place of its own coefficient, s power or jets."""
+    fields = {'"coef"': '"coef":"1"', '"s"': '"s":0', '"jets"': '"jets":{}'}
+    fields[field.split(":", 1)[0]] = field
+    return '{"terms":[{%s}]}' % ",".join(fields.values())
 
 
 class TestGenLenard:
@@ -86,7 +111,7 @@ class TestGenLenard:
     def test_exponent_overflow_is_runtime_error(self, capsys):
         # an exponent beyond the packed slots stays exit 3, from either grammar
         for expr in ("u^16384*u^16384", "u^40000",
-                     '{"terms":[{"coef":"1","jets":{"0":40000}}]}'):
+                     '{"terms":[{"coef":"1","s":0,"jets":{"0":40000}}]}'):
             code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
                                  "--custom", expr, "--count", "1")
             assert (code, out) == (cli.EXIT_RUNTIME, "")
@@ -102,26 +127,17 @@ class TestGenLenard:
         # range are parse errors, never a traceback, exit 1 (verification
         # failed) or exit 3 (runtime error)
         for expr in ("u^^2", "1/0", '{"x":1}', '{"terms":5}',
-                     '{"terms":[{"coef":"1/0"}]}', '{"terms":[{"coef":1e400}]}',
-                     '{"terms":[{"coef":Infinity}]}',
-                     '{"terms":[{"coef":-Infinity}]}'):
+                     '{"terms":[{"coef":"1/0","s":0,"jets":{}}]}',
+                     '{"terms":[{"coef":1e400,"s":0,"jets":{}}]}',
+                     '{"terms":[{"coef":Infinity,"s":0,"jets":{}}]}',
+                     '{"terms":[{"coef":-Infinity,"s":0,"jets":{}}]}'):
             code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
                                  "--custom", expr, "--count", "1")
             assert (code, out) == (cli.EXIT_USAGE, "")
             assert err.startswith("bad custom seed: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("term", [
-        '"jets":{"0":2.7}', '"s":1e400', '"s":0.5', '"jets":{"0":1e400}',
-        '"jets":{"0":NaN}', '"jets":{"0":-Infinity}', '"jets":{"1.5":1}',
-        '"s":true', '"jets":{"0":true}', '"s":"2"', '"jets":{"0":"3"}',
-        '"coef":true', '"jets":{"0":0}', '"coef":1', '"coef":"1.5"',
-        '"jets":{"1_0":1}', '"jets":{" 1":1}',
-    ], ids=["fractional-exponent", "infinite-s-power", "fractional-s-power",
-            "infinite-exponent", "nan-exponent", "negative-infinite-exponent",
-            "fractional-order", "boolean-s-power", "boolean-exponent",
-            "string-s-power", "string-exponent", "boolean-coefficient",
-            "zero-exponent", "number-coefficient", "decimal-coefficient",
-            "underscored-order", "spaced-order"])
+    @pytest.mark.parametrize("term", list(BAD_TERM_FIELDS.values()),
+                             ids=list(BAD_TERM_FIELDS))
     def test_json_exponent_must_be_a_whole_number(self, capsys, term):
         """An exponent, s power or jet order is never truncated (2.7 read as
         2), read from a boolean (true as 1) or a string ("3" as 3) or
@@ -129,23 +145,69 @@ class TestGenLenard:
         jet order is decimal digits only (not "1_0" or " 1"): each other
         value is a bad seed.  A coefficient is a rational string, never a
         JSON number or boolean, nor a decimal such as "1.5"."""
-        fields = term if term.startswith('"coef"') else '"coef":"1",' + term
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
-                             '{"terms":[{%s}]}' % fields, "--count", "1")
+                             full_term_seed(term), "--count", "1")
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err.startswith("bad custom seed: ") and err.count("\n") == 1
 
     def test_json_whole_float_exponent_is_read(self, capsys):
         # 2.0 is the exponent 2, and 40000.0 still overflows (exit 3)
         whole = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
-                    '{"terms":[{"coef":"1","jets":{"0":2.0}}]}', "--count", "1")
+                    '{"terms":[{"coef":"1","s":0,"jets":{"0":2.0}}]}', "--count", "1")
         assert whole == run(capsys, "gen-lenard", "--seed", "custom", "--custom",
                             "u^2", "--count", "1")
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
-                             '{"terms":[{"coef":"1","jets":{"0":40000.0}}]}',
+                             '{"terms":[{"coef":"1","s":0,"jets":{"0":40000.0}}]}',
                              "--count", "1")
         assert (code, out) == (cli.EXIT_RUNTIME, "")
         assert err.startswith("runtime error: an exponent reached 2**15")
+
+    @pytest.mark.parametrize("seed", [
+        '{"terms":[{"coef":"1","params":{"tau0":1}}]}',
+        '{"terms":[{"coef":"1","s":0,"jets":{},"params":{"tau0":1}}]}',
+        '{"terms":[{"coef":"1"}]}',
+        '{"terms":[{"coef":"1","s":0,"jets":{},"extra":5}]}',
+        '{"terms":[],"x":1}',
+    ], ids=["parameter", "parameter-in-full-form", "no-s-or-jets", "extra-term-key",
+            "extra-key"])
+    def test_json_seed_is_read_by_the_whole_schema(self, capsys, seed):
+        """A term needs s, jets and coef and allows only params besides, a
+        polynomial has the one key terms, and a parameter the u ring lacks
+        is refused rather than dropped: each is a bad seed."""
+        code, out, err = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                             seed, "--count", "1")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("bad custom seed: ") and err.count("\n") == 1
+
+    def test_json_seeds_are_read_iff_the_schema_holds(self, schema):
+        """Every JSON custom seed of this file, and each bad term field in
+        the full form, is read by ``poly_from_obj`` iff it validates against
+        ``$defs/poly`` and names no parameter (the u ring has none).  An
+        exponent too large for the packed slots is read: it fails later, as
+        a runtime error."""
+        tree = ast.parse(Path(__file__).read_text())
+        seeds = {full_term_seed(field) for field in BAD_TERM_FIELDS.values()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and str(node.value).startswith('{"'):
+                with contextlib.suppress(ValueError):     # not JSON: a template
+                    json.loads(node.value)
+                    seeds.add(node.value)
+        poly = jsonschema.Draft202012Validator(
+            {**schema["$defs"]["poly"], "$defs": schema["$defs"]})
+        verdicts = set()
+        for seed in seeds:
+            obj = json.loads(seed)
+            try:
+                render.poly_from_obj(obj, U_RING)
+                read = True
+            except ExponentOverflow:
+                read = True
+            except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+                read = False
+            names_a_parameter = '"params"' in seed
+            verdicts.add((seed, read, poly.is_valid(obj) and not names_a_parameter))
+        assert [v for v in verdicts if v[1] != v[2]] == []
+        assert len(seeds) > 25 and {v[1] for v in verdicts} == {True, False}
 
     @pytest.mark.parametrize("argv, message", [
         (("--count", "0"), "--count must be positive"),

@@ -1,12 +1,14 @@
 """Differential-polynomial kernel: ring laws, derivative, formal integral,
 evaluation, and the serialization round trip."""
 
+import inspect
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from p3lenard import diffpoly
 from p3lenard.diffpoly import (U_RING, NotExactDerivative, ParseError, const,
                                formal_integral, parse, s, u)
 from p3lenard.hierarchy import hierarchy_ring
@@ -118,6 +120,91 @@ class TestFormalIntegral:
         except NotExactDerivative:
             return
         assert q.total_derivative() == p
+
+
+def ref_formal_integral(p):
+    """``formal_integral`` as it was before it split its input by top order:
+    it collected the whole remainder once per jet order."""
+    result, work, r = U_RING.zero(), p, p.max_order("u")
+    while r is not None:
+        if r == 0:
+            raise NotExactDerivative(
+                f"no differential-polynomial antiderivative (leftover {work!s})")
+        parts = work.collect("u", r)
+        if any(e >= 2 for e in parts):
+            raise NotExactDerivative(
+                f"u^({r}) appears nonlinearly at top order")
+        block = parts[1].integrate_power(u(r - 1))
+        result += block
+        work = work - block.total_derivative()
+        top, r = r, work.max_order("u")
+        if r is not None and r >= top:
+            raise NotExactDerivative("integration by parts failed to reduce order")
+    return result + work.integrate_power(s())
+
+
+def outcome(integral, p):
+    """The antiderivative of ``p``, or the message it was refused with."""
+    try:
+        return integral(p)
+    except NotExactDerivative as exc:
+        return str(exc)
+
+
+def without_constant(q):
+    return q - const(dict(q.sorted_terms()).get((0, (), ()), 0))
+
+
+# q = s u' - u has D(q) = s u'': integrating s u'' leaves the remainder -u'
+# at order 1, where D(q) has no terms.
+EXACT_CASES = [s(), const(5), U_RING.zero(), s() * u(1) - u(), u(1) ** 2 * s() ** 2,
+               u() * u(2) + s() * u(3) ** 2 - const(Fraction(1, 3))]
+
+
+def integral_faults(integral):
+    """The q of ``EXACT_CASES`` whose derivative ``integral`` does not take
+    back to q less its constant term."""
+    return [q for q in EXACT_CASES
+            if outcome(integral, q.total_derivative()) != without_constant(q)]
+
+
+def remainder_dropping_integral():
+    """``formal_integral`` with a merge that drops each remainder whose
+    order holds no part yet, built from its source."""
+    source = inspect.getsource(diffpoly.formal_integral)
+    mutant = source.replace("parts[j] - rest if j in parts else -rest",
+                            "parts[j] - rest if j in parts else U_RING.zero()")
+    assert mutant != source
+    namespace = dict(vars(diffpoly))
+    exec(mutant, namespace)
+    return namespace["formal_integral"]
+
+
+class TestFormalIntegralOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(q=diffpolys())
+    @example(q=s())
+    @example(q=const(Fraction(-7, 2)))
+    @example(q=s() * u(1) - u())
+    def test_integral_of_derivative_is_q_less_its_constant(self, q):
+        assert outcome(formal_integral, q.total_derivative()) == without_constant(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=diffpolys(), q=diffpolys())
+    @example(p=s() * u(), q=U_RING.zero())
+    @example(p=u() ** 2, q=u(2))
+    def test_matches_the_reference_loop(self, p, q):
+        """Mostly non-exact inputs: the same antiderivative or the same
+        message, "leftover" quoting everything still unintegrated."""
+        for f in (p, p + q.total_derivative()):
+            assert outcome(formal_integral, f) == outcome(ref_formal_integral, f)
+
+    def test_fixed_cases(self):
+        assert integral_faults(formal_integral) == []
+        assert integral_faults(ref_formal_integral) == []
+
+    def test_a_merge_that_drops_a_remainder_fails(self):
+        assert integral_faults(remainder_dropping_integral()) == [s() * u(1) - u()]
 
 
 class TestEvalNumeric:

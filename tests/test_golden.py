@@ -5,6 +5,7 @@ outputs fails here."""
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from p3lenard import cli
 
 CONSTANTS = "--constants=1,-3/4,2,0,5/7,-1"
+CONSTANTS_12 = "--constants=1,-3/4,2,0,5/7,-1,3,-2/9,7/4,1/3,-5,8/3"
 
 STDOUT_GOLDENS = {
     ("gen-lenard", "--count", "8"):
@@ -22,6 +24,10 @@ STDOUT_GOLDENS = {
         "52959ff26425fae6bae5c68ec997d852cf04ffeda4564039e099fec438aa5e59",
     ("gen-lenard", "--count", "6", CONSTANTS, "--format", "latex"):
         "22a8190c08516eb75963f6efcb85bb51c054d9015cafbcc272e118ecb47315a2",
+    ("gen-lenard", "--count", "12"):
+        "23b2be76f758a9f6d1251c7b5929c8f8c064c2cdeb30214cee3de3eede84d39d",
+    ("gen-lenard", "--count", "12", CONSTANTS_12):
+        "95a599c66b63fcb4459e2cc6153a2be3e9f70c3060d0e4c2b395a8f04e3e5f3e",
     ("gen-hierarchy", "--k", "1"):
         "28f93ab0a12a64c500f6a8e910e3ca317b2c075d1a0abddb9fa5ec7c63db676d",
     ("gen-hierarchy", "--k", "1", "--format", "latex"):
@@ -62,6 +68,14 @@ STDOUT_GOLDENS = {
         "b6e54cad837282f27a20d5df7762efe6de59c4425f51985f31f97beafd2a7a99",
     ("gen-hierarchy", "--k", "16", "--format", "latex"):
         "2c2432b563815426a11e9bb5effa33c81f87a65ccc033f4a6b4a09a1b2f6b325",
+    ("gen-hierarchy", "--k", "24"):
+        "b9edc397dd8cf4f1754aabb534832db38368410d23e6079b873cac785e1a63b0",
+    ("gen-hierarchy", "--k", "24", "--format", "latex"):
+        "472f841d26c7aa26fd82236562dcfea62f6300992bc6d9d0228417c92b2bca48",
+    ("gen-hierarchy", "--k", "32"):
+        "ec52f0b4470cb53df8ba3828719e8dec015df1c7541e56214b6f5aaa73f1c7fe",
+    ("gen-hierarchy", "--k", "32", "--format", "latex"):
+        "6f887c1b636880252ef5c99e153f45d2bd7b88132699774e462da730854c8a2c",
     ("verify", "--suite", "all", "--max-index", "2"):
         "6d380eaa58c542dfbac43b178dd1afa40d98d3646d35708c93459b82cf3500c0",
     ("verify", "--suite", "all", "--max-index", "5"):
@@ -115,12 +129,15 @@ def test_stdout_bytes(capsys, argv):
     assert (code, _sha256(out.encode())) == (cli.EXIT_OK, STDOUT_GOLDENS[argv])
 
 
-# the goldens above that the benchmark's emit workload gates on, by its names
+# the goldens above that the benchmark's emit workload gates on, by its names:
+# all of its fixed commands
 BENCHMARK_GOLDENS = {
+    "gen-lenard-12": ("gen-lenard", "--count", "12"),
     "gen-lax-9-json": ("gen-lax", "--k", "9"),
     "gen-lax-9-latex": ("gen-lax", "--k", "9", "--format", "latex"),
-    "gen-hierarchy-16-json": ("gen-hierarchy", "--k", "16"),
-    "gen-hierarchy-16-latex": ("gen-hierarchy", "--k", "16", "--format", "latex"),
+    **{f"gen-hierarchy-{k}-json": ("gen-hierarchy", "--k", str(k)) for k in (16, 24, 32)},
+    **{f"gen-hierarchy-{k}-latex": ("gen-hierarchy", "--k", str(k), "--format", "latex")
+       for k in (16, 24, 32)},
 }
 
 
@@ -128,7 +145,32 @@ def test_benchmark_size_goldens_match_the_benchmark():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "golden_sha256.json"
     bench = json.loads(path.read_text())
     assert {name: STDOUT_GOLDENS[argv] for name, argv in BENCHMARK_GOLDENS.items()} \
-        == {name: bench[name] for name in BENCHMARK_GOLDENS}
+        == bench
+    assert len(bench) == 9
+
+
+def _ells(out: str) -> list:
+    """gen-lenard JSON as {(s power, jets): Fraction} per entry."""
+    return [{(t["s"], tuple(sorted(t["jets"].items()))): Fraction(t["coef"])
+             for t in ell["terms"]} for ell in json.loads(out)["ells"]]
+
+
+def test_seeded_lenard_is_the_superposition_of_the_unseeded(capsys):
+    """The recursion is linear and each constant c_j, added at step j + 1,
+    restarts it from c_j = 2 c_j l0_0: entry m of the seeded run is
+    l0_m + sum_{j<m} 2 c_j l0_{m-1-j}, in Fraction arithmetic on the JSON."""
+    assert cli.run(["gen-lenard", "--count", "12"]) == cli.EXIT_OK
+    zero = _ells(capsys.readouterr().out)
+    assert cli.run(["gen-lenard", "--count", "12", CONSTANTS_12]) == cli.EXIT_OK
+    seeded = _ells(capsys.readouterr().out)
+    consts = [Fraction(c) for c in CONSTANTS_12.split("=")[1].split(",")]
+    assert len(seeded) == len(zero) == len(consts) + 1
+    for m, entry in enumerate(seeded):
+        want = dict(zero[m])
+        for j in range(m):
+            for mono, c in zero[m - 1 - j].items():
+                want[mono] = want.get(mono, 0) + 2 * consts[j] * c
+        assert entry == {mono: c for mono, c in want.items() if c}
 
 
 @pytest.mark.parametrize("argv", list(CSV_GOLDENS), ids=" ".join)

@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import p3lenard
-from p3lenard import cli, hierarchy, jetring, laxpair, lenard, odesolve
+from p3lenard import cli, hierarchy, jetring, laxpair, lenard, odesolve, render
 from p3lenard.odesolve import compile_k1, compile_k2
 
 PACKAGE = Path(p3lenard.__file__).parent
@@ -65,7 +65,9 @@ def test_k_literal_rule_can_fail():
 
 # The jetring kernel's hot paths: they work on int numerators only.
 INTEGER_PATHS = ("_accumulate", "_make", "Poly.__add__", "Poly.__mul__",
-                 "Poly.total_derivative")
+                 "Poly.total_derivative", "Poly.rows")
+# The renderers: each coefficient is spelled from ints.
+RENDER_INTEGER_PATHS = ("_rows", "_poly_text", "poly_to_obj")
 
 
 def _functions(body, prefix=""):
@@ -104,6 +106,12 @@ def test_jetring_hot_paths_have_no_fraction():
     path = Path(jetring.__file__)
     assert _fraction_uses(ast.parse(path.read_text(), str(path)), INTEGER_PATHS) == {
         name: [] for name in INTEGER_PATHS}
+
+
+def test_render_builds_no_fraction():
+    path = Path(render.__file__)
+    assert _fraction_uses(ast.parse(path.read_text(), str(path)), RENDER_INTEGER_PATHS) == {
+        name: [] for name in RENDER_INTEGER_PATHS}
 
 
 def test_fraction_rule_can_fail():
@@ -209,7 +217,7 @@ def test_slot_walk_rule_can_fail():
 
 
 # One monomial order: ``jetring._ordered`` builds the order key of every term
-# in its walk, and ``Poly.sorted_terms`` and ``Poly.leading`` both sort or
+# in its walk, and ``Poly.rows`` and ``Poly.leading`` both sort or
 # pick on its rows.  No other function of the package defines an order: none
 # passes a ``key`` to ``sorted``, ``min``, ``max`` or ``.sort``, and none is
 # named for a sort or order key.
@@ -244,7 +252,7 @@ def test_package_has_one_monomial_order():
     assert [name for tree in trees for name in _order_definers(tree)] == []
     path = Path(jetring.__file__)
     callers = _callers(ast.parse(path.read_text(), str(path)), "_ordered")
-    assert {"Poly.sorted_terms", "Poly.leading"} <= set(callers)
+    assert {"Poly.rows", "Poly.leading"} <= set(callers)
 
 
 def test_one_order_rule_can_fail():
@@ -264,6 +272,65 @@ def test_one_order_rule_can_fail():
     tree = ast.parse(sample)
     assert _order_definers(tree) == ["Poly.sorted_terms", "_pick", "monomial_sort_key"]
     assert _callers(tree, "_ordered") == ["Poly.leading"]
+
+
+# The packed layout stays inside ``jetring``: no other module reads the keys
+# of ``.terms`` (it may take their number), calls ``bit_length`` or shifts or
+# masks a value.
+KEY_OPS = (ast.RShift, ast.LShift, ast.BitAnd)
+
+
+def _packed_key_readers(tree):
+    """Sorted names of the functions and methods of ``tree``, nested
+    functions included, and ``<module>`` for its other statements, that
+    read ``.terms`` other than as the one argument of ``len``, call
+    ``bit_length``, or apply >>, << or &."""
+    sized = {id(node.args[0]) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "len" and len(node.args) == 1}
+
+    def reads(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "terms" and id(node) not in sized) or node.attr == "bit_length"
+        return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, KEY_OPS)
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {name for name, fn in _functions(tree.body)
+             if any(reads(node) for node in ast.walk(fn))}
+    if any(reads(node) for stmt in tree.body if not isinstance(stmt, defs)
+           for node in ast.walk(stmt)):
+        found.add("<module>")
+    return sorted(found)
+
+
+def test_packed_layout_stays_inside_jetring():
+    paths = [path for path in sorted(PACKAGE.rglob("*.py")) if path.stem != "jetring"]
+    assert len(paths) >= 8
+    assert {path.stem: _packed_key_readers(tree)
+            for path, tree in zip(paths, _parsed(paths))} == {
+        path.stem: [] for path in paths}
+
+
+def test_packed_layout_rule_can_fail():
+    sample = ("TOP = (1 << 16) - 1\n"
+              "def formal_integral(p):\n"
+              "    buckets = {}\n"
+              "    for key, c in p.terms.items():\n"
+              "        r = (key.bit_length() - 1) // 16\n"
+              "        buckets.setdefault(r, {})[key] = c\n"
+              "    return buckets\n"
+              "def _solve(pivot, b):\n"
+              "    return len(pivot.terms) == 1 and len(b.terms) != 1\n"
+              "def top_slot(key):\n"
+              "    return key >> 16\n"
+              "class Emitter:\n"
+              "    def keys(self, p):\n"
+              "        return [k for k in p.terms]\n"
+              "    def mask(self, k):\n"
+              "        k &= 0xFFFF\n"
+              "        return k\n")
+    assert _packed_key_readers(ast.parse(sample)) == [
+        "<module>", "Emitter.keys", "Emitter.mask", "formal_integral", "top_slot"]
 
 
 # Only the jet table differentiates.  Omega, the brackets, their
