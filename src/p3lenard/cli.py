@@ -26,7 +26,7 @@ from .lenard import (Brackets, SeedCondition, closed_form_standard, generate,
                      symbolic)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, SingularMassMatrix, SolverConfig,
-                       compile_k1, compile_k2, integrate, write_csv)
+                       compile_k1, compile_k2, stream, write_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -233,20 +233,20 @@ def _cmd_integrate(args) -> int:
     cfg = SolverConfig(s_start=args.s0, s_end=args.s1, step=args.step,
                        decimate=args.decimate)
     try:
-        traj = integrate(system, init, cfg)
+        batches = stream(system, init, cfg)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        write_csv(traj, system, args.out)
+        count, abort_s = write_csv(batches, system, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if traj.status != "completed":
-        print(f"integration aborted near s = {traj.abort_s} "
+    if abort_s is not None:
+        print(f"integration aborted near s = {abort_s} "
               f"(singular or non-finite); partial CSV written", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"wrote {args.out} ({len(traj.samples)} samples)")
+    print(f"wrote {args.out} ({count} samples)")
     return EXIT_OK
 
 

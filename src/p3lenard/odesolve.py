@@ -18,16 +18,17 @@ compile raises ``ConstantMismatch``.  The CSV columns ``tau_p`` and
 Integration is fixed-step classical RK4, deterministic and bit-for-bit
 reproducible.  Each run generates one loop on unpacked scalars that holds
 the whole integration: the four stages, the finiteness check, the
-sampling and the monitors.  While a compiled system's ``rhs`` and
-``monitors`` are the generated ones, their bodies are written inline into
-each stage and sample, so a step makes no call; any other evaluator is
-called.  The step size must split [s_start, s_end] into a whole number
-of steps; a range is never stretched or cut to fit.  A run stops only at a
-non-finite or singular evaluation (a guarded zero l_p or determinant, a
-vanishing denominator, an overflow).  A sign change of l1 between two steps
-is not detected: the k = 1 demo run on [1, 5] at h = 1e-3 records
-l1 = -6.9e-4 at s = 3.621, past the zero of l1, and stops only near
-s = 4.317 (ROADMAP open item "Continue through the zeros of l_k").
+sampling and the monitors.  While the system's ``rhs`` and ``monitors``
+are the generated ones, their bodies are written inline, so a step makes
+no call; any other evaluator is called.  The loop hands out samples in
+lists of ``BATCH``: a run streamed to CSV holds one list at a time.  The
+step size must split [s_start, s_end] into a whole number of steps; a range
+is never stretched or cut to fit.  A run stops only at a non-finite or
+singular evaluation (a guarded zero l_p or determinant, a vanishing
+denominator, an overflow).  A sign change of l1 between two steps is not
+detected: the k = 1 demo run on [1, 5] at h = 1e-3 records l1 = -6.9e-4 at
+s = 3.621, past the zero of l1, and stops only near s = 4.317 (ROADMAP open
+item "Continue through the zeros of l_k").
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class ConstantMismatch(ArithmeticError):
 
 
 MAX_STEPS = 10 ** 8
+BATCH = 256  # samples per list a run hands out
 # largest |n * step - (s_end - s_start)|, relative to the interval, at which
 # n steps still count as covering it exactly
 STEP_FIT_RTOL = 1e-9
@@ -412,9 +414,10 @@ def _evaluation(fn, name: str, p: str, q: str, dimension: int, lines: list):
 
 
 def _loop_source(rhs, monitors: tuple, dimension: int) -> str:
-    """Source of ``run(s_start, h, n, decimate, y, samples)``, a whole RK4
-    run that appends each sample to ``samples`` and returns the s it
-    aborted at, or None.  Step i from s has the stages k1 = rhs(s, y),
+    """Source of ``run(s_start, h, n, decimate, y, batch)``, a generator of
+    a whole RK4 run: it yields (samples, None) for each list of ``batch``
+    samples, the last shorter, and (samples, s), the list maybe empty,
+    where it aborts at s.  Step i from s has the stages k1 = rhs(s, y),
     k2 = rhs(s + hh, y + hh * k1), k3 = rhs(s + hh, y + hh * k2) and
     k4 = rhs(s + h, y + h * k3), hh = h / 2, then the update ``y_i + h6 *
     (k1_i + 2 * k2_i + 2 * k3_i + k4_i)``, h6 = h / 6, and s = s_start +
@@ -434,38 +437,42 @@ def _loop_source(rhs, monitors: tuple, dimension: int) -> str:
         stages.append(_evaluation(rhs, "rhs", p, p, dimension, step))
     update = [f"y{i} + h6 * ({k1} + 2 * {k2} + 2 * {k3} + {k4})"
               for i, (k1, k2, k3, k4) in enumerate(zip(*stages))]
+    abort = ["    yield samples, s", "    return"]
     step += [f"{_tuple(state)} = {_tuple(update)}", "s = s_start + i * h",
-             f"if {nonfinite(state)}:", "    return s"]
+             f"if {nonfinite(state)}:", *abort]
     sample = [f"y = {_tuple(state)}"]
     row = []
     for j, fn in enumerate(monitors):
         row += _evaluation(fn, f"monitor_{j}", f"m{j}_", "", dimension, sample)
     if row:
-        sample += [f"if {nonfinite(row)}:", "    return s"]
+        sample += [f"if {nonfinite(row)}:", *abort]
     sample.append(f"samples.append((s, y, {_tuple(row)}))")
 
     def block(lines, depth):
         return "".join(f"{'    ' * depth}{line}\n" for line in lines)
 
-    return ("def run(s_start, h, n, decimate, y, samples):\n"
+    return ("def run(s_start, h, n, decimate, y, batch):\n"
             + block([f"{_tuple(state)} = y", "hh = h / 2", "h6 = h / 6",
-                     "s = s_start", "i = 0", "try:",
-                     "    for stop in range(0, n + decimate, decimate):",
-                     "        if stop > n:", "            stop = n",
-                     "        for i in range(i + 1, stop + 1):"], 1)
-            + block(step, 4) + block(sample, 3)
-            + block(["except SingularMassMatrix as exc:", "    return exc.s",
+                     "s = s_start", "i = 0", "samples = []", "try:",
+                     "    for first in range(0, n + decimate, batch * decimate):",
+                     "        for stop in range(first, n + decimate, decimate)[:batch]:",
+                     "            if stop > n:", "                stop = n",
+                     "            for i in range(i + 1, stop + 1):"], 1)
+            + block(step, 5) + block(sample, 4)
+            + block(["        yield samples, None", "        samples = []",
+                     "except SingularMassMatrix as exc:", "    yield samples, exc.s",
                      "except (ZeroDivisionError, OverflowError):",
-                     "    return s"], 1))
+                     "    yield samples, s"], 1))
 
 
-def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
-    """Classical fixed-step RK4.  Deterministic bit-for-bit for a given
-    configuration; halts with an aborted status at the first non-finite or
-    singular evaluation, that of the initial sample included, and writes no
-    sample with a non-finite value.  The step size must split
-    [s_start, s_end] into a whole number of steps, to within a relative
-    ``STEP_FIT_RTOL`` of the interval."""
+def stream(sys: CompiledSystem, init, cfg: SolverConfig):
+    """Classical fixed-step RK4, deterministic bit-for-bit, as a generator
+    of (samples, abort s) pairs, ``BATCH`` samples each but the last.  The
+    abort s is None except in the last pair of a run that halts at a
+    non-finite or singular evaluation, the initial sample's included; no
+    sample holds a non-finite value.  The step must split [s_start, s_end]
+    into a whole number of steps, to a relative ``STEP_FIT_RTOL``; ``cfg``
+    is checked before the generator is made."""
     if not all(math.isfinite(v) for v in (cfg.s_start, cfg.s_end, cfg.step)):
         raise DomainError("s_start, s_end and step must be finite")
     if cfg.step <= 0:
@@ -494,22 +501,36 @@ def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
     run = _materialize(
         _loop_source(sys.rhs, monitors, len(y)), rhs=sys.rhs,
         **{f"monitor_{j}": fn for j, fn in enumerate(monitors)})["run"]
-    samples = []
-    abort_s = run(cfg.s_start, cfg.step, n, cfg.decimate, y, samples)
+    return run(cfg.s_start, cfg.step, n, cfg.decimate, y, BATCH)
+
+
+def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
+    """The run of ``stream`` collected into one Trajectory."""
+    batches = list(stream(sys, init, cfg))
+    samples = [sample for batch, _ in batches for sample in batch]
+    abort_s = batches[-1][1]
     status = "completed" if abort_s is None else "aborted-nonfinite"
     return Trajectory(samples=samples, status=status, abort_s=abort_s)
 
 
-def write_csv(traj: Trajectory, sys: CompiledSystem, path) -> None:
+def write_csv(traj, sys: CompiledSystem, path):
     """Trajectory CSV: s, the state and the monitors of each sample as
     ``%.17g`` decimals, then the exact constants of ``sys``; the header
     names them in that order from ``sys``, and every row, the header
     included, ends in ``\\r\\n``.  Rows are formatted from one template
-    per run and streamed to the file, never held all at once."""
+    per run and written one by one.  ``traj`` is a Trajectory, or a
+    ``stream`` that is run here, one list of samples held at a time.
+    Returns the number of samples written and the s the run aborted at, or
+    None."""
     fields = ["%.17g"] * (1 + len(sys.state_names) + len(sys.monitors))
     fields += [f"{float(v):.17g}" for v in sys.constants.values()]
     row = ",".join(fields) + "\r\n"
     header = ("s", *sys.state_names, *sys.monitors, *sys.constants)
+    pairs = [(traj.samples, traj.abort_s)] if isinstance(traj, Trajectory) else traj
+    count, abort_s = 0, None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % (s_i, *y, *mon) for s_i, y, mon in traj.samples)
+        for samples, abort_s in pairs:
+            fh.writelines(row % (s_i, *y, *mon) for s_i, y, mon in samples)
+            count += len(samples)
+    return count, abort_s

@@ -5,10 +5,13 @@ import ast
 import contextlib
 import json
 import marshal
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +25,8 @@ from p3lenard.hierarchy import (build_p3_system, equation_equivalent,
 from p3lenard.jetring import ExponentOverflow, RatExpr
 from p3lenard.lenard import IndexOutOfRange
 
-from test_odesolve import _flip_tau_sign
+from test_odesolve import (_flip_tau_sign, _mutate_loop, _reference_integrate,
+                           _reference_write_csv, _run_bits)
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +433,7 @@ class TestIntegrate:
                            "--init", "1,0,1,0", "--s0", "1", "--s1", "2",
                            "--step", "1e-3", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
 
     def test_init_arity_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
@@ -436,12 +441,14 @@ class TestIntegrate:
                            "--step", "1e-3", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
         assert "l1" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_domain_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
                          "--init", "1,0", "--s0", "-1", "--s1", "2",
                          "--step", "1e-3", "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("s0, s1, step, message", [
         ("1", "2", "inf", "finite"),
@@ -481,6 +488,26 @@ class TestIntegrate:
         assert err.startswith(f"cannot write {out_file}: ") and err.count("\n") == 1
         assert not out_file.parent.exists()
 
+    @pytest.mark.parametrize("s1", ["1.5", "3", "5"],
+                             ids=["one-list", "many-lists", "aborted"])
+    def test_full_device_is_runtime_error(self, capsys, s1):
+        # the write fails once the file buffer is flushed, after the open
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        code, out, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                             "--init", "1,0", "--s0", "1", "--s1", s1,
+                             "--step", "1e-3", "--out", "/dev/full")
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err == "cannot write /dev/full: [Errno 28] No space left on device\n"
+
+    def test_directory_out_is_runtime_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "integrate", "--k", "1", "--tau", "1,2",
+                             "--init", "1,0", "--s0", "1", "--s1", "2",
+                             "--step", "0.5", "--out", str(tmp_path))
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err == f"cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_k2_start_at_zero_l1_completes(self, capsys, tmp_path):
         # no k = 2 equation divides by l1, so a zero l1 is not a stop
         out_file = tmp_path / "run.csv"
@@ -512,6 +539,119 @@ class TestIntegrate:
         assert code == cli.EXIT_RUNTIME
         assert err == "runtime error: on-shell tau1 does not reduce to 2\n"
         assert not out_file.exists()
+
+
+def _k1_argv(out_file, steps, decimate=1, step=1 / 1024):
+    """A k = 1 demo run of ``steps`` steps of ``step``, a power of 2, from
+    s = 1."""
+    return ["integrate", "--k", "1", "--tau", "1,2", "--init", "1,0",
+            "--s0", "1", "--s1", repr(1 + steps * step), "--step", repr(step),
+            "--decimate", str(decimate), "--out", str(out_file)]
+
+
+def _nan_at(system, j):
+    """``system`` with its ``u`` monitor nan from its call ``j`` (0-based)
+    on, so a run keeps exactly ``j`` samples."""
+    u = system.monitors["u"]
+    calls = []
+
+    def monitor(s, y):
+        calls.append(s)
+        return math.nan if len(calls) > j else u(s, y)
+
+    system.monitors = {"u": monitor}
+    return system
+
+
+class TestStreamedCsv:
+    """``integrate`` writes its CSV in lists of ``odesolve.BATCH`` samples,
+    byte for byte the CSV of the collected run."""
+
+    def _assert_matches_collected(self, capsys, tmp_path, monkeypatch,
+                                  steps, decimate=1, abort_at=None):
+        def compiled(*tau):
+            system = odesolve.compile_k1(*tau)
+            return system if abort_at is None else _nan_at(system, abort_at)
+
+        monkeypatch.setattr(cli, "compile_k1", compiled)
+        out_file, ref_file = tmp_path / "run.csv", tmp_path / "ref.csv"
+        code, out, err = run(capsys, *_k1_argv(out_file, steps, decimate))
+        system = compiled(1.0, 2.0)
+        cfg = odesolve.SolverConfig(1.0, 1 + steps / 1024, 1 / 1024, decimate)
+        traj = odesolve.integrate(system, (1.0, 0.0), cfg)
+        _reference_write_csv(traj, system, ref_file)
+        assert out_file.read_bytes() == ref_file.read_bytes()
+        # the hand-written loop holds every sample in one list
+        assert _run_bits(traj) == _run_bits(
+            _reference_integrate(compiled(1.0, 2.0), (1.0, 0.0), cfg))
+        if abort_at is None:
+            assert (code, err) == (cli.EXIT_OK, "")
+            assert out == f"wrote {out_file} ({len(traj.samples)} samples)\n"
+        else:
+            assert (code, out) == (cli.EXIT_RUNTIME, "")
+            assert err.startswith(f"integration aborted near s = {traj.abort_s} ")
+            assert len(traj.samples) == abort_at
+        return traj
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, odesolve.BATCH])
+    def test_sample_counts_around_a_list(self, capsys, tmp_path, monkeypatch,
+                                         offset):
+        count = odesolve.BATCH + offset
+        traj = self._assert_matches_collected(capsys, tmp_path, monkeypatch,
+                                              steps=count - 1)
+        assert len(traj.samples) == count
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sparse_counts_around_a_list(self, capsys, tmp_path, monkeypatch,
+                                         offset):
+        # the last sample falls between two decimated ones
+        count = odesolve.BATCH + offset
+        traj = self._assert_matches_collected(capsys, tmp_path, monkeypatch,
+                                              steps=3 * (count - 2) + 1, decimate=3)
+        assert len(traj.samples) == count
+
+    @pytest.mark.parametrize("kept", [0, odesolve.BATCH - 1, odesolve.BATCH,
+                                      odesolve.BATCH + 1])
+    def test_aborts_around_a_list(self, capsys, tmp_path, monkeypatch, kept):
+        self._assert_matches_collected(capsys, tmp_path, monkeypatch,
+                                       steps=2 * odesolve.BATCH, abort_at=kept)
+
+    def test_dropped_last_list_is_caught(self, capsys, tmp_path, monkeypatch):
+        system = odesolve.compile_k1(1, 2)
+        _mutate_loop(monkeypatch, system, lambda source: source.replace(
+            "            yield samples, None\n            samples = []",
+            "            if samples[batch - 1:]:\n                yield samples, None\n"
+            "            samples = []"))
+        with pytest.raises(AssertionError):
+            self._assert_matches_collected(capsys, tmp_path, monkeypatch,
+                                           steps=odesolve.BATCH)
+
+    # dense k = 1 runs of n and 10 n steps: streamed, each peaks near 0.3 MB
+    # of traced memory, the compile included; with every sample held, the
+    # 10 n run peaks near 0.95 MB
+    PEAK_BOUND = 512 * 1024
+
+    def _traced_peaks(self, capsys, tmp_path, n=1000):
+        peaks = []
+        for steps in (n, 10 * n):
+            tracemalloc.start()
+            try:
+                code = cli.run(_k1_argv(tmp_path / "run.csv", steps,
+                                        step=1 / 4096))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == cli.EXIT_OK
+            assert capsys.readouterr().out.endswith(f"({steps + 1} samples)\n")
+            peaks.append(peak)
+        return peaks
+
+    def test_memory_is_flat_in_run_length(self, capsys, tmp_path):
+        assert max(self._traced_peaks(capsys, tmp_path)) < self.PEAK_BOUND
+
+    def test_memory_rule_can_fail(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(odesolve, "BATCH", 10 ** 5)
+        assert max(self._traced_peaks(capsys, tmp_path)) >= self.PEAK_BOUND
 
 
 class TestTopLevel:
@@ -548,3 +688,20 @@ class TestTracedBenchmark:
         assert spans.stat().st_size > 0
         layers = {span[0] for span in marshal.loads(spans.read_bytes())["spans"]}
         assert {"cli.run", layer} <= layers
+
+    def test_traced_integrate_counts_the_csv(self, tmp_path):
+        spans, out_file = tmp_path / "spans.bin", tmp_path / "run.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "perfbench")]))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"),
+             repr(time.perf_counter()), str(spans), "0", "--",
+             *_k1_argv(out_file, 300, decimate=7)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["rc"] == cli.EXIT_OK
+        traced = marshal.loads(spans.read_bytes())
+        layers = Counter(span[0] for span in traced["spans"])
+        assert layers["odesolve.write_csv"] == 1
+        assert (layers["odesolve.rhs"], layers["odesolve.monitor"]) == (4 * 300, 44)
+        assert traced["counts"]["odesolve.write_csv.bytes"] == out_file.stat().st_size

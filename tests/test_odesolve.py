@@ -236,9 +236,12 @@ class TestWriteCsv:
                            tmp_path_factory.mktemp("csv"))
 
     def test_rows_are_streamed(self, k1_demo, tmp_path):
-        # the dense k = 1 demo run on [1, 3]: 1.5 MB of rows.  Streamed, the
-        # write peaks near 28 kB of traced memory; a list of every row
-        # first peaks near 2.8 MB.
+        # the dense k = 1 demo run on [1, 3]: 1.5 MB of rows.  Formatted
+        # and written one by one, the rows of a collected run peak near
+        # 28 kB of traced memory; a list of every row first peaks near
+        # 2.8 MB.  The samples themselves are held here, as ``integrate``
+        # collects them; the command line streams them (TestStreamedCsv in
+        # test_cli.py).
         traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 3.0, 1e-4))
         assert len(traj.samples) == 20001
         tracemalloc.start()
@@ -248,6 +251,11 @@ class TestWriteCsv:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+    def test_empty_stream_writes_the_header(self, k1_demo, tmp_path):
+        path = tmp_path / "empty.csv"
+        assert write_csv([], k1_demo, path) == (0, None)
+        assert path.read_text().count("\n") == 1
 
 
 def _reference_write_csv(traj, sys, path):
@@ -739,6 +747,11 @@ class TestGeneratedStep:
                 monitors={name: wrap(fn) for name, fn in k1_demo.monitors.items()})
             assert (_run_bits(integrate(system, (1.0, 0.0), cfg))
                     == _run_bits(_reference_integrate(system, (1.0, 0.0), cfg)))
+
+    def test_k1_bit_parity_in_short_lists(self, monkeypatch, run_systems):
+        # lists of 3 samples put list boundaries inside every searched run
+        monkeypatch.setattr(odesolve, "BATCH", 3)
+        _assert_loop_parity(run_systems["k1"], "k1")
 
     def test_integrate_calls_rhs_four_times_per_step(self):
         calls = []
