@@ -6,12 +6,14 @@ verify (identity suites, one PASS/FAIL line per check), and integrate
 (fixed-step RK4 run written as CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
-error.  Non-interactive by design; no environment variables, no network.
+error (a closed stdout included).  Non-interactive by design; no
+environment variables, no network.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
 from .hierarchy import build_p3_system, conservation_residual, conservation_window
-from .jetring import ZeroDenominator
+from .jetring import Poly, RatExpr, ZeroDenominator
 from .lenard import (Brackets, SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
                      symbolic)
@@ -34,6 +36,42 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 _SEED_LABELS = ("standard", "p3", "custom")
+
+
+def _leaf(value) -> dict:
+    """The JSON-ready dict of a ``Poly`` or ``RatExpr`` in a printed document."""
+    if isinstance(value, RatExpr):
+        return render.ratexpr_to_obj(value)
+    if isinstance(value, Poly):
+        return render.poly_to_obj(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _print_json(doc) -> None:
+    """Print ``doc`` as ``print(json.dumps(doc, default=_leaf))`` would, one
+    element at a time: dicts (with string keys) and lists are walked, and
+    every other value is encoded whole and written before the next one is
+    built, so memory follows the largest element, not the document."""
+    write = sys.stdout.write
+
+    def walk(value):
+        if isinstance(value, dict):
+            pairs = ((f"{json.dumps(key)}: ", item) for key, item in value.items())
+            opening, closing = "{}"
+        elif isinstance(value, list):
+            pairs = (("", item) for item in value)
+            opening, closing = "[]"
+        else:
+            write(json.dumps(value, default=_leaf))
+            return
+        write(opening)
+        for i, (key, item) in enumerate(pairs):
+            write(f", {key}" if i else key)
+            walk(item)
+        write(closing)
+
+    walk(doc)
+    write("\n")
 
 
 def _seed_from_label(label: str, expr: str | None = None) -> SeedCondition:
@@ -62,7 +100,7 @@ def _cmd_gen_lenard(args) -> int:
         return EXIT_USAGE
     try:
         constants = [Fraction(c) for c in args.constants.split(",")] \
-            if args.constants else [Fraction(0)] * args.count
+            if args.constants is not None else [Fraction(0)] * args.count
     except (ValueError, ZeroDivisionError) as exc:
         print(f"bad numeric list: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -71,17 +109,17 @@ def _cmd_gen_lenard(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        seq = generate(seed, args.count, constants)
+        # keep the entries only: the sequence's jet table is freed before printing
+        ells = generate(seed, args.count, constants).ells
     except NotExactDerivative as exc:
         print(f"recursion left the differential-polynomial ring: {exc}",
               file=sys.stderr)
         return EXIT_RUNTIME
     if args.format == "latex":
-        for j, ell in enumerate(seq.ells):
+        for j, ell in enumerate(ells):
             print(rf"\ell_{{{j}}} = {render.poly_latex(ell)}")
     else:
-        print(json.dumps({"seed": seed.variant,
-                          "ells": [render.poly_to_obj(e) for e in seq.ells]}))
+        _print_json({"seed": seed.variant, "ells": ells})
     return EXIT_OK
 
 
@@ -97,11 +135,8 @@ def _cmd_gen_hierarchy(args) -> int:
         for p, eq in enumerate(system.equations, start=1):
             print(rf"0 = {render.ratexpr_latex(eq)}  % p = {p}")
     else:
-        print(json.dumps({
-            "k": args.k,
-            "u": render.ratexpr_to_obj(system.u_expr),
-            "equations": [render.ratexpr_to_obj(eq) for eq in system.equations],
-        }))
+        _print_json({"k": args.k, "u": system.u_expr,
+                     "equations": system.equations})
     return EXIT_OK
 
 
@@ -122,11 +157,9 @@ def _cmd_gen_lax(args) -> int:
                 for n in series.powers())
             print(f"{label} = {body or '0'}")
     else:
-        out = {"k": args.k}
-        for label, series in named:
-            out[label] = {str(n): render.poly_to_obj(series.coeff(n))
-                          for n in series.powers()}
-        print(json.dumps(out))
+        _print_json({"k": args.k, **{
+            label: {str(n): series.coeff(n) for n in series.powers()}
+            for label, series in named}})
     return EXIT_OK
 
 
@@ -442,7 +475,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the flush at exit reports nothing, and fail as a runtime error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_RUNTIME
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -182,9 +182,9 @@ class CompiledSystem(SimpleNamespace):
     constants of motion proved for it: ``rhs`` maps (s, y) to a tuple, each
     monitor (s, y) to a float, ``constants`` a CSV column to a Fraction, and
     ``source`` is the generated Python of both.  The fields stay assignable,
-    so a wrapper can replace ``rhs`` or ``monitors``; ``integrate`` then
-    calls it, once per stage or sample, where it writes a compiled body
-    inline."""
+    so a wrapper can replace ``rhs`` or ``monitors``; the loop that
+    ``stream`` builds then calls it, once per stage or sample, where it
+    writes a compiled body inline."""
 
     def __init__(self, state_names: tuple, rhs,
                  monitors: dict | None = None, constants: dict | None = None,

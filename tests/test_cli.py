@@ -219,14 +219,16 @@ class TestGenLenard:
         (("--count", "-2", "--constants=1,2"), "--count must be positive"),
         (("--count", "2", "--constants=1,x"), "bad numeric list: "),
         (("--count", "2", "--constants=1/0,1"), "bad numeric list: "),
+        (("--count", "2", "--constants="), "bad numeric list: "),
         (("--seed", "standard", "--custom", "u^2", "--count", "1"),
          "--custom needs --seed custom"),
     ], ids=["count-zero", "count-negative", "count-negative-with-constants",
-            "constant-not-a-number", "constant-zero-denominator",
+            "constant-not-a-number", "constant-zero-denominator", "constants-empty",
             "custom-without-custom-seed"])
     def test_bad_arguments_are_one_line_usage_errors(self, capsys, argv, message):
         """A bad count or constant list exits 2 with one stderr line, never
-        a traceback or exit 1 (verification failed)."""
+        a traceback or exit 1 (verification failed); an empty list is not
+        read as the default zeros."""
         code, out, err = run(capsys, "gen-lenard", *argv)
         assert (code, out) == (cli.EXIT_USAGE, "")
         assert err.startswith(message) and err.count("\n") == 1
@@ -652,6 +654,90 @@ class TestStreamedCsv:
     def test_memory_rule_can_fail(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(odesolve, "BATCH", 10 ** 5)
         assert max(self._traced_peaks(capsys, tmp_path)) >= self.PEAK_BOUND
+
+
+class TestJsonWriter:
+    """``cli._print_json`` prints a document one element at a time, as
+    ``print(json.dumps(doc, default=cli._leaf))`` would in one piece."""
+
+    @staticmethod
+    def documents():
+        ratexpr = build_p3_system(1).equations[0]
+        ell = u(2) + 3 * u() ** 2 + U_RING.const("-1/2") * u(1)
+        return [
+            {}, [], (), 7, "text", None, ell, ratexpr,
+            {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}, ()]},
+            {'say "hi"': 'a "quoted" value', "\\": None, "caf\u00e9 \u2713": "\u00f6\n",
+             "t": True, "f": False, "x": 1.5, "n": -3, "l": [1, "two", None, -0.25]},
+            {"k": 2, "u": ratexpr, "equations": [ratexpr, ratexpr]},
+            {"seed": "standard", "ells": (U_RING.zero(), u(), ell)},
+            {"k": 1, "a": {"-1": ell, "0": U_RING.zero()}, "b": {}},
+            [{"nested": [ell, {"r": ratexpr, "empty": {}}]}, [[ell]], ("x", ratexpr)],
+        ]
+
+    def test_matches_json_dumps(self, capsys):
+        for doc in self.documents():
+            cli._print_json(doc)
+            assert capsys.readouterr().out == json.dumps(doc, default=cli._leaf) + "\n"
+
+    def test_other_objects_are_refused_as_json_dumps_does(self):
+        for doc in (object(), {"x": [object()]}):
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                json.dumps(doc, default=cli._leaf)
+            with pytest.raises(TypeError, match="not JSON serializable"):
+                cli._print_json(doc)
+
+    @staticmethod
+    def first_written_before_second_built(monkeypatch) -> bool:
+        """Whether ``gen-lenard --count 2`` has written the whole JSON of
+        l_0 when ``render.poly_to_obj`` is called for l_1."""
+        events = []
+        to_obj = render.poly_to_obj
+
+        def recorded(poly):
+            events.append(None)             # a build
+            return to_obj(poly)
+
+        class Sink:
+            def write(self, text):
+                events.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(render, "poly_to_obj", recorded)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert cli.run(["gen-lenard", "--count", "2"]) == cli.EXIT_OK
+        first = json.dumps(json.loads("".join(e for e in events if e))["ells"][0])
+        second_build = [i for i, e in enumerate(events) if e is None][1]
+        return first in "".join(e for e in events[:second_build] if e)
+
+    def test_each_element_is_written_before_the_next_is_built(self, monkeypatch):
+        assert self.first_written_before_second_built(monkeypatch)
+
+    def test_order_rule_can_fail(self, monkeypatch):
+        monkeypatch.setattr(cli, "_print_json", lambda doc: print(
+            json.dumps(doc, default=cli._leaf)))
+        assert not self.first_written_before_second_built(monkeypatch)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_runtime_error(self, unbuffered):
+        """A reader that closes the pipe early (``| head -c 100``) ends the
+        command with exit 3 and nothing on stderr.  The output, about
+        170 KB, is more than a pipe holds, so the command is still writing."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from p3lenard.cli import main; main()",
+             "gen-hierarchy", "--k", "32"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), len(head)) == (cli.EXIT_RUNTIME, 100)
+        assert err == ""
 
 
 class TestTopLevel:

@@ -598,6 +598,53 @@ def test_stage_loop_rule_can_fail():
     assert _statement_loops(ast.parse(sample), "integrate") == [3, 4]
 
 
+# A JSON document is printed one element at a time by ``cli._print_json``.
+# No other function of ``cli`` or ``render`` encodes JSON, so no command goes
+# back to building and encoding its whole document at once.
+JSON_WRITERS = ("_print_json",)
+
+
+def _json_encodings(tree, allowed=()):
+    """Sorted lines of the ``json.dump``/``json.dumps`` calls and ``from json
+    import`` statements in ``tree``, outside the module-level functions
+    named in ``allowed``."""
+    found = []
+    for top in tree.body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.append(node.lineno)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_json_is_encoded_only_by_the_writer():
+    trees = {module.__name__: ast.parse(Path(module.__file__).read_text())
+             for module in (cli, render)}
+    assert {name: _json_encodings(tree, JSON_WRITERS)
+            for name, tree in trees.items()} == {"p3lenard.cli": [], "p3lenard.render": []}
+    assert _json_encodings(trees["p3lenard.cli"]) != []
+
+
+def test_json_rule_can_fail():
+    sample = ("import json\n"
+              "from json import dumps\n"
+              "def _print_json(doc):\n"
+              "    return json.dumps(doc)\n"
+              "def emit(doc):\n"
+              "    print(json.dumps({'terms': doc}))\n"
+              "class Writer:\n"
+              "    def out(self, doc, fh):\n"
+              "        json.dump(doc, fh)\n")
+    assert _json_encodings(ast.parse(sample), JSON_WRITERS) == [2, 6, 9]
+    assert _json_encodings(ast.parse(sample)) == [2, 4, 6, 9]
+
+
 # Importing the CLI loads only the standard-library modules it calls:
 # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``
 # and execs generated code per record, ``typing`` is not needed for
