@@ -14,7 +14,7 @@ from .hierarchy import (HierarchySystem, build_p3_system, conservation_residual,
 from .laxpair import (LaurentPoly, SeedMismatch, c_relation_residual, build_b,
                       compatibility_residual, derive_a_c)
 from .odesolve import (CompiledSystem, ConstantMismatch, DomainError,
-                       SingularMassMatrix, SolverConfig, Trajectory, compile_k1,
-                       compile_k2, integrate, write_csv)
+                       SingularMassMatrix, SolverConfig, compile_k1, compile_k2,
+                       integrate, write_csv)
 
 __version__ = "0.1.0"

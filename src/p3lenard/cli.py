@@ -28,7 +28,7 @@ from .lenard import (Brackets, SeedCondition, closed_form_standard, generate,
                      symbolic)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, SingularMassMatrix, SolverConfig,
-                       compile_k1, compile_k2, stream, write_csv)
+                       compile_k1, compile_k2, integrate, write_csv)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -115,6 +115,7 @@ def _cmd_gen_lenard(args) -> int:
         print(f"recursion left the differential-polynomial ring: {exc}",
               file=sys.stderr)
         return EXIT_RUNTIME
+    render.check_digits(ells)
     if args.format == "latex":
         for j, ell in enumerate(ells):
             print(rf"\ell_{{{j}}} = {render.poly_latex(ell)}")
@@ -266,7 +267,7 @@ def _cmd_integrate(args) -> int:
     cfg = SolverConfig(s_start=args.s0, s_end=args.s1, step=args.step,
                        decimate=args.decimate)
     try:
-        batches = stream(system, init, cfg)
+        batches = integrate(system, init, cfg)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

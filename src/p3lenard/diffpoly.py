@@ -204,11 +204,21 @@ class _Parser:
 
 
 def parse(text: str) -> Poly:
-    """Parse a differential polynomial from JSON or the ASCII grammar."""
+    """Parse a differential polynomial from JSON or the ASCII grammar.
+    Input nested deeper than the interpreter's recursion limit allows is a
+    ParseError in either grammar."""
     if text.lstrip().startswith("{"):
         try:
             return render.poly_from_obj(json.loads(text), U_RING)
         except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed JSON polynomial: {exc!r}", 0,
                              "the term layout of p3lenard.render") from exc
-    return _Parser(text).parse()
+        except RecursionError as exc:
+            raise ParseError("JSON nested too deeply", 0,
+                             "the term layout of p3lenard.render") from exc
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError as exc:
+        raise ParseError("expression nested too deeply", parser.pos(),
+                         "fewer nested parentheses or signs") from exc

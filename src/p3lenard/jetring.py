@@ -321,6 +321,10 @@ class Poly:
                 if (j - first) % n_dep == d]     # nonzero where any term is
         return (used[-1] - first) // n_dep if used else None
 
+    def height(self) -> int:
+        """The largest of ``den`` and the absolute numerators."""
+        return max([self.den, *map(abs, self.terms.values())])
+
     def by_top_order(self) -> dict[int, "Poly"]:
         """{order: part} by the highest jet order in each term, of any
         dependent; -1 holds the terms free of jets."""

@@ -20,15 +20,16 @@ reproducible.  Each run generates one loop on unpacked scalars that holds
 the whole integration: the four stages, the finiteness check, the
 sampling and the monitors.  While the system's ``rhs`` and ``monitors``
 are the generated ones, their bodies are written inline, so a step makes
-no call; any other evaluator is called.  The loop hands out samples in
-lists of ``BATCH``: a run streamed to CSV holds one list at a time.  The
-step size must split [s_start, s_end] into a whole number of steps; a range
-is never stretched or cut to fit.  A run stops only at a non-finite or
-singular evaluation (a guarded zero l_p or determinant, a vanishing
-denominator, an overflow).  A sign change of l1 between two steps is not
-detected: the k = 1 demo run on [1, 5] at h = 1e-3 records l1 = -6.9e-4 at
-s = 3.621, past the zero of l1, and stops only near s = 4.317 (ROADMAP open
-item "Continue through the zeros of l_k").
+no call; any other evaluator is called.  ``integrate`` returns the loop
+as a generator of lists of ``BATCH`` samples: ``write_csv`` holds one
+list at a time.  The step size must split [s_start, s_end] into a whole
+number of steps; a range is never stretched or cut to fit.  A run stops
+only at a non-finite or singular evaluation (a guarded zero l_p or
+determinant, a vanishing denominator, an overflow).  A sign change of l1
+between two steps is not detected: the k = 1 demo run on [1, 5] at
+h = 1e-3 records l1 = -6.9e-4 at s = 3.621, past the zero of l1, and stops
+only near s = 4.317 (ROADMAP open item "Continue through the zeros of
+l_k").
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ class CompiledSystem(SimpleNamespace):
     monitor (s, y) to a float, ``constants`` a CSV column to a Fraction, and
     ``source`` is the generated Python of both.  The fields stay assignable,
     so a wrapper can replace ``rhs`` or ``monitors``; the loop that
-    ``stream`` builds then calls it, once per stage or sample, where it
+    ``integrate`` builds then calls it, once per stage or sample, where it
     writes a compiled body inline."""
 
     def __init__(self, state_names: tuple, rhs,
@@ -197,13 +198,6 @@ class CompiledSystem(SimpleNamespace):
 
 class SolverConfig(namedtuple("SolverConfig", "s_start s_end step decimate",
                               defaults=(1,))):
-    __slots__ = ()
-
-
-class Trajectory(namedtuple("Trajectory", "samples status abort_s", defaults=(None,))):
-    """``samples`` holds (s, state tuple, monitor tuple) rows; ``status`` is
-    "completed" or "aborted-nonfinite"."""
-
     __slots__ = ()
 
 
@@ -465,9 +459,10 @@ def _loop_source(rhs, monitors: tuple, dimension: int) -> str:
                      "    yield samples, s"], 1))
 
 
-def stream(sys: CompiledSystem, init, cfg: SolverConfig):
+def integrate(sys: CompiledSystem, init, cfg: SolverConfig):
     """Classical fixed-step RK4, deterministic bit-for-bit, as a generator
-    of (samples, abort s) pairs, ``BATCH`` samples each but the last.  The
+    of (samples, abort s) pairs: ``samples`` is a list of ``BATCH`` (s,
+    state tuple, monitor tuple) rows, the last list maybe shorter.  The
     abort s is None except in the last pair of a run that halts at a
     non-finite or singular evaluation, the initial sample's included; no
     sample holds a non-finite value.  The step must split [s_start, s_end]
@@ -504,33 +499,23 @@ def stream(sys: CompiledSystem, init, cfg: SolverConfig):
     return run(cfg.s_start, cfg.step, n, cfg.decimate, y, BATCH)
 
 
-def integrate(sys: CompiledSystem, init, cfg: SolverConfig) -> Trajectory:
-    """The run of ``stream`` collected into one Trajectory."""
-    batches = list(stream(sys, init, cfg))
-    samples = [sample for batch, _ in batches for sample in batch]
-    abort_s = batches[-1][1]
-    status = "completed" if abort_s is None else "aborted-nonfinite"
-    return Trajectory(samples=samples, status=status, abort_s=abort_s)
-
-
-def write_csv(traj, sys: CompiledSystem, path):
+def write_csv(batches, sys: CompiledSystem, path):
     """Trajectory CSV: s, the state and the monitors of each sample as
     ``%.17g`` decimals, then the exact constants of ``sys``; the header
     names them in that order from ``sys``, and every row, the header
     included, ends in ``\\r\\n``.  Rows are formatted from one template
-    per run and written one by one.  ``traj`` is a Trajectory, or a
-    ``stream`` that is run here, one list of samples held at a time.
+    per run and written one by one.  ``batches`` are the (samples, abort
+    s) pairs of ``integrate``, stepped here one list of samples at a time.
     Returns the number of samples written and the s the run aborted at, or
     None."""
     fields = ["%.17g"] * (1 + len(sys.state_names) + len(sys.monitors))
     fields += [f"{float(v):.17g}" for v in sys.constants.values()]
     row = ",".join(fields) + "\r\n"
     header = ("s", *sys.state_names, *sys.monitors, *sys.constants)
-    pairs = [(traj.samples, traj.abort_s)] if isinstance(traj, Trajectory) else traj
     count, abort_s = 0, None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for samples, abort_s in pairs:
+        for samples, abort_s in batches:
             fh.writelines(row % (s_i, *y, *mon) for s_i, y, mon in samples)
             count += len(samples)
     return count, abort_s

@@ -14,6 +14,7 @@ Coefficients are spelled from each polynomial's int rows, not Fractions.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -53,6 +54,21 @@ def _rows(poly: Poly) -> list:
     den = poly.den
     return [(m, n, 1) for m, n in poly.rows()] if den == 1 else [
         (m, n // g, den // g) for m, n in poly.rows() for g in (gcd(n, den),)]
+
+
+def check_digits(polys) -> None:
+    """Raise OverflowError if a coefficient of ``polys``, in lowest terms,
+    has more decimal digits than the interpreter writes an int with
+    (``sys.get_int_max_str_digits``), so that a command can refuse its
+    result before it prints the first byte."""
+    limit = sys.get_int_max_str_digits()
+    bound = 10 ** limit
+    for poly in polys:
+        # lowest terms are never larger, so most results skip the gcds
+        if limit and poly.height() >= bound and any(
+                max(abs(n), d) >= bound for _, n, d in _rows(poly)):
+            raise OverflowError(f"a coefficient has more than {limit} digits, "
+                                "the most an int is printed with")
 
 
 def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:

@@ -20,10 +20,10 @@ from p3lenard.laxpair import SeedMismatch, compatibility_residual
 from p3lenard.lenard import (SeedCondition, closed_form_standard, generate,
                              master_identity_residual, shift_identity_residual,
                              symbolic, transport_residual)
-from p3lenard.odesolve import (SolverConfig, compile_k1, compile_k2,
-                               integrate, write_csv)
+from p3lenard.odesolve import SolverConfig, compile_k1, compile_k2, write_csv
 
 from test_hierarchy import reference_k1, reference_k2_first, reference_k2_second
+from test_odesolve import collect
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -125,7 +125,7 @@ def test_criterion_6_lax_coefficient_matching():
 
 def _constant_cells_hold(system, traj, path) -> bool:
     """Every CSV row carries the proved constants: tau_p, then 0."""
-    write_csv(traj, system, path)
+    write_csv([(traj.samples, traj.abort_s)], system, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     width = len(system.constants)
@@ -145,7 +145,7 @@ ORACLE_BOUND = 5e-12
 
 def _dop853_distance(system, init, cfg) -> float:
     scipy_integrate = pytest.importorskip("scipy.integrate")
-    end = integrate(system, init, cfg).samples[-1]
+    end = collect(system, init, cfg).samples[-1]
     ref = scipy_integrate.solve_ivp(
         lambda s, y: system.rhs(s, tuple(y)), (cfg.s_start, cfg.s_end), init,
         method="DOP853", rtol=1e-12, atol=1e-12)
@@ -166,7 +166,7 @@ def test_criterion_7_numerical_conservation_k1(tmp_path):
     start = time.perf_counter()
     system = compile_k1(1, 2)
     ok = system.constants == {"tau1": 2, "ell_next_drift": 0}
-    stated = integrate(system, (1.0, 0.0), SolverConfig(1.0, 5.0, 1e-4))
+    stated = collect(system, (1.0, 0.0), SolverConfig(1.0, 5.0, 1e-4))
     ok &= _constant_cells_hold(system, stated, tmp_path / "stated.csv")
     pole_note = ""
     if stated.status != "completed":
@@ -174,7 +174,7 @@ def test_criterion_7_numerical_conservation_k1(tmp_path):
         pole_note = (f"; stated [1,5] run stepped through the zero of l1 "
                      f"near s=3.6203 and stopped at a non-finite evaluation "
                      f"near s={stated.abort_s:.4g}")
-    regular = integrate(system, (1.0, 0.0), SolverConfig(1.0, 3.5, 1e-4))
+    regular = collect(system, (1.0, 0.0), SolverConfig(1.0, 3.5, 1e-4))
     ok &= regular.status == "completed"
     ok &= _constant_cells_hold(system, regular, tmp_path / "regular.csv")
     elapsed = time.perf_counter() - start
@@ -194,8 +194,7 @@ def test_criterion_7_dop853_oracle():
 def test_criterion_8_numerical_k2(tmp_path):
     # demo data found empirically: tau=(1,2,3), l1=l2=1, derivatives 0 at s=1
     system = compile_k2((1, 2, 3))
-    traj = integrate(system, (1.0, 0.0, 1.0, 0.0),
-                     SolverConfig(1.0, 2.0, 1e-3))
+    traj = collect(system, (1.0, 0.0, 1.0, 0.0), SolverConfig(1.0, 2.0, 1e-3))
     ok = traj.status == "completed"
     ok &= system.constants == {"tau1": 2, "tau2": 3, "ell_next_drift": 0}
     ok &= _constant_cells_hold(system, traj, tmp_path / "k2.csv")
@@ -231,8 +230,8 @@ def test_criterion_9_rk4_order():
     system = compile_k1(1, 2)
     ends = []
     for h in (0.02, 0.01, 0.005):
-        traj = integrate(system, (1.0, 0.0),
-                         SolverConfig(1.0, 2.0, h, decimate=10 ** 6))
+        traj = collect(system, (1.0, 0.0),
+                       SolverConfig(1.0, 2.0, h, decimate=10 ** 6))
         ends.append(traj.samples[-1][1][0])
     ratio = abs(ends[0] - ends[1]) / abs(ends[1] - ends[2])
     _report(9, f"endpoint self-difference ratio under step halving = "

@@ -26,7 +26,7 @@ from p3lenard.jetring import ExponentOverflow, RatExpr
 from p3lenard.lenard import IndexOutOfRange
 
 from test_odesolve import (_flip_tau_sign, _mutate_loop, _reference_integrate,
-                           _reference_write_csv, _run_bits)
+                           _reference_write_csv, _run_bits, collect)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,48 @@ class TestGenLenard:
                                  "--custom", expr, "--count", "1")
             assert (code, out) == (cli.EXIT_USAGE, "")
             assert err.startswith("bad custom seed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 250 + "u" + ")" * 250,
+        '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"], ids=["parentheses", "json-arrays"])
+    def test_deeply_nested_seed_is_a_bad_seed(self, capsys, expr):
+        """Nesting past the interpreter's recursion limit, in either
+        grammar, is a bad seed: exit 2, not a RecursionError traceback and
+        exit 1 (verification failed)."""
+        code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
+                             "--custom", expr, "--count", "1")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("bad custom seed: ") and err.count("\n") == 1
+
+    def test_nested_seed_within_the_limit_is_read(self, capsys):
+        nested = run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                     "(" * 150 + "u" + ")" * 150, "--count", "1")
+        assert nested == run(capsys, "gen-lenard", "--seed", "custom",
+                             "--custom", "u", "--count", "1")
+        assert nested[0] == cli.EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("--constants", "1e4300"), ("--constants", "1e4300", "--format", "latex"),
+        ("--seed", "custom", "--custom", "2^20000"),
+        ("--seed", "custom", "--custom", "2^20000", "--format", "latex")],
+        ids=["constant-json", "constant-latex", "seed-json", "seed-latex"])
+    def test_coefficient_past_the_digit_limit_is_runtime_error(self, capsys, argv):
+        """A coefficient of more than 4300 digits, the interpreter's limit
+        for printing an int, is refused before the first byte: exit 3, one
+        line, empty stdout, where part of the document and a ValueError
+        traceback (exit 1) came before."""
+        assert sys.get_int_max_str_digits() == 4300
+        code, out, err = run(capsys, "gen-lenard", "--count", "1", *argv)
+        assert (code, out) == (cli.EXIT_RUNTIME, "")
+        assert err == ("runtime error: a coefficient has more than 4300 digits, "
+                       "the most an int is printed with\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "latex"])
+    def test_coefficient_at_the_digit_limit_prints(self, capsys, fmt):
+        code, out, err = run(capsys, "gen-lenard", "--count", "1",
+                             "--constants", "1e4299", "--format", fmt)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "1" + "0" * 4299 in out
 
     @pytest.mark.parametrize("term", list(BAD_TERM_FIELDS.values()),
                              ids=list(BAD_TERM_FIELDS))
@@ -580,8 +622,8 @@ class TestStreamedCsv:
         code, out, err = run(capsys, *_k1_argv(out_file, steps, decimate))
         system = compiled(1.0, 2.0)
         cfg = odesolve.SolverConfig(1.0, 1 + steps / 1024, 1 / 1024, decimate)
-        traj = odesolve.integrate(system, (1.0, 0.0), cfg)
-        _reference_write_csv(traj, system, ref_file)
+        traj = collect(system, (1.0, 0.0), cfg)
+        _reference_write_csv(traj.samples, system, ref_file)
         assert out_file.read_bytes() == ref_file.read_bytes()
         # the hand-written loop holds every sample in one list
         assert _run_bits(traj) == _run_bits(
@@ -789,5 +831,7 @@ class TestTracedBenchmark:
         traced = marshal.loads(spans.read_bytes())
         layers = Counter(span[0] for span in traced["spans"])
         assert layers["odesolve.write_csv"] == 1
+        assert layers["odesolve.integrate"] == 1
+        assert layers["odesolve.compile"] == 1
         assert (layers["odesolve.rhs"], layers["odesolve.monitor"]) == (4 * 300, 44)
         assert traced["counts"]["odesolve.write_csv.bytes"] == out_file.stat().st_size

@@ -274,6 +274,18 @@ class TestSerializeParse:
         assert exc.value.position >= 0
         assert exc.value.expected
 
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "u",
+        '{"terms": ' + "[" * 3000 + "]" * 3000 + "}"],
+        ids=["parentheses", "signs", "json-arrays"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+
+    def test_moderate_nesting_parses(self):
+        assert parse("(" * 150 + "u" + ")" * 150) == u()
+        assert parse("-" * 150 + "u") == u()
+
     def test_parse_error_on_garbage(self):
         with pytest.raises(ParseError):
             parse("u @ s")

@@ -14,7 +14,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -26,7 +26,7 @@ from p3lenard import odesolve
 from p3lenard.hierarchy import build_p3_system
 from p3lenard.jetring import Poly, RatExpr
 from p3lenard.odesolve import (CompiledSystem, ConstantMismatch, DomainError,
-                               SingularMassMatrix, SolverConfig, Trajectory,
+                               SingularMassMatrix, SolverConfig,
                                _compile_system, _exact_system, _generate,
                                _second_derivative_split, _solve_block,
                                compile_k1, compile_k2, integrate, write_csv)
@@ -40,6 +40,18 @@ def k1_demo():
 @pytest.fixture(scope="module")
 def k2_demo():
     return compile_k2((1, 2, 3))
+
+
+Run = namedtuple("Run", "samples status abort_s")
+
+
+def collect(system, init, cfg) -> Run:
+    """The run of ``integrate`` held whole: its samples, "completed" or
+    "aborted-nonfinite", and the s it aborted at, or None."""
+    batches = list(integrate(system, init, cfg))
+    abort_s = batches[-1][1]
+    return Run([row for samples, _ in batches for row in samples],
+               "completed" if abort_s is None else "aborted-nonfinite", abort_s)
 
 
 def _double(rhs, dimension=1):
@@ -110,13 +122,13 @@ class TestCompileK2:
 class TestIntegrate:
     def test_zero_field_constant(self):
         sys = _double(lambda s, y: (0.0,))
-        traj = integrate(sys, (3.5,), SolverConfig(1.0, 2.0, 0.1))
+        traj = collect(sys, (3.5,), SolverConfig(1.0, 2.0, 0.1))
         assert traj.status == "completed"
         assert all(state == (3.5,) for _, state, _ in traj.samples)
 
     def test_exponential(self):
         sys = _double(lambda s, y: (y[0],))
-        traj = integrate(sys, (1.0,), SolverConfig(0.5, 1.5, 1e-4))
+        traj = collect(sys, (1.0,), SolverConfig(0.5, 1.5, 1e-4))
         final = traj.samples[-1][1][0]
         assert abs(final - math.e) / math.e < 1e-12
 
@@ -125,7 +137,7 @@ class TestIntegrate:
         sys = compile_k1(1, 2)
         ends = []
         for h in (0.02, 0.01, 0.005):
-            traj = integrate(sys, init, SolverConfig(1.0, 2.0, h, decimate=10 ** 6))
+            traj = collect(sys, init, SolverConfig(1.0, 2.0, h, decimate=10 ** 6))
             ends.append(traj.samples[-1][1][0])
         ratio = abs(ends[0] - ends[1]) / abs(ends[1] - ends[2])
         assert 12 <= ratio <= 20
@@ -136,8 +148,8 @@ class TestIntegrate:
         exact = 9.0 ** (1 / 3)
         errors = []
         for h in (0.1, 0.05, 0.025, 0.0125):
-            traj = integrate(compile_k1(-1, 0), (1.0, 1 / 3),
-                             SolverConfig(1.0, 9.0, h, decimate=10 ** 6))
+            traj = collect(compile_k1(-1, 0), (1.0, 1 / 3),
+                           SolverConfig(1.0, 9.0, h, decimate=10 ** 6))
             assert traj.status == "completed" and traj.samples[-1][0] == 9.0
             errors.append(abs(traj.samples[-1][1][0] - exact))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -146,13 +158,13 @@ class TestIntegrate:
 
     def test_determinism(self, k1_demo):
         cfg = SolverConfig(1.0, 1.5, 1e-3)
-        a = integrate(k1_demo, (1.0, 0.0), cfg)
-        b = integrate(k1_demo, (1.0, 0.0), cfg)
+        a = collect(k1_demo, (1.0, 0.0), cfg)
+        b = collect(k1_demo, (1.0, 0.0), cfg)
         assert repr(a) == repr(b)
 
     def test_samples_strictly_increasing(self, k1_demo):
-        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.2, 1e-3,
-                                                           decimate=7))
+        traj = collect(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.2, 1e-3,
+                                                         decimate=7))
         ss = [s for s, _, _ in traj.samples]
         assert ss == sorted(ss) and len(set(ss)) == len(ss)
 
@@ -161,7 +173,7 @@ class TestIntegrate:
             if s > 1.5:
                 raise SingularMassMatrix(s)
             return (1.0,)
-        traj = integrate(_double(rhs), (0.0,), SolverConfig(1.0, 2.0, 0.1))
+        traj = collect(_double(rhs), (0.0,), SolverConfig(1.0, 2.0, 0.1))
         assert traj.status == "aborted-nonfinite"
         assert traj.abort_s == pytest.approx(1.55, abs=0.1)
 
@@ -169,7 +181,7 @@ class TestIntegrate:
         # u is -inf at the start although the state is finite: the initial
         # row is checked like every later one and is not written
         init = (6.53e98, -0.844, 1.73e-51, -1.2e-315)
-        traj = integrate(k2_demo, init, SolverConfig(8.78e-39, 1e-3, 1e-4))
+        traj = collect(k2_demo, init, SolverConfig(8.78e-39, 1e-3, 1e-4))
         assert k2_demo.monitors["u"](8.78e-39, init) == -math.inf
         assert (traj.status, traj.abort_s, traj.samples) == (
             "aborted-nonfinite", 8.78e-39, [])
@@ -201,33 +213,31 @@ class TestIntegrate:
 
 class TestWriteCsv:
     def test_k1_layout(self, k1_demo, tmp_path):
-        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.1, 1e-3,
-                                                           decimate=10))
+        cfg = SolverConfig(1.0, 1.1, 1e-3, decimate=10)
         path = tmp_path / "run.csv"
-        write_csv(traj, k1_demo, path)
+        write_csv(integrate(k1_demo, (1.0, 0.0), cfg), k1_demo, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "s,l1,l1p,u,tau1,ell_next_drift"
-        assert len(lines) == len(traj.samples) + 1
+        assert len(lines) == len(collect(k1_demo, (1.0, 0.0), cfg).samples) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 1.0 and first[1] == 1.0
 
     def test_k2_layout(self, k2_demo, tmp_path):
-        traj = integrate(k2_demo, (1.0, 0.0, 1.0, 0.0),
-                         SolverConfig(1.0, 1.05, 1e-3, decimate=10))
+        init, cfg = (1.0, 0.0, 1.0, 0.0), SolverConfig(1.0, 1.05, 1e-3, decimate=10)
         path = tmp_path / "run2.csv"
-        write_csv(traj, k2_demo, path)
+        write_csv(integrate(k2_demo, init, cfg), k2_demo, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "s,l1,l1p,l2,l2p,u,tau1,tau2,ell_next_drift"
-        assert len(lines) == len(traj.samples) + 1
+        assert len(lines) == len(collect(k2_demo, init, cfg).samples) + 1
         assert all(line.endswith(",2,3,0") for line in lines[1:])
 
     def test_seventeen_significant_digits(self, k1_demo, tmp_path):
-        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 1.01, 1e-3))
+        cfg = SolverConfig(1.0, 1.01, 1e-3)
         path = tmp_path / "digits.csv"
-        write_csv(traj, k1_demo, path)
+        write_csv(integrate(k1_demo, (1.0, 0.0), cfg), k1_demo, path)
         row = path.read_text().splitlines()[-1].split(",")
         # %.17g reparses to the exact float that was written
-        assert float(row[1]) == traj.samples[-1][1][0]
+        assert float(row[1]) == collect(k1_demo, (1.0, 0.0), cfg).samples[-1][1][0]
 
     @pytest.mark.parametrize("k, tau", [(1, (1, 2)), (2, (1, 2, 3)),
                                         (1, (-2, "-1/3"))])
@@ -239,14 +249,14 @@ class TestWriteCsv:
         # the dense k = 1 demo run on [1, 3]: 1.5 MB of rows.  Formatted
         # and written one by one, the rows of a collected run peak near
         # 28 kB of traced memory; a list of every row first peaks near
-        # 2.8 MB.  The samples themselves are held here, as ``integrate``
-        # collects them; the command line streams them (TestStreamedCsv in
-        # test_cli.py).
-        traj = integrate(k1_demo, (1.0, 0.0), SolverConfig(1.0, 3.0, 1e-4))
+        # 2.8 MB.  The samples themselves are held here, in one list, so
+        # that only the writing is traced; the command line streams them
+        # (TestStreamedCsv in test_cli.py).
+        traj = collect(k1_demo, (1.0, 0.0), SolverConfig(1.0, 3.0, 1e-4))
         assert len(traj.samples) == 20001
         tracemalloc.start()
         try:
-            write_csv(traj, k1_demo, tmp_path / "dense.csv")
+            write_csv([(traj.samples, None)], k1_demo, tmp_path / "dense.csv")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -258,14 +268,14 @@ class TestWriteCsv:
         assert path.read_text().count("\n") == 1
 
 
-def _reference_write_csv(traj, sys, path):
+def _reference_write_csv(samples, sys, path):
     """The trajectory CSV as ``csv.writer`` wrote it before rows were
     formatted from one template."""
     constants = [f"{float(v):.17g}" for v in sys.constants.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("s", *sys.state_names, *sys.monitors, *sys.constants))
-        for s_i, y, mon in traj.samples:
+        for s_i, y, mon in samples:
             writer.writerow([*(f"{v:.17g}" for v in (s_i, *y, *mon)),
                              *constants])
 
@@ -289,9 +299,8 @@ def _assert_csv_parity(system, directory):
     @given(samples=st.lists(sample, max_size=6))
     @example(samples=[(v, (v,) * width, (v,) * monitors) for v in _EXTREME])
     def check(samples):
-        traj = Trajectory(samples, "completed")
-        write_csv(traj, system, fast)
-        _reference_write_csv(traj, system, ref)
+        write_csv([(samples, None)], system, fast)
+        _reference_write_csv(samples, system, ref)
         assert fast.read_bytes() == ref.read_bytes()
 
     check()
@@ -463,7 +472,7 @@ class TestGeneratedParity:
     ])
     def test_abort_parity(self, k1_demo, k2_demo, k, init, cfg, expected):
         system = k1_demo if k == 1 else k2_demo
-        traj = integrate(system, init, SolverConfig(*cfg))
+        traj = collect(system, init, SolverConfig(*cfg))
         assert (traj.status, traj.abort_s, len(traj.samples)) == expected
 
 
@@ -506,7 +515,7 @@ def _reference_integrate(system, init, cfg):
     except (SingularMassMatrix, ZeroDivisionError, OverflowError) as exc:
         status = "aborted-nonfinite"
         abort_s = getattr(exc, "s", s_i)
-    return Trajectory(samples=samples, status=status, abort_s=abort_s)
+    return Run(samples, status, abort_s)
 
 
 def _run_bits(traj):
@@ -608,7 +617,7 @@ def _assert_loop_parity(system, label):
     def check(s_start, h, n, decimate, y):
         cfg = SolverConfig(s_start, s_start + n * h, h, decimate)
         try:
-            got = integrate(system, y, cfg)
+            got = collect(system, y, cfg)
         except DomainError:
             assume(False)
         assert _run_bits(got) == _run_bits(_reference_integrate(system, y, cfg))
@@ -705,7 +714,7 @@ class TestGeneratedStep:
         # that copies the function's attributes is called too
         system = compile_k1(1, 2)
         cfg = SolverConfig(1.0, 1.5, 1e-2, decimate=7)
-        plain = integrate(system, (1.0, 0.0), cfg)
+        plain = collect(system, (1.0, 0.0), cfg)
         calls = Counter()
 
         def counting(name, fn):
@@ -717,7 +726,7 @@ class TestGeneratedStep:
         system.rhs = counting("rhs", system.rhs)
         system.monitors = {name: counting(name, fn)
                            for name, fn in system.monitors.items()}
-        wrapped = integrate(system, (1.0, 0.0), cfg)
+        wrapped = collect(system, (1.0, 0.0), cfg)
         assert calls == {"rhs": 4 * 50, "u": len(plain.samples)}
         assert len(plain.samples) == 9
         assert _run_bits(wrapped) == _run_bits(plain)
@@ -745,7 +754,7 @@ class TestGeneratedStep:
             system = CompiledSystem(
                 state_names=k1_demo.state_names, rhs=wrap(k1_demo.rhs),
                 monitors={name: wrap(fn) for name, fn in k1_demo.monitors.items()})
-            assert (_run_bits(integrate(system, (1.0, 0.0), cfg))
+            assert (_run_bits(collect(system, (1.0, 0.0), cfg))
                     == _run_bits(_reference_integrate(system, (1.0, 0.0), cfg)))
 
     def test_k1_bit_parity_in_short_lists(self, monkeypatch, run_systems):
@@ -760,7 +769,7 @@ class TestGeneratedStep:
             calls.append(s)
             return (y[0],)
 
-        integrate(_double(rhs), (1.0,), SolverConfig(1.0, 1.5, 0.25))
+        collect(_double(rhs), (1.0,), SolverConfig(1.0, 1.5, 0.25))
         assert calls == [1.0, 1.125, 1.125, 1.25, 1.25, 1.375, 1.375, 1.5]
 
 
@@ -914,7 +923,7 @@ class TestGenericCompile:
     @pytest.mark.parametrize("k", (3, 4))
     def test_higher_k_run_completes(self, k):
         system = _compile_system(k, _taus(k))
-        traj = integrate(system, (1.0, 0.0) * k, SolverConfig(1.0, 1.1, 1e-3))
+        traj = collect(system, (1.0, 0.0) * k, SolverConfig(1.0, 1.1, 1e-3))
         assert traj.status == "completed" and len(traj.samples) == 101
 
     @pytest.mark.parametrize("k", GENERIC_KS)

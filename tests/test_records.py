@@ -12,8 +12,9 @@ from p3lenard.hierarchy import HierarchySystem
 from p3lenard.jetring import RatExpr
 from p3lenard.laxpair import LaurentPoly
 from p3lenard.lenard import LenardSequence, SeedCondition
-from p3lenard.odesolve import (CompiledSystem, SolverConfig, Trajectory,
-                               _ExactSystem, integrate)
+from p3lenard.odesolve import CompiledSystem, SolverConfig, _ExactSystem
+
+from test_odesolve import collect
 
 HALF = U_RING.const(Fraction(1, 2))
 U = U_RING.var("u", 0)
@@ -37,8 +38,6 @@ RECORDS = [
      {"monitors": {}, "constants": {}, "source": ""}),
     (SolverConfig, ("s_start", "s_end", "step", "decimate"), (1.0, 2.0, 0.1),
      {"decimate": 1}),
-    (Trajectory, ("samples", "status", "abort_s"),
-     ([(1.0, (0.5,), (0.25,))], "completed"), {"abort_s": None}),
     (_ExactSystem,
      ("state_names", "layout", "guarded", "det", "second", "monitors",
       "constants"),
@@ -107,7 +106,7 @@ def test_compiled_system_fields_can_be_reassigned():
 
     system.rhs = growth
     system.monitors = {"twice": lambda s, y: 2 * y[0]}
-    traj = integrate(system, (1.0,), SolverConfig(1.0, 1.5, 0.1))
+    traj = collect(system, (1.0,), SolverConfig(1.0, 1.5, 0.1))
     assert len(calls) == 4 * 5
     s_end, (y_end,), (twice,) = traj.samples[-1]
     assert s_end == 1.5 and y_end > 1.6 and twice == 2 * y_end

@@ -8,8 +8,10 @@ dependents, parameters, negative and +-1 coefficients and a common
 denominator that some numerators share a factor with.
 """
 
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -128,3 +130,32 @@ class TestRowsRender:
         monkeypatch.setattr(render, "gcd", lambda n, d: 1)
         assert mismatches(shared_factor()) == ["json", "ascii", "latex"]
         assert mismatches(RINGS[0].const(7)) == []        # den 1 takes no gcd
+
+
+class TestCheckDigits:
+    """``check_digits`` refuses a polynomial exactly when one of its
+    coefficients, in lowest terms, is longer than ``str`` writes an int."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    def test_refuses_what_the_renderers_cannot_write(self):
+        ring = RINGS[0]
+        longest = ring.const(10 ** self.LIMIT - 1)
+        render.check_digits([longest])
+        assert poly_to_obj(longest)["terms"][0]["coef"] == "9" * self.LIMIT
+        for poly in (ring.const(10 ** self.LIMIT), ring.const(-10 ** self.LIMIT),
+                     ring.const(Fraction(1, 10 ** self.LIMIT)),
+                     ring.var("u") * 10 ** self.LIMIT + 1):
+            with pytest.raises(OverflowError, match=f"more than {self.LIMIT} digits"):
+                render.check_digits([longest, poly])
+            with pytest.raises(ValueError):
+                poly_ascii(poly)
+
+    def test_reads_lowest_terms(self):
+        # over the common denominator 10^(LIMIT - 1) the numerator of u has
+        # LIMIT + 999 digits; in lowest terms it has 1001
+        ring = RINGS[0]
+        poly = ring.const(Fraction(1, 10 ** (self.LIMIT - 1))) + ring.var("u") * 10 ** 1000
+        assert poly.height() >= 10 ** self.LIMIT
+        render.check_digits([poly])
+        assert poly_ascii(poly) == f"{10 ** 1000}*u + 1/{10 ** (self.LIMIT - 1)}"

@@ -530,8 +530,8 @@ def _run_sources(monkeypatch):
     for system, init in systems:
         for variant in (system, _wrapped(system)):
             seen.clear()
-            odesolve.integrate(variant, init,
-                               odesolve.SolverConfig(1.0, 1.01, 1e-3))
+            list(odesolve.integrate(variant, init,
+                                    odesolve.SolverConfig(1.0, 1.01, 1e-3)))
             runs.append((variant, list(seen)))
     monkeypatch.undo()
     return runs
@@ -703,9 +703,9 @@ def test_cli_import_leaves_startup_heavy_modules_unloaded():
 # Every function and method of the package, dunders included, is entered
 # by one of the small commands of ``_reach_commands``, or is read by the test
 # named for it here: oracles and test constructors, the operators that
-# reference computations build with, reprs, the exception that a state of
-# exactly zero raises, and ``integrate``, which collects the run that the
-# command line streams to its CSV.
+# reference computations build with, reprs, and the exception that a state
+# of exactly zero raises.  ``odesolve.integrate`` is not one of them: the
+# ``integrate`` command enters it.
 READ_BY_TESTS = {
     "hierarchy.equation_equivalent":
         "test_hierarchy.py::TestBuildSystem::test_k1_golden",
@@ -729,8 +729,6 @@ READ_BY_TESTS = {
         "test_records.py::test_record_construction_equality_and_repr",
     "lenard.LenardSequence.with_entry":
         "test_hierarchy.py::TestConservedQuantities::test_tau0_is_minus_omega_kk",
-    "odesolve.integrate":
-        "test_odesolve.py::TestIntegrate::test_determinism",
     "odesolve.SingularMassMatrix.__init__":
         "test_odesolve.py::TestGeneratedParity::test_zero_component_raises_with_s",
 }
