@@ -87,7 +87,10 @@ def formal_integral(p: Poly) -> Poly:
 #   factor := atom ('^' INT)?
 #   atom   := RATIONAL | 's' | 'u' QUOTE* | 'D' INT '(' 'u' ')' | '(' expr ')'
 #
-# RATIONAL is INT or INT/INT.  D3(u) denotes the third derivative of u.
+# RATIONAL is INT or INT/INT.  D3(u) denotes the third derivative of u.  A
+# power is refused before it is formed when it could not be held or printed:
+# an exponent of 2**15 or more on a non-constant base, or a coefficient past
+# the interpreter's digit limit (see ``render.check_power``).
 
 _TOKEN_RE = re.compile(r"\s*(\d+|D\d+\(u\)|u'*|s|[-+*^()\/])")
 
@@ -164,7 +167,12 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise ParseError(f"bad exponent {tok!r}", self.pos(), "integer exponent")
             self.take()
-            p = p ** int(tok)
+            n = int(tok)
+            # a non-constant base to n >= 2**15 is left to Poly.__pow__,
+            # whose ExponentOverflow goes before the digit bound
+            if n < 2 ** 15 or not p.total_derivative():
+                render.check_power(p, n)
+            p = p ** n
         return p
 
     def atom(self) -> Poly:

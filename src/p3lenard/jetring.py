@@ -383,6 +383,8 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
+        if n >> (_W - 1) and any(self.terms):     # refused before any product
+            raise _overflow("an exponent reached 2**15")
         out = self.ring.one()
         base = self
         while n:
@@ -574,9 +576,6 @@ class RatExpr:
             return cls(value)
         return cls(ring.const(value))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, RatExpr):
             other = RatExpr.of(other, self.ring)
@@ -588,28 +587,11 @@ class RatExpr:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RatExpr(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RatExpr.of(other, self.ring))
-
     def __mul__(self, other):
         other = RatExpr.of(other, self.ring)
         return RatExpr(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatExpr.of(other, self.ring)
-        if other.num.is_zero():
-            raise ZeroDenominator("division by zero expression")
-        return RatExpr(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatExpr(self.den, self.num) ** (-n)
-        return RatExpr(self.num ** n, self.den ** n)
 
     def total_derivative(self) -> "RatExpr":
         n, d = self.num, self.den

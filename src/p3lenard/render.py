@@ -67,8 +67,39 @@ def check_digits(polys) -> None:
         # lowest terms are never larger, so most results skip the gcds
         if limit and poly.height() >= bound and any(
                 max(abs(n), d) >= bound for _, n, d in _rows(poly)):
-            raise OverflowError(f"a coefficient has more than {limit} digits, "
-                                "the most an int is printed with")
+            raise _too_many_digits(limit)
+
+
+def check_power(poly: Poly, n: int) -> None:
+    """Raise ``check_digits``'s OverflowError before ``poly ** n`` is formed
+    if the n-th power of the coefficient of the greatest or least monomial of
+    ``poly``, in lowest terms, passes the limit: the power holds that
+    coefficient at its own greatest or least monomial."""
+    limit = sys.get_int_max_str_digits()
+    if limit and poly:
+        rows, bound = _rows(poly), 10 ** limit
+        if any(_power_reaches(max(abs(c), d), n, bound)
+               for _, c, d in (rows[0], rows[-1])):
+            raise _too_many_digits(limit)
+
+
+def _power_reaches(x: int, n: int, bound: int) -> bool:
+    """Whether x ** n >= bound, for x >= 1 and bound >= 2, by squarings that
+    stop before a factor passes ``bound``."""
+    power = 1
+    while n:
+        n, odd = divmod(n, 2)
+        if odd:
+            power *= x
+        if power >= bound or (n and x >= bound):
+            return True
+        x *= x
+    return False
+
+
+def _too_many_digits(limit: int) -> OverflowError:
+    return OverflowError(f"a coefficient has more than {limit} digits, "
+                         "the most an int is printed with")
 
 
 def _poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:

@@ -7,6 +7,7 @@ import json
 import marshal
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -40,6 +41,22 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _gen_lenard_child(expr: str):
+    """(exit code, stdout, stderr) of ``gen-lenard --count 1`` on the custom
+    seed ``expr``, run in a child process held to 1 GB of address space and
+    2 s, so a seed whose work has no bound fails the test in seconds
+    instead of filling the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", "from p3lenard.cli import main; main()",
+         "gen-lenard", "--seed", "custom", "--custom", expr, "--count", "1"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+        text=True, timeout=2, preexec_fn=cap)
+    return done.returncode, done.stdout, done.stderr
 
 
 # One field of a custom-seed term that makes the seed bad, by the test id
@@ -107,10 +124,9 @@ class TestGenLenard:
         code, out, err = run(capsys, "gen-lenard", "--seed", "custom",
                              "--count", "1")
         assert (code, out) == (cli.EXIT_RUNTIME, "")
-        assert err == ("recursion left the differential-polynomial ring: "
-                       "recursion step 0 -> 1 left the differential-"
-                       "polynomial ring: no differential-polynomial "
-                       "antiderivative (leftover 2*s*u)\n")
+        assert err == ("runtime error: recursion step 0 -> 1 left the "
+                       "differential-polynomial ring: no differential-"
+                       "polynomial antiderivative (leftover 2*s*u)\n")
 
     def test_exponent_overflow_is_runtime_error(self, capsys):
         # an exponent beyond the packed slots stays exit 3, from either grammar
@@ -120,6 +136,42 @@ class TestGenLenard:
                                  "--custom", expr, "--count", "1")
             assert (code, out) == (cli.EXIT_RUNTIME, "")
             assert err.startswith("runtime error: an exponent reached 2**15")
+
+    DIGITS = ("runtime error: a coefficient has more than 4300 digits, "
+              "the most an int is printed with\n")
+    EXPONENT = ("runtime error: an exponent reached 2**15: packed monomials "
+                "hold exponents below 2**15 in 4096 slots\n")
+
+    @pytest.mark.parametrize("expr, err", [
+        ("2^99999999999999999999", DIGITS),
+        ("((2^32767)^32767)^32767", DIGITS),
+        ("(1+u)^40000", EXPONENT),
+        ("(u*2^14000)^32767", DIGITS),
+        ("u^40000", EXPONENT),
+        ("(2*u)^40000", EXPONENT),
+        ("u^16384*u^16384", EXPONENT),
+        ('{"terms":[{"coef":"1","s":0,"jets":{"0":40000}}]}', EXPONENT),
+    ], ids=["huge-exponent", "tower", "binomial", "long-coefficient", "monomial",
+            "both-bounds", "product", "json"])
+    def test_power_past_a_bound_is_refused_at_once(self, expr, err):
+        """A non-constant base to a power of 2**15 or more, or a power whose
+        coefficient would pass the digit limit, is refused before it is
+        formed: exit 3, one line, empty stdout, where the first four
+        squared until memory ran out or ran for minutes."""
+        assert sys.get_int_max_str_digits() == 4300
+        assert _gen_lenard_child(expr) == (cli.EXIT_RUNTIME, "", err)
+
+    @pytest.mark.parametrize("expr, product", [
+        ("2^4000", str(2 ** 4000)),
+        ("(1+u)^50", "*".join(["(1+u)"] * 50)),
+        ("u^300", "*".join(["u"] * 300)),
+        ("1^40000", "1"),
+    ], ids=["constant", "binomial", "monomial", "one"])
+    def test_power_within_the_bounds_prints_its_product(self, capsys, expr, product):
+        got = _gen_lenard_child(expr)
+        assert got == run(capsys, "gen-lenard", "--seed", "custom", "--custom",
+                          product, "--count", "1")
+        assert got[0] == cli.EXIT_OK
 
     def test_constants_count_mismatch(self, capsys):
         code, _, err = run(capsys, "gen-lenard", "--count", "2",

@@ -16,14 +16,13 @@ from p3lenard.lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                              closed_form_standard, generate, omega, symbolic)
 
 
-def _wrap(ring):
-    """Ratexpr constructors over a hierarchy ring."""
+def _symbols(ring):
+    """Polynomial constructors over a hierarchy ring: jet variables, s and
+    the tau parameters."""
     def var(name):
-        return lambda order=0: RatExpr.of(ring.var(name, order), ring)
-    S = RatExpr.of(ring.s(), ring)
-    taus = [RatExpr.of(ring.param(f"tau{p}"), ring)
-            for p in range(len(ring.params))]
-    return var, S, taus
+        return lambda order=0: ring.var(name, order)
+    taus = [ring.param(f"tau{p}") for p in range(len(ring.params))]
+    return var, ring.s(), taus
 
 
 @pytest.fixture(scope="module")
@@ -37,33 +36,38 @@ def sys2():
 
 
 def reference_k1(ring):
-    """l1'' = (l1')^2/l1 - l1'/s - l1^2/s - tau0/l1 + tau1/s."""
-    var, S, (T0, T1) = _wrap(ring)
+    """l1'' = (l1')^2/l1 - l1'/s - l1^2/s - tau0/l1 + tau1/s, as the
+    difference of its sides times s*l1."""
+    var, S, (T0, T1) = _symbols(ring)
     L1 = var("l1")
-    return (L1(2) - L1(1) ** 2 / L1() + L1(1) / S + L1() ** 2 / S
-            + T0 / L1() - T1 / S)
+    return RatExpr(S * L1() * L1(2) - S * L1(1) ** 2 + L1() * L1(1) + L1() ** 3
+                   + S * T0 - L1() * T1)
 
 
 def reference_k2_first(ring):
-    var, S, (T0, T1, T2) = _wrap(ring)
+    """0 = tau1/(2 l1 l2) - tau0/l2^2 + (l2')^2/l2^2 - l1' l2'/(l1 l2)
+    + l1''/l1 - l2''/l2 - l2/(2 l1), times 2*l1*l2^2."""
+    var, S, (T0, T1, T2) = _symbols(ring)
     L1, L2 = var("l1"), var("l2")
-    return (T1 / (2 * L1() * L2()) - T0 / L2() ** 2 + L2(1) ** 2 / L2() ** 2
-            - L1(1) * L2(1) / (L1() * L2()) + L1(2) / L1() - L2(2) / L2()
-            - L2() / (2 * L1()))
+    return RatExpr(T1 * L2() - 2 * T0 * L1() + 2 * L1() * L2(1) ** 2
+                   - 2 * L1(1) * L2(1) * L2() + 2 * L1(2) * L2() ** 2
+                   - 2 * L1() * L2(2) * L2() - L2() ** 3)
 
 
 def reference_k2_second(ring, flip_tau2=True):
-    """Second reference display; its published form carries the opposite sign
-    on tau_2 relative to the defining sum (see the repo notes), so the golden
+    """0 = l1^2 (l2')^2/l2^2 - (l1')^2 + s (l2')^2/l2 - l2' - tau0 l1^2/l2^2
+    - s tau0/l2 - tau2 - (2 l1^2 l2''/l2 - 2 l1 l1'' + s l2'' + 2 l2 l1),
+    times l2^2.  Its published form carries the opposite sign on tau_2
+    relative to the defining sum (see the repo notes), so the golden
     comparison normalizes that sign."""
-    var, S, (T0, T1, T2) = _wrap(ring)
+    var, S, (T0, T1, T2) = _symbols(ring)
     L1, L2 = var("l1"), var("l2")
     tau_term = T2 if flip_tau2 else -T2
-    return (L1() ** 2 * L2(1) ** 2 / L2() ** 2 - L1(1) ** 2
-            + S * L2(1) ** 2 / L2() - L2(1)
-            - T0 * L1() ** 2 / L2() ** 2 - S * T0 / L2() + tau_term
-            - (2 * L1() ** 2 * L2(2) / L2() - 2 * L1() * L1(2)
-               + S * L2(2) + 2 * L2() * L1()))
+    return RatExpr(L1() ** 2 * L2(1) ** 2 - L1(1) ** 2 * L2() ** 2
+                   + S * L2(1) ** 2 * L2() - L2(1) * L2() ** 2
+                   - T0 * L1() ** 2 - S * T0 * L2() + tau_term * L2() ** 2
+                   - (2 * L1() ** 2 * L2(2) * L2() - 2 * L1() * L1(2) * L2() ** 2
+                      + S * L2(2) * L2() ** 2 + 2 * L2() ** 3 * L1()))
 
 
 class TestBuildSystem:
@@ -71,8 +75,8 @@ class TestBuildSystem:
         assert equation_equivalent(sys1.equations[0], reference_k1(sys1.ring))
 
     def test_k1_perturbed_parameter_differs(self, sys1):
-        var, S, (T0, T1) = _wrap(sys1.ring)
-        perturbed = reference_k1(sys1.ring) - (T1 + 1) / S + T1 / S
+        # tau1 -> tau1 + 1 adds -1/s to the display, -l1 once cleared
+        perturbed = reference_k1(sys1.ring) + RatExpr(-sys1.ring.var("l1", 0))
         assert not equation_equivalent(sys1.equations[0], perturbed)
 
     def test_k1_cleared_form_is_polynomial(self, sys1):

@@ -400,15 +400,13 @@ class TestSubstitutionAndContent:
     @given(n=refs(), d=refs().filter(bool))
     def test_ratexpr_construction(self, n, d):
         """Joint content is stripped unless the numerator is zero, which
-        keeps its denominator; negation keeps the reduced form."""
+        keeps its denominator."""
         e = RatExpr(Poly(RING, n), Poly(RING, d))
         want_n, want_d = ref_ratexpr(n, d)
         if n:
             assert e.num.den == 1 and e.den.den == 1
         check(e.num, want_n)
         check(e.den, want_d)
-        check((-e).num, ref_neg(want_n))
-        check((-e).den, want_d)
 
     def test_ratexpr_reduces_across_denominators(self):
         x = Poly(RING, {mono(1): 1})
@@ -438,7 +436,7 @@ def ref_subs_var(e: RatExpr, name: str, order: int, repl: RatExpr) -> RatExpr:
         return RatExpr(num, den_pows[top])
 
     num, den = map(subs_poly, splits)
-    return num / den
+    return RatExpr(num.num * den.den, num.den * den.num)
 
 
 # the substituted variable: two jet orders of u and one of v
@@ -496,8 +494,8 @@ class TestSubsVar:
             return
         got = e.subs_var(name, order, repl)
         assert got == want
-        if want.is_zero():
-            assert got.is_zero()
+        if want.num.is_zero():
+            assert got.num.is_zero()
         else:
             check(got.num, as_ref(want.num))
             check(got.den, as_ref(want.den))
@@ -808,6 +806,16 @@ class TestExponentOverflow:
         with pytest.raises(ExponentOverflow):
             RING.var("u", 2) ** LIMIT
         check(RING.var("u", 2) ** (LIMIT - 1), {mono(jets={(U, 2): LIMIT - 1}): 1})
+
+    def test_power_is_refused_before_any_product(self, monkeypatch):
+        # squaring (1 + u)^16384 would take minutes; a constant has no bound
+        monkeypatch.setattr(Poly, "__mul__", None)
+        for n in (LIMIT, 10 ** 20):
+            with pytest.raises(ExponentOverflow, match="an exponent reached 2"):
+                (RING.one() + RING.var("u")) ** n
+        assert RING.one() ** 0 == RING.one()
+        monkeypatch.undo()
+        assert RING.const(-1) ** (10 ** 20 + 1) == RING.const(-1)
 
     def test_constructor(self):
         for m in (mono(LIMIT), mono(jets={(U, 0): LIMIT}), mono(pars={A: LIMIT}),

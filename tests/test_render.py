@@ -159,3 +159,44 @@ class TestCheckDigits:
         assert poly.height() >= 10 ** self.LIMIT
         render.check_digits([poly])
         assert poly_ascii(poly) == f"{10 ** 1000}*u + 1/{10 ** (self.LIMIT - 1)}"
+
+
+class TestCheckPower:
+    """``check_power(p, n)`` refuses exactly when the n-th power of the
+    coefficient of p's greatest or least monomial, in lowest terms, is one
+    that ``check_digits`` refuses; it forms no power past the limit."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("x", [2, 3, 10, 7 ** 50], ids=["2", "3", "10", "7^50"])
+    def test_bound_is_exact(self, x):
+        ring = RINGS[0]
+        n = 1
+        while x ** (n + 1) < 10 ** self.LIMIT:
+            n += 1
+        for const in (ring.const(x), ring.const(Fraction(-1, x))):
+            render.check_digits([const ** n])
+            with pytest.raises(OverflowError, match=f"more than {self.LIMIT} digits"):
+                render.check_digits([const ** (n + 1)])
+        # the greatest and the least monomial of a polynomial
+        for poly in (ring.const(x), ring.const(Fraction(-1, x)),
+                     ring.var("u") * x + 1, ring.var("u") + x):
+            render.check_power(poly, n)
+            with pytest.raises(OverflowError, match=f"more than {self.LIMIT} digits"):
+                render.check_power(poly, n + 1)
+
+    def test_reads_lowest_terms(self):
+        # over the common denominator 6 the numerators are 3 and 2; in
+        # lowest terms the coefficients are 1/2 and 1/3, and 3**5600 prints
+        ring = RINGS[0]
+        poly = ring.var("u") * Fraction(1, 2) + Fraction(1, 3)
+        assert 6 ** 5600 >= 10 ** self.LIMIT > 3 ** 5600
+        render.check_power(poly, 5600)
+
+    def test_huge_exponents_end_at_once(self):
+        ring = RINGS[0]
+        for poly in (ring.const(2), ring.var("u") * 2 ** 14000):
+            with pytest.raises(OverflowError, match=f"more than {self.LIMIT} digits"):
+                render.check_power(poly, 10 ** 20)
+        for poly in (ring.zero(), ring.one(), ring.const(-1), ring.var("u")):
+            render.check_power(poly, 10 ** 20)
