@@ -23,7 +23,7 @@ from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
 from .hierarchy import build_p3_system, conservation_residual, conservation_window
 from .jetring import Poly, RatExpr, ZeroDenominator
-from .lenard import (Brackets, SeedCondition, closed_form_standard, generate,
+from .lenard import (Lattice, SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
                      symbolic)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
@@ -162,28 +162,32 @@ def _cmd_gen_lax(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 def _master_checks(seq, max_index: int):
-    return ((master_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
-            for n in range(max_index) for m in range(max_index))
+    pairs = [(n, m) for n in range(max_index) for m in range(max_index)]
+    table = Lattice(seq, pairs=pairs)
+    return ((master_identity_residual(seq, n, m, table=table).is_zero(), f"n={n} m={m}")
+            for n, m in pairs)
 
 
 def _shift_checks(seq, max_index: int):
-    return ((shift_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
-            for n in range(1, max_index + 1) for m in range(max_index))
+    pairs = [(n, m) for n in range(1, max_index + 1) for m in range(max_index)]
+    table = Lattice(seq, [(m, n, 1) for n, m in pairs])
+    return ((shift_identity_residual(seq, n, m, table=table).is_zero(), f"n={n} m={m}")
+            for n, m in pairs)
 
 
 def _transport_checks(seq, max_index: int):
-    windows = [(m, n, min(n, max_index + 1 - m))
-               for n in range(max_index + 1) for m in range(max_index)]
-    table = Brackets(seq, windows)
-    for m, n, top in windows:
-        for r, (jets, brackets) in enumerate(table.window(m, n, top)):
-            yield jets == brackets, f"m={m} n={n} r={r}"
+    checks = [(m, n, r) for n in range(max_index + 1) for m in range(max_index)
+              for r in range(min(n, max_index + 1 - m) + 1)]
+    table = Lattice(seq, checks)
+    for m, n, r in checks:
+        start, end = table.sides(m, n, r)
+        yield start is end or start == end, f"m={m} n={n} r={r}"
 
 
 def _conservation_checks(seq, max_index: int):
     checks = [(k, p, "tau") for k in range(1, max_index + 1) for p in range(k + 1)]
     checks += [(0, p, "sigma") for p in range(max_index + 2)]
-    table = Brackets(seq, [conservation_window(*check) for check in checks])
+    table = Lattice(seq, [conservation_window(*check) for check in checks])
     for k, p, kind in checks:
         ok = conservation_residual(seq, k, p, kind, table=table).is_zero()
         yield ok, f"{kind} k={k} p={p}" if kind == "tau" else f"{kind} p={p}"

@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
-from .lenard import (Brackets, IndexOutOfRange, LenardSequence, bracket_diagonal,
+from .lenard import (IndexOutOfRange, LenardSequence, Lattice, bracket_diagonal,
                      transport_residual)
 
 
@@ -123,9 +123,9 @@ def conservation_window(k: int, p: int, kind: str) -> tuple:
 
 
 def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str, *,
-                          table: Brackets | None = None) -> Poly:
-    """D(tau_p) + 2 l_{k-p} D(l_{k+1}), the transport residual with
-    (m, n, r) = (k-p, k+1, p+1), or D(sigma_p) + 2 l_p D(l_0), minus the one
-    with (m, n, r) = (0, p, p); zero for every recursion-consistent sequence."""
+                          table: Lattice | None = None) -> Poly:
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) = T(k-p, k+1, p+1) or D(sigma_p) +
+    2 l_p D(l_0) = -T(0, p, p), a difference of two sums G_c(t) of ``table``
+    (a fresh ``Lattice`` by default); zero for every recursion-consistent sequence."""
     resid = transport_residual(seq, *conservation_window(k, p, kind), table=table)
     return resid if kind == "tau" else -resid

@@ -19,25 +19,28 @@ Every derivative below comes from one jet table per sequence,
 ``seq.jet(j, i)`` = D^i(l_j), filled by ``generate`` and ``symbolic``.
 Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
 derivatives are bilinear in the entries and follow by Leibniz from jets with
-i <= 3, so no product is differentiated; Omega' and B' gather their u and u'
-terms to multiply full jets only two and three times.  A ``Brackets`` table
-builds each B' of a sequence once, drops it after the last window that
-reads it, and its ``window`` adds one B' per step of an anti-diagonal sweep.
-Products commute, so Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the
-one sum of B over a whole anti-diagonal (tau_p, sigma_p and the closed
-form), builds the Omega of each mirrored pair once and counts it twice, and
-so each mirrored lift l_{a-q} l_{b+q+1}.  A jet is reused only while
-``seq.ell(j)`` is the object it was computed from, so replacing an entry,
-even in place through ``seq.ells[j] = ...``, recomputes its jets;
-``with_entry`` starts an empty table.  Symbolic rules are fixed when built;
-the jets of l_j read only those of l_1 .. l_j.
+i <= 3, so no product is differentiated.  A ``Lattice`` table, owned by one
+run of checks, builds each factor of one index once from l_j's own jets:
+P_j = l_j''' + 4 u l_j' + 4 u' l_j (never l_{j+1}' + 2 u' l_j, which holds
+only where the recursion does), Q_j = l_j''' + 4 u l_j', R_j = Q_j - l_{j+1}',
+so Omega_{n,m}' = l_m P_n + l_n Q_m and B_{a,b}' = l_b P_a + l_a R_b - l_a' l_{b+1}.
+It sums each anti-diagonal c once, G_c(t) = l_t l_{c-t}' plus the B_{c-1-j,j}'
+for j < t that a check spans, so T(m, n, r) = G_{m+n}(m) - G_{m+n}(m+r); it
+drops each entry after its last planned read.  Products commute, so Omega_{n,m} =
+Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a whole
+anti-diagonal (tau_p, sigma_p and the closed form), builds the Omega of
+each mirrored pair once and counts it twice, and so each mirrored lift
+l_{a-q} l_{b+q+1}.  A jet is reused only while ``seq.ell(j)`` is the
+object it was computed from, so replacing an entry, even in place through
+``seq.ells[j] = ...``, recomputes its jets; ``with_entry`` starts an empty
+table.  Symbolic rules are fixed when built; the jets of l_j read only
+those of l_1 .. l_j.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate, starmap
 
 from .jetring import Poly, Ring
 from .diffpoly import U_RING, NotExactDerivative, formal_integral
@@ -174,12 +177,6 @@ def omega(seq: LenardSequence, n: int, m: int) -> Poly:
     return n2 * m0 - n1 * m1 + n0 * m2 + 4 * seq.u * (n0 * m0)
 
 
-def diagonal(a: int, b: int, count: int) -> list:
-    """[(a - q, b + q) for q = 0..count-1]: the anti-diagonal walk of every
-    bracket sum."""
-    return [(a - q, b + q) for q in range(count)]
-
-
 def _lift(seq: LenardSequence, a: int, b: int) -> Poly:
     """l_a l_{b+1}, the product that B_{a,b} takes from Omega_{a,b}."""
     return seq.ell(a) * seq.ell(b + 1)
@@ -190,7 +187,7 @@ def _mirrored(f, seq: LenardSequence, a: int, b: int, count: int) -> Poly:
     count - 1 - q agree: each mirrored pair is built once and counted
     twice."""
     half = count // 2
-    total = 2 * sum((f(seq, *key) for key in diagonal(a, b, half)), seq.ring.zero())
+    total = 2 * sum((f(seq, a - q, b + q) for q in range(half)), seq.ring.zero())
     if count % 2:
         total += f(seq, a - half, b + half)
     return total
@@ -209,81 +206,110 @@ def bracket_diagonal(seq: LenardSequence, a: int, b: int) -> Poly:
     return _mirrored(omega, seq, a, b, a - b + 1) - lifts
 
 
-def _omega_prime(seq: LenardSequence, n: int, m: int) -> Poly:
-    """Omega_{n,m}' by Leibniz, where the l'' l' terms cancel, in two products
-    of full jets: l_m (l_n''' + 4 u l_n' + 4 u' l_n) + l_n (l_m''' + 4 u l_m')."""
-    n0, n1, n3 = seq.jet(n, 0), seq.jet(n, 1), seq.jet(n, 3)
-    m0, m1, m3 = seq.jet(m, 0), seq.jet(m, 1), seq.jet(m, 3)
-    u4, du4 = 4 * seq.u, 4 * seq.du
-    return m0 * (n3 + u4 * n1 + du4 * n0) + n0 * (m3 + u4 * m1)
+def _factors(seq: LenardSequence, j: int) -> tuple:
+    """(P_j, Q_j), where Q_j = l_j''' + 4 u l_j' and P_j = Q_j + 4 u' l_j."""
+    q = seq.jet(j, 3) + 4 * seq.u * seq.jet(j, 1)
+    return q + 4 * seq.du * seq.jet(j, 0), q
 
 
-def _bracket_prime(seq: LenardSequence, a: int, b: int) -> Poly:
-    """B_{a,b}' = Omega_{a,b}' - l_a' l_{b+1} - l_a l_{b+1}' in three products
-    of full jets: l_b (l_a''' + 4 u l_a' + 4 u' l_a)
-    + l_a (l_b''' + 4 u l_b' - l_{b+1}') - l_a' l_{b+1}."""
-    a0, a1, a3 = seq.jet(a, 0), seq.jet(a, 1), seq.jet(a, 3)
-    b0, b1, b3 = seq.jet(b, 0), seq.jet(b, 1), seq.jet(b, 3)
-    u4, du4 = 4 * seq.u, 4 * seq.du
-    return (b0 * (a3 + u4 * a1 + du4 * a0) + a0 * (b3 + u4 * b1 - seq.jet(b + 1, 1))
-            - a1 * seq.ell(b + 1))
+class Lattice(dict):
+    """The factors P_j, Q_j, R_j and sums G_c(t) that the transport residuals
+    (m, n, r) in ``checks`` and the Omega' (n, m) in ``pairs`` read from one
+    sequence, each built once and dropped after its last planned read."""
 
+    def __init__(self, seq: LenardSequence, checks=(), pairs=()):
+        self.seq, self.reads, self.runs = seq, Counter(), {}
+        for m, n, r in checks:
+            if not 0 <= r <= n:
+                raise IndexOutOfRange(f"transport distance {r} outside 0..{n}")
+            self.reads.update(((m + n, m), (m + n, m + r)))
+        self.steps = {(m + n, j) for m, n, r in checks for j in range(m, m + r)}
+        for c in {c for c, _ in self.reads}:
+            reads = sorted(t for d, t in self.reads if d == c)
+            self.runs.update(dict.fromkeys([(c, t) for t in reads], self._run(c, reads)))
+        for c, j in self.steps:
+            self.reads.update((("P", c - 1 - j), ("R", j)))
+        self.reads.update(("Q", j) for j in {j for _, j in self.steps})
+        self.reads.update(key for n, m in pairs for key in (("P", n), ("Q", m)))
 
-def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
-    """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}'; zero for any recursion-
-    consistent sequence."""
-    lhs = seq.ell(m) * seq.jet(n + 1, 1) + seq.ell(n) * seq.jet(m + 1, 1)
-    return lhs - _omega_prime(seq, n, m)
+    def sides(self, m: int, n: int, r: int) -> tuple:
+        """(G_c(m), G_c(m + r)) with c = m + n; T(m, n, r) is their difference."""
+        return self._sum(m + n, m), self._sum(m + n, m + r)
 
+    def omega_prime(self, n: int, m: int) -> Poly:
+        """Omega_{n,m}' = l_m P_n + l_n Q_m; the l'' l' terms cancel."""
+        return (self.seq.ell(m) * self._factor("P", n)
+                + self.seq.ell(n) * self._factor("Q", m))
 
-def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
-    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}', the transport residual T(m, n, 1)."""
-    if n < 1:
-        raise IndexOutOfRange("shift identity needs n >= 1")
-    return transport_residual(seq, m, n, 1)
-
-
-class Brackets(dict):
-    """B'_{a,b} of one sequence by (a, b), each built once through the
-    module's ``_bracket_prime``.  Given the (m, n, top) of every window a
-    run reads, it drops each entry after its last read."""
-
-    def __init__(self, seq: LenardSequence, windows=()):
-        self.seq = seq
-        self.reads = Counter(key for m, n, top in windows
-                             for key in diagonal(n - 1, m, top))
-
-    def __call__(self, a: int, b: int) -> Poly:
-        key = a, b
-        if key not in self:
-            self[key] = _bracket_prime(self.seq, a, b)
+    def _take(self, key):
         self.reads[key] -= 1
         return self[key] if self.reads[key] else self.pop(key)
 
-    def window(self, m: int, n: int, top: int, start: int = 0):
-        """Yield the two sides of T(m, n, r) for r = start..top: the jet
-        products l_m l_n' - l_{m+r} l_{n-r}' and the running sum of B',
-        which adds one entry per step.  T(m, n, r) is zero iff they agree."""
-        if not 0 <= top <= n:
-            raise IndexOutOfRange(f"transport distance {top} outside 0..{n}")
+    def _factor(self, kind: str, j: int) -> Poly:
+        if (kind, j) not in self:
+            if kind == "R":
+                self[kind, j] = self._factor("Q", j) - self.seq.jet(j + 1, 1)
+            else:
+                for name, value in zip("PQ", _factors(self.seq, j)):
+                    if self.reads[name, j]:
+                        self[name, j] = value
+        return self._take((kind, j))
+
+    def _bracket(self, a: int, b: int) -> Poly:
+        """B_{a,b}' in three products of full jets and factors."""
         seq = self.seq
-        head = seq.ell(m) * seq.jet(n, 1)
-        sums = accumulate(starmap(self, diagonal(n - 1, m, top)),
-                          initial=seq.ring.zero())
-        for r, brackets in enumerate(sums):
-            if r >= start:
-                yield head - seq.ell(m + r) * seq.jet(n - r, 1), brackets
+        return (seq.ell(b) * self._factor("P", a) + seq.ell(a) * self._factor("R", b)
+                - seq.jet(a, 1) * seq.ell(b + 1))
+
+    def _run(self, c: int, reads: list):
+        """Yield ((c, t), G_c(t)) at the sorted read positions t of diagonal c.
+        Steps no check spans add no B'; a sum equal to the one before is that
+        object, so the sums of a run whose checks pass hold the memory of one."""
+        seq, total, last_sum = self.seq, self.seq.ring.zero(), None
+        for last, t in zip(reads[:1] + reads, reads):
+            if (c, last) in self.steps:
+                for j in range(last, t):
+                    total += self._bracket(c - 1 - j, j)
+            value = total + seq.ell(t) * seq.jet(c - t, 1)
+            last_sum = last_sum if value == last_sum else value
+            yield (c, t), last_sum
+
+    def _sum(self, c: int, t: int) -> Poly:
+        """G_c(t), keeping each G that its run passes on the way."""
+        while (c, t) not in self:
+            key, value = next(self.runs[c, t])
+            del self.runs[key]
+            self[key] = value
+        return self._take((c, t))
+
+
+def master_identity_residual(seq: LenardSequence, n: int, m: int, *,
+                             table: Lattice | None = None) -> Poly:
+    """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}'; zero for any recursion-
+    consistent sequence.  Omega' reads P_n and Q_m from ``table``, a fresh
+    ``Lattice`` for this one pair by default."""
+    table = Lattice(seq, pairs=[(n, m)]) if table is None else table
+    lhs = seq.ell(m) * seq.jet(n + 1, 1) + seq.ell(n) * seq.jet(m + 1, 1)
+    return lhs - table.omega_prime(n, m)
+
+
+def shift_identity_residual(seq: LenardSequence, n: int, m: int, *,
+                            table: Lattice | None = None) -> Poly:
+    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}', the transport residual T(m, n, 1)."""
+    if n < 1:
+        raise IndexOutOfRange("shift identity needs n >= 1")
+    return transport_residual(seq, m, n, 1, table=table)
 
 
 def transport_residual(seq: LenardSequence, m: int, n: int, r: int, *,
-                       table: Brackets | None = None) -> Poly:
+                       table: Lattice | None = None) -> Poly:
     """Residual of moving l_m l_n' a distance r along an anti-diagonal,
-    T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}',
-    from exactly r bracket derivatives B' (three products of full jets each)
-    of ``table``, a fresh ``Brackets(seq)`` by default."""
-    table = Brackets(seq) if table is None else table
-    jets, brackets = next(table.window(m, n, r, start=r))
-    return jets - brackets
+    T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}'
+    = G_{m+n}(m) - G_{m+n}(m+r), zero when both are one object, from exactly
+    r B' of ``table``, a fresh ``Lattice`` for this one check by default."""
+    table = Lattice(seq, [(m, n, r)]) if table is None else table
+    start, end = table.sides(m, n, r)
+    return seq.ring.zero() if start is end else start - end
 
 
 # -- closed-form route for the classical seed ----------------------------------

@@ -852,6 +852,8 @@ class TestTracedBenchmark:
     traced pass must keep running when the names it wraps change."""
 
     @pytest.mark.parametrize("suite, layer", [
+        ("master", "lenard.master_residual"),
+        ("shift", "lenard.shift_residual"),
         ("transport", "lenard.symbolic"),
         ("conservation", "hierarchy.conservation_residual")])
     def test_child_writes_spans(self, tmp_path, suite, layer):

@@ -4,6 +4,8 @@ identities (master, shift, anti-diagonal transport)."""
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import starmap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -170,7 +172,7 @@ class TestIdentities:
             transport_residual(sym_seq, 0, 2, -1)
         for top in (3, -1):
             with pytest.raises(IndexOutOfRange):
-                list(lenard.Brackets(sym_seq).window(0, 2, top))
+                lenard.Lattice(sym_seq, [(0, 2, 1), (0, 2, top)])
 
     def test_identities_hold_on_generated_sequence(self, std_seq):
         # same identities on the explicitly integrated representation
@@ -228,13 +230,14 @@ class TestPairedRoutes:
         # l_b (l_{a+1}' - recursion_rhs(a)) is zero on every symbolic
         # sequence, so verify still passes with it added to B'; on free jets
         # it is not, and the master and shift routes part
-        bracket_prime = lenard._bracket_prime
+        bracket = lenard.Lattice._bracket
 
-        def widened(seq, a, b):
+        def widened(table, a, b):
+            seq = table.seq
             extra = seq.ell(b) * (seq.jet(a + 1, 1) - seq.recursion_rhs(a))
-            return bracket_prime(seq, a, b) + extra
+            return bracket(table, a, b) + extra
 
-        monkeypatch.setattr(lenard, "_bracket_prime", widened)
+        monkeypatch.setattr(lenard.Lattice, "_bracket", widened)
         assert cli.run(["verify", "--suite", "shift", "--max-index", "2"]) == cli.EXIT_OK
         capsys.readouterr()
         pairs = master_shift_pairs(PAIRED_SEQS["free jets"])
@@ -313,13 +316,14 @@ class TestMemo:
             assert got == refs[name, args], (name, args)
             nonzero += not got.is_zero()
         assert (nonzero > 0) == corrupt
-        # one sweep per (m, n) gives every r of the anti-diagonal
+        # one table per (m, n) gives every r from one run of the sum
         for m in range(MAX_INDEX):
             for n in range(MAX_INDEX + 1):
-                top = min(n, MAX_INDEX + 1 - m)
-                assert [jets - brackets for jets, brackets
-                        in lenard.Brackets(seq).window(m, n, top)] == [
-                    refs["transport", (m, n, r)] for r in range(top + 1)], (m, n)
+                checks = [(m, n, r) for r in range(min(n, MAX_INDEX + 1 - m) + 1)]
+                table = lenard.Lattice(seq, checks)
+                assert [start - end for start, end in starmap(table.sides, checks)] == [
+                    refs["transport", check] for check in checks], (m, n)
+                assert not table
 
     def test_with_entry_starts_an_empty_memo(self):
         seq = symbolic(SEEDS["standard"], 4)
@@ -368,83 +372,98 @@ class TestMemo:
     @staticmethod
     def _count_brackets(monkeypatch):
         calls = []
-        bracket_prime = lenard._bracket_prime
+        bracket = lenard.Lattice._bracket
 
-        def counted(seq, a, b):
-            calls.append((a, b))
-            return bracket_prime(seq, a, b)
+        def counted(table, a, b):
+            calls.append((str(table.seq.ell(0)), a, b))
+            return bracket(table, a, b)
 
-        monkeypatch.setattr(lenard, "_bracket_prime", counted)
+        monkeypatch.setattr(lenard.Lattice, "_bracket", counted)
         return calls
 
     def test_transport_suite_takes_one_bracket_per_step(self, monkeypatch):
-        # `verify --suite transport --max-index 4` on one seed sweeps each
-        # (m, n) once from one table: its 19 distinct B', not the 36 of one
-        # build per step or the 66 that one transport_residual per r takes
+        # `verify --suite transport --max-index 4` on one seed reads every
+        # (m, n, r) from one table, whose running sums build its 19 distinct
+        # B' once each, not the 66 that one transport_residual per r takes
         calls = self._count_brackets(monkeypatch)
         seq = symbolic(SeedCondition.painleve3(), 5)
         checks = list(cli._SUITES["transport"][0](seq, 4))
         assert len(checks) == 56 and all(ok for ok, _ in checks)
-        assert len(calls) == 19
+        assert len(calls) == len(set(calls)) == 19
 
     @pytest.mark.parametrize("suite, max_index, builds", [
         ("transport", 4, 57), ("transport", 8, 213),
         ("conservation", 2, 27), ("conservation", 8, 243)])
     def test_suite_builds_each_bracket_once_per_seed(self, capsys, monkeypatch,
                                                      suite, max_index, builds):
-        built = []
-        bracket_prime = lenard._bracket_prime
-
-        def counted(seq, a, b):
-            built.append((str(seq.ell(0)), a, b))
-            return bracket_prime(seq, a, b)
-
-        monkeypatch.setattr(lenard, "_bracket_prime", counted)
+        built = self._count_brackets(monkeypatch)
         code = cli.run(["verify", "--suite", suite, "--max-index", str(max_index)])
         capsys.readouterr()
         assert code == cli.EXIT_OK
         assert len(built) == len(set(built)) == builds
 
-    def test_table_drops_each_bracket_after_its_last_read(self, capsys,
-                                                          monkeypatch):
-        # the transport suite at index 8 reads 71 distinct B' per seed;
-        # dropped after their last read, at most 34 are held at once, and
-        # none once the seed's checks are done
+    def test_table_drops_each_entry_after_its_last_read(self, capsys,
+                                                        monkeypatch):
+        # the transport suite at index 8 reads 87 distinct sums G_c(t) and
+        # 26 factors per seed; dropped after their last read, at most 54 G
+        # and 16 factors are held at once, and nothing is left once the
+        # seed's checks are done
         tables = []
 
-        class Spy(lenard.Brackets):
-            def __init__(self, seq, windows=()):
-                super().__init__(seq, windows)
+        class Spy(lenard.Lattice):
+            def __init__(self, seq, checks=(), pairs=()):
+                super().__init__(seq, checks, pairs)
+                self.planned = Counter(isinstance(key[0], int) for key in self.reads)
                 self.live = []
                 tables.append(self)
 
-            def __call__(self, a, b):
-                value = super().__call__(a, b)
-                self.live.append(len(self))
+            def _take(self, key):
+                value = super()._take(key)
+                self.live.append(Counter(isinstance(entry[0], int) for entry in self))
                 return value
 
-        monkeypatch.setattr(cli, "Brackets", Spy)
+        monkeypatch.setattr(cli, "Lattice", Spy)
         code = cli.run(["verify", "--suite", "transport", "--max-index", "8"])
         capsys.readouterr()
         assert code == cli.EXIT_OK and len(tables) == 3
-        assert all(max(t.live) <= 34 and not t for t in tables)
+        for t in tables:
+            assert t.planned == {True: 87, False: 26}
+            assert max(live[True] for live in t.live) <= 54
+            assert max(live[False] for live in t.live) <= 16
+            assert not t and not t.runs and not +t.reads
 
     @pytest.mark.parametrize("suite", ["transport", "shift", "conservation"])
     def test_a_wrong_table_entry_fails_the_suite(self, capsys, monkeypatch, suite):
         # B'_{1,1} + l_1 l_1' for the one key every suite reads at index 2:
-        # the checks sum what the table returns, so each suite fails
-        read = lenard.Brackets.__call__
+        # the checks compare the sums the table adds it into, so each suite
+        # fails
+        bracket = lenard.Lattice._bracket
 
         def wrong(self, a, b):
-            value = read(self, a, b)
+            value = bracket(self, a, b)
             return value + self.seq.ell(1) * self.seq.jet(1, 1) if (a, b) == (1, 1) \
                 else value
 
-        monkeypatch.setattr(lenard.Brackets, "__call__", wrong)
+        monkeypatch.setattr(lenard.Lattice, "_bracket", wrong)
         code = cli.run(["verify", "--suite", suite, "--max-index", "2"])
         out = capsys.readouterr().out
         assert code == cli.EXIT_VERIFY_FAILED
         assert f"FAIL {suite} " in out
+
+    def test_a_step_no_check_spans_builds_no_bracket(self, monkeypatch):
+        # on the diagonal c = 6 the checks span the steps j = 0, 3 and 4 but
+        # not 1 and 2: the table builds three B', and each residual is the
+        # reference one on a corrupted sequence
+        calls = self._count_brackets(monkeypatch)
+        seq = symbolic(SeedCondition.painleve3(), 6)
+        bad = seq.with_entry(2, seq.ell(2) + seq.u)
+        checks = [(0, 6, 1), (3, 3, 2), (0, 6, 0)]
+        table = lenard.Lattice(bad, checks)
+        got = [start - end for start, end in starmap(table.sides, checks)]
+        assert got == [_ref_transport(bad, *check) for check in checks]
+        assert not all(resid.is_zero() for resid in got)
+        assert [key[1:] for key in calls] == [(5, 0), (2, 3), (1, 4)]
+        assert not table and not table.runs
 
     def test_single_transport_takes_r_brackets(self, monkeypatch):
         calls = self._count_brackets(monkeypatch)
@@ -453,7 +472,101 @@ class TestMemo:
             for r in range(min(n, 6 - m) + 1):
                 calls.clear()
                 assert transport_residual(seq, m, n, r).is_zero()
-                assert calls == [(n - q - 1, m + q) for q in range(r)]
+                assert [key[1:] for key in calls] == [(n - q - 1, m + q) for q in range(r)]
+
+
+# -- the suites against the references ------------------------------------------------
+# Each lattice suite of `verify`, run through cli._SUITES on exact and corrupted
+# sequences, prints the verdicts of the unmemoized residuals above.
+
+def _ref_bracket_sum(seq, keys):
+    return sum((_ref_omega(seq, a, b) - seq.ell(a) * seq.ell(b + 1) for a, b in keys),
+               seq.ring.zero())
+
+
+def _ref_conservation(seq, k, p, kind):
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) or D(sigma_p) + 2 l_p D(l_0), from the
+    whole sums as defined."""
+    if kind == "tau":
+        keys = [(k - q, k - p + q) for q in range(p + 1)]
+        tau = -(seq.ell(k + 1) * seq.ell(k - p) + _ref_bracket_sum(seq, keys))
+        return seq.D(tau) + 2 * seq.ell(k - p) * seq.D(seq.ell(k + 1))
+    keys = [(p - 1 - q, q) for q in range(p)]
+    sigma = _ref_bracket_sum(seq, keys) - seq.ell(0) * seq.ell(p)
+    return seq.D(sigma) + 2 * seq.ell(p) * seq.D(seq.ell(0))
+
+
+def _ref_suite(suite, seq, top):
+    """The (ok, description) list of ``suite`` at --max-index ``top``."""
+    if suite == "master":
+        cases = [(_ref_master, (n, m), f"n={n} m={m}")
+                 for n in range(top) for m in range(top)]
+    elif suite == "shift":
+        cases = [(_ref_shift, (n, m), f"n={n} m={m}")
+                 for n in range(1, top + 1) for m in range(top)]
+    elif suite == "transport":
+        cases = [(_ref_transport, (m, n, r), f"m={m} n={n} r={r}")
+                 for n in range(top + 1) for m in range(top)
+                 for r in range(min(n, top + 1 - m) + 1)]
+    else:
+        cases = [(_ref_conservation, (k, p, "tau"), f"tau k={k} p={p}")
+                 for k in range(1, top + 1) for p in range(k + 1)]
+        cases += [(_ref_conservation, (0, p, "sigma"), f"sigma p={p}")
+                  for p in range(top + 2)]
+    return [(ref(seq, *args).is_zero(), desc) for ref, args, desc in cases]
+
+
+CORRUPTIONS = {
+    "exact": lambda seq: seq,
+    "l2+u": lambda seq: seq.with_entry(2, seq.ell(2) + seq.u),
+    "l3+u*l2+u'": lambda seq: seq.with_entry(3, seq.ell(3) + seq.u * seq.ell(2) + seq.du),
+}
+LATTICE_SUITES = ("master", "shift", "transport", "conservation")
+
+
+class TestSuitePath:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("label", sorted(SEEDS))
+    def test_suites_print_the_reference_verdicts(self, label, corruption):
+        seq = CORRUPTIONS[corruption](symbolic(SEEDS[label], 5))
+        for suite in LATTICE_SUITES:
+            got = list(cli._SUITES[suite][0](seq, 4))
+            assert got == _ref_suite(suite, seq, 4), suite
+            assert (corruption == "exact") == all(ok for ok, _ in got), suite
+
+    @pytest.mark.parametrize("label", sorted(SEEDS))
+    def test_factors_from_the_next_entry_hide_failures(self, monkeypatch, label):
+        # P_a = l_{a+1}' + 2 u' l_a holds only where the recursion does, so
+        # built that way it hides failures that the checks exist to find
+        bad = CORRUPTIONS["l2+u"](symbolic(SEEDS[label], 5))
+        want = {suite: _ref_suite(suite, bad, 4) for suite in ("transport", "shift")}
+        factors = lenard._factors
+
+        def leaky(seq, j):
+            return seq.jet(j + 1, 1) + 2 * seq.du * seq.ell(j), factors(seq, j)[1]
+
+        monkeypatch.setattr(lenard, "_factors", leaky)
+        fails = {}
+        for suite, verdicts in want.items():
+            got = list(cli._SUITES[suite][0](bad, 4))
+            assert got != verdicts
+            fails[suite] = [sum(not ok for ok, _ in v) for v in (verdicts, got)]
+        assert fails == {"transport": [32, 25], "shift": [12, 8]}
+
+    @pytest.mark.parametrize("suite", LATTICE_SUITES)
+    def test_suite_builds_each_factor_once_per_seed(self, capsys, monkeypatch, suite):
+        built = []
+        factors = lenard._factors
+
+        def counted(seq, j):
+            built.append((str(seq.ell(0)), j))
+            return factors(seq, j)
+
+        monkeypatch.setattr(lenard, "_factors", counted)
+        code = cli.run(["verify", "--suite", suite, "--max-index", "6"])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert built and len(built) == len(set(built))
 
 
 # -- the jet table's premise -------------------------------------------------------

@@ -341,10 +341,12 @@ def test_packed_layout_rule_can_fail():
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
                   "build_p3_system"),
-    "lenard": ("omega", "bracket_diagonal", "diagonal", "_omega_prime", "_bracket_prime",
+    "lenard": ("omega", "bracket_diagonal", "_factors", "Lattice.__init__",
+               "Lattice.sides", "Lattice.omega_prime", "Lattice._factor",
+               "Lattice._take", "Lattice._bracket", "Lattice._run", "Lattice._sum",
                "master_identity_residual", "shift_identity_residual",
-               "transport_residual", "Brackets.__call__", "Brackets.window",
-               "generate", "symbolic", "LenardSequence.recursion_rhs"),
+               "transport_residual", "generate", "symbolic",
+               "LenardSequence.recursion_rhs"),
     "laxpair": ("build_b", "derive_a_c", "compatibility_residual",
                 "c_relation_residual"),
 }
@@ -414,6 +416,49 @@ def test_derivative_rule_can_fail():
     assert _differentiating(tree) == [
         "LenardSequence.jet", "boundary_jet_sequence", "compatibility_residual",
         "conservation_residual", "conserved_tau", "derive_a_c", "omega"]
+
+
+# The factors P_j and Q_j come from l_j's own jets.  P_j = l_{j+1}' + 2 u' l_j
+# holds only where the recursion does, which is what the checks that read
+# P_j test, so the function that builds them reads no entry but its own.
+FACTOR_BUILDERS = ("_factors",)
+ENTRY_READS = ("jet", "ell", "ells", "recursion_rhs")
+
+
+def _foreign_entry_reads(tree, qualnames):
+    """{qualified name: line numbers of the reads of a sequence entry other
+    than the function's own index parameter j} for the functions of ``tree``
+    named in ``qualnames``: a ``jet``, ``ell`` or ``recursion_rhs`` call whose
+    first argument is not the bare name j, and any ``ells``."""
+    def foreign(fn):
+        index = fn.args.args[1].arg
+        return sorted(
+            node.lineno for node in ast.walk(fn)
+            if (isinstance(node, ast.Attribute) and node.attr == "ells")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ENTRY_READS
+                and not (node.args and isinstance(node.args[0], ast.Name)
+                         and node.args[0].id == index)))
+
+    return {name: foreign(fn) for name, fn in _functions(tree.body) if name in qualnames}
+
+
+def test_factors_read_their_own_entry_only():
+    tree = ast.parse(Path(lenard.__file__).read_text())
+    assert _foreign_entry_reads(tree, FACTOR_BUILDERS) == {"_factors": []}
+
+
+def test_factor_rule_can_fail():
+    sample = ("def _factors(seq, j):\n"
+              "    q = seq.jet(j, 3) + 4 * seq.u * seq.jet(j, 1)\n"
+              "    return seq.jet(j + 1, 1) + 2 * seq.du * seq.ell(j), q\n"
+              "def _other(seq, j):\n"
+              "    return seq.jet(j + 1, 1)\n")
+    assert _foreign_entry_reads(ast.parse(sample), FACTOR_BUILDERS) == {"_factors": [3]}
+    for body in ("seq.recursion_rhs(j - 1)", "seq.ells[j]", "seq.ell(k)", "seq.jet(i=j)"):
+        sample = f"def _factors(seq, j, k=1):\n    return {body}, seq.jet(j, 3)\n"
+        assert _foreign_entry_reads(ast.parse(sample), FACTOR_BUILDERS) == {
+            "_factors": [2]}, body
 
 
 # One content routine: only ``_make``, which normalizes every result, and
