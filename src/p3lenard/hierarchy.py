@@ -15,10 +15,10 @@ which is linear in u:
 The constants of motion tau_p / sigma_p are sums of brackets
 B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a whole anti-diagonal of a Lenard
 sequence in the u-jet ring.  Omega_{a,b} = Omega_{b,a}, because products
-commute, so ``lenard.bracket_diagonal`` builds the Omega of each mirrored
-pair once: tau_p takes ceil((p+1)/2) of them, not p+1, and
-ceil(p/2) + 1 lifts l_a l_{b+1}.  Each conservation
-residual is one transport residual T(m, n, r) =
+commute, so ``lenard.bracket_diagonal`` lists the jet products of each
+mirrored pair once, ceil((p+1)/2) Omegas for tau_p and ceil(p/2) + 1 lifts
+l_a l_{b+1}, and sums tau_p in two accumulates, one for its u terms.
+Each conservation residual is one transport residual T(m, n, r) =
 ``transport_residual(seq, m, n, r)`` and vanishes for any seed, by the
 recursion alone:
 

@@ -248,6 +248,22 @@ class Ring:
         p = self.params.index(name)
         return _make(self, {_encode(self, (0, (), ((p, 1),))): 1}, 1)
 
+    def sum_products(self, triples) -> "Poly":
+        """Sum of w * a * b over the (int w, Poly a, Poly b) of ``triples``:
+        every term pair added into one dict over the lcm of the products'
+        denominators, one guard check and one normalization, no ``Poly`` per
+        product.  An exponent of 2**15 raises where it survives the sum."""
+        triples = [(w, a, b) for w, a, b in triples if w and a.terms and b.terms]
+        if not all(a.ring is self is b.ring or a.ring == self == b.ring
+                   for _, a, b in triples):
+            raise ValueError("mixed rings")
+        den = lcm(*(a.den * b.den for _, a, b in triples))
+        scaled = [(w * (den // (a.den * b.den)), a.terms.items(), b.terms.items())
+                  for w, a, b in triples]
+        nums = _accumulate({}, ((ka + kb, f * ca * cb) for f, a, b in scaled
+                                for ka, ca in a for kb, cb in b))
+        return _make(self, _guarded(nums), den)
+
     def embed(self, poly: "Poly") -> "Poly":
         """Map a polynomial from another ring into this one by symbol names."""
         src = poly.ring
@@ -613,8 +629,8 @@ class RatExpr:
         for _ in range(max(tops)):
             num_pows.append(num_pows[-1] * repl.num)
             den_pows.append(den_pows[-1] * repl.den)
-        num, den = (sum((coeff * num_pows[e] * den_pows[top - e]
-                         for e, coeff in parts.items()), self.ring.zero())
+        num, den = (self.ring.sum_products((1, coeff, num_pows[e] * den_pows[top - e])
+                                           for e, coeff in parts.items())
                     for parts, top in zip(splits, tops))
         return RatExpr(num * den_pows[tops[1]], den * den_pows[tops[0]])
 

@@ -28,12 +28,12 @@ It sums each anti-diagonal c once, G_c(t) = l_t l_{c-t}' plus the B_{c-1-j,j}'
 for j < t that a check spans, so T(m, n, r) = G_{m+n}(m) - G_{m+n}(m+r); it
 drops each entry after its last planned read.  Products commute, so Omega_{n,m} =
 Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a whole
-anti-diagonal (tau_p, sigma_p and the closed form), builds the Omega of
-each mirrored pair once and counts it twice, and so each mirrored lift
-l_{a-q} l_{b+q+1}.  A jet is reused only while ``seq.ell(j)`` is the
-object it was computed from, so replacing an entry, even in place through
-``seq.ells[j] = ...``, recomputes its jets; ``with_entry`` starts an empty
-table.  Symbolic rules are fixed when built; the jets of l_j read only
+anti-diagonal (tau_p, sigma_p and the closed form), lists each jet product
+of a mirrored pair once with weight 2, and so each mirrored lift, and sums
+them in one accumulate, with the u terms in one more.  A jet is reused
+only while ``seq.ell(j)`` is the object it was computed from, so replacing
+an entry, even in place through ``seq.ells[j] = ...``, recomputes its
+jets; ``with_entry`` starts an empty table.  Symbolic rules are fixed when built; the jets of l_j read only
 those of l_1 .. l_j.
 """
 
@@ -169,41 +169,39 @@ def symbolic(seed: SeedCondition, count: int) -> LenardSequence:
 
 # -- Omega and the lattice identities -----------------------------------------
 
+def _omega_sum(seq: LenardSequence, pairs, products=()) -> Poly:
+    """Sum of w Omega_{n,m} over the (int w, n, m) of ``pairs`` and of the
+    (weight, factor, factor) ``products``: one accumulate of l_n'' l_m -
+    l_n' l_m' + l_n l_m'' (2w l_n'' l_n if n = m) and one of u's 4w l_n l_m."""
+    products, u_parts = list(products), []
+    for w, n, m in pairs:
+        n0, n1, n2 = (seq.jet(n, i) for i in range(3))
+        m0, m1, m2 = (seq.jet(m, i) for i in range(3))
+        products += [(2 * w, n2, n0)] if n == m else [(w, n2, m0), (w, n0, m2)]
+        products.append((-w, n1, m1))
+        u_parts.append((4 * w, n0, m0))
+    return seq.ring.sum_products(products + [(1, seq.u, seq.ring.sum_products(u_parts))])
+
+
 def omega(seq: LenardSequence, n: int, m: int) -> Poly:
     """(l_n l_m)'' - 3 l_n' l_m' + 4 u l_n l_m, expanded by Leibniz:
     l_n'' l_m - l_n' l_m' + l_n l_m'' + 4 u l_n l_m."""
-    n0, n1, n2 = (seq.jet(n, i) for i in range(3))
-    m0, m1, m2 = (seq.jet(m, i) for i in range(3))
-    return n2 * m0 - n1 * m1 + n0 * m2 + 4 * seq.u * (n0 * m0)
-
-
-def _lift(seq: LenardSequence, a: int, b: int) -> Poly:
-    """l_a l_{b+1}, the product that B_{a,b} takes from Omega_{a,b}."""
-    return seq.ell(a) * seq.ell(b + 1)
-
-
-def _mirrored(f, seq: LenardSequence, a: int, b: int, count: int) -> Poly:
-    """sum_{q<count} f(seq, a - q, b + q) for an f whose steps q and
-    count - 1 - q agree: each mirrored pair is built once and counted
-    twice."""
-    half = count // 2
-    total = 2 * sum((f(seq, a - q, b + q) for q in range(half)), seq.ring.zero())
-    if count % 2:
-        total += f(seq, a - half, b + half)
-    return total
+    return _omega_sum(seq, [(1, n, m)])
 
 
 def bracket_diagonal(seq: LenardSequence, a: int, b: int) -> Poly:
     """sum_{q=0}^{a-b} B_{a-q,b+q}, the brackets B_{a,b} = Omega_{a,b} -
     l_a l_{b+1} of a whole anti-diagonal, from (a, b) to (b, a); zero for
-    a < b.  Products commute, so Omega_{a,b} = Omega_{b,a}, and the lifts
-    l_{a-q} l_{b+q+1} of steps q and a - b - 1 - q are one product: the
-    Omega of each mirrored pair and each mirrored lift are built once and
-    counted twice.  The last lift, l_b l_{a+1}, has no mirror."""
+    a < b.  Omega_{a,b} = Omega_{b,a}, and the lifts l_{a-q} l_{b+q+1} of
+    steps q and a - b - 1 - q are one product: each mirrored pair is listed
+    once with weight 2 (the middle one 1); the last lift has no mirror."""
     if a < b:
         return seq.ring.zero()
-    lifts = _mirrored(_lift, seq, a, b, a - b) + _lift(seq, b, a)
-    return _mirrored(omega, seq, a, b, a - b + 1) - lifts
+    lifts = [(-1 if 2 * q + 1 == a - b else -2, seq.ell(a - q), seq.ell(b + q + 1))
+             for q in range((a - b + 1) // 2)]
+    return _omega_sum(seq, [(1 if 2 * q == a - b else 2, a - q, b + q)
+                            for q in range((a - b) // 2 + 1)],
+                      lifts + [(-1, seq.ell(b), seq.ell(a + 1))])
 
 
 def _factors(seq: LenardSequence, j: int) -> tuple:
@@ -290,7 +288,8 @@ def master_identity_residual(seq: LenardSequence, n: int, m: int, *,
     ``Lattice`` for this one pair by default."""
     table = Lattice(seq, pairs=[(n, m)]) if table is None else table
     lhs = seq.ell(m) * seq.jet(n + 1, 1) + seq.ell(n) * seq.jet(m + 1, 1)
-    return lhs - table.omega_prime(n, m)
+    rhs = table.omega_prime(n, m)
+    return seq.ring.zero() if lhs == rhs else lhs - rhs
 
 
 def shift_identity_residual(seq: LenardSequence, n: int, m: int, *,

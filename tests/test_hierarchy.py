@@ -13,7 +13,8 @@ from p3lenard.hierarchy import (boundary_jet_sequence, build_p3_system,
                                 hierarchy_ring)
 from p3lenard.jetring import RatExpr, ZeroDenominator
 from p3lenard.lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
-                             closed_form_standard, generate, omega, symbolic)
+                             bracket_diagonal, closed_form_standard, generate, omega,
+                             symbolic)
 
 
 def _symbols(ring):
@@ -328,22 +329,15 @@ def wrong_mirror(seq, a, b):
                      seq.ring.zero())
 
 
-LIFT, MIRRORED = lenard._lift, lenard._mirrored
+OMEGA_SUM = lenard._omega_sum
 
 
-def wrong_lift_mirror(f, seq, a, b, count):
-    """``lenard._mirrored`` with each lift at step q counted again at step
-    count - 2 - q in place of its mirror count - 1 - q; Omega keeps the
-    right pairing."""
-    if f is not LIFT:
-        return MIRRORED(f, seq, a, b, count)
-    acc = seq.ring.zero()
-    for q in range(count // 2):
-        r = count - 2 - q
-        acc += f(seq, a - q, b + q) + f(seq, a - r, b + r)
-    if count % 2:
-        acc += f(seq, a - count // 2, b + count // 2)
-    return acc
+def wrong_pair_weight(seq, pairs, products=()):
+    """``lenard._omega_sum`` with the outermost mirrored pair (a, 0) of a
+    diagonal weighted once instead of twice: a corruption that the checks
+    below must catch."""
+    return OMEGA_SUM(seq, [(1 if w == 2 and m == 0 else w, n, m) for w, n, m in pairs],
+                     products)
 
 
 def diagonal_sum_mismatches(top=6):
@@ -368,57 +362,80 @@ def diagonal_sum_mismatches(top=6):
     return found
 
 
+SUM_PRODUCTS = jetring.Ring.sum_products
+
+
+def listed_products(seq, run, monkeypatch):
+    """(outer, pairs) for each ``bracket_diagonal`` over ``seq`` that
+    ``run()`` sums: the factors of each product of its outer accumulate, and
+    of each product of its u cofactor, as frozensets of jets (j, i)."""
+    calls = []
+
+    def recorded(ring, triples):
+        calls.append(list(triples))
+        return SUM_PRODUCTS(ring, calls[-1])
+
+    monkeypatch.setattr(jetring.Ring, "sum_products", recorded)
+    run()
+    monkeypatch.setattr(jetring.Ring, "sum_products", SUM_PRODUCTS)
+    jets = {id(seq.jet(j, i)): (j, i) for j in range(len(seq)) for i in range(3)}
+    # the u cofactor is summed just before the outer accumulate that reads it
+    return [tuple([frozenset(jets[id(f)] for f in fs) for _, *fs in triples
+                   if id(fs[0]) in jets] for triples in (outer, cofactor))
+            for cofactor, outer in zip(calls, calls[1:])
+            if any(f is seq.u for _, f, _ in outer)]
+
+
 class TestDiagonalSums:
-    """tau_p, sigma_p and the closed form build each Omega of a mirrored
-    pair once; each must still equal the plain sum of brackets."""
+    """tau_p, sigma_p and the closed form list each product of a mirrored
+    pair once, in one accumulate; each must still equal the plain sum of
+    brackets."""
 
     def test_each_sum_equals_the_plain_sum_of_brackets(self):
         assert diagonal_sum_mismatches() == []
 
-    def test_each_omega_pair_is_built_once(self, monkeypatch):
-        built = []
-
-        def counted(seq, n, m):
-            built.append(frozenset((n, m)))
-            return omega(seq, n, m)
-
-        monkeypatch.setattr(lenard, "omega", counted)
+    def test_each_product_is_listed_once(self, monkeypatch):
+        """tau_p lists each distinct jet product once: ceil((p+1)/2) Omegas,
+        each with its u cofactor, and ceil(p/2) + 1 of its p + 1 lifts."""
         for k in range(1, 7):
             seq = boundary_jet_sequence(k)
             for p in range(k + 1):
-                built.clear()
-                conserved_tau(seq, k, p)
-                assert len(built) == len(set(built)) == (p + 2) // 2
-        built.clear()
-        build_p3_system(6)
-        assert len(built) == sum((p + 2) // 2 for p in range(7))
+                (outer, pairs), = listed_products(seq, lambda: conserved_tau(seq, k, p),
+                                                  monkeypatch)
+                omegas = (p + 2) // 2
+                lifts = [pair for pair in outer if {i for _, i in pair} == {0}]
+                assert len(pairs) == len(set(pairs)) == omegas
+                assert len(outer) == len(set(outer))
+                assert len(lifts) == (p + 1) // 2 + 1
+                assert len(outer) - len(lifts) == 3 * omegas - (p % 2 == 0)
 
-    def test_each_lift_pair_is_built_once(self, monkeypatch):
+    def test_the_k32_system_lists_305_lifts(self, monkeypatch):
         """Lift q of the diagonal from (a, b), l_{a-q} l_{b+q+1}, is lift
-        a - b - 1 - q: tau_p forms ceil(p/2) + 1 of its p + 1 lifts, and
-        the k = 32 system 305 of 561."""
-        built = []
+        a - b - 1 - q: the k = 32 system lists 305 of its 561 lifts and 289
+        of its 561 Omegas."""
+        seq = boundary_jet_sequence(32)
+        monkeypatch.setattr(hierarchy, "boundary_jet_sequence", lambda k: seq)
+        listed = listed_products(seq, lambda: build_p3_system(32), monkeypatch)
+        assert sum(len(pairs) for _, pairs in listed) == 289
+        assert sum(1 for outer, _ in listed for pair in outer
+                   if {i for _, i in pair} == {0}) == 305
 
-        def counted(seq, a, b):
-            built.append(frozenset((a, b + 1)))
-            return LIFT(seq, a, b)
-
-        monkeypatch.setattr(lenard, "_lift", counted)
-        for k in range(1, 7):
-            seq = boundary_jet_sequence(k)
-            for p in range(k + 1):
-                built.clear()
-                conserved_tau(seq, k, p)
-                assert len(built) == len(set(built)) == (p + 1) // 2 + 1
-        built.clear()
-        build_p3_system(32)
-        assert len(built) == 305
-
-    def test_a_wrong_lift_mirror_fails_the_check(self, monkeypatch):
-        """Lifts paired step q with count - 2 - q, not count - 1 - q."""
-        monkeypatch.setattr(lenard, "_mirrored", wrong_lift_mirror)
+    def test_a_wrong_pair_weight_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(lenard, "_omega_sum", wrong_pair_weight)
         kinds = {kind for kind, *_ in diagonal_sum_mismatches(4)}
         assert kinds == {"tau", "sigma", "closedform"}
+
+    @pytest.mark.parametrize("seq", [
+        generate(SeedCondition.standard(), 6,
+                 [Fraction(1, 3), Fraction(-2, 7), 0, Fraction(5, 4), 1, Fraction(-1, 6)]),
+        symbolic(SeedCondition.custom(s_poly() * Fraction(2, 3)
+                                      + U_RING.var("u") * Fraction(-1, 5)), 7),
+    ], ids=["seeded constants", "fractional custom seed"])
+    def test_sums_equal_plain_brackets_over_fractions(self, seq):
+        assert seq.ell(2).den != 1 or seq.jet(1, 1).den != 1
+        for a in range(len(seq) - 1):
+            for b in range(a + 1):
+                assert bracket_diagonal(seq, a, b) == plain_brackets(seq, a, b, a - b + 1)
 
     def test_a_wrong_mirror_fails_the_check(self, monkeypatch):
         for module in (lenard, hierarchy):

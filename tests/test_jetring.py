@@ -893,6 +893,77 @@ class TestExponentOverflow:
             "debug False", "raised", "passed", "raised"], done.stderr
 
 
+# -- one accumulate for a sum of products -----------------------------------------
+
+@st.composite
+def product_triples(draw, operands=refs(max_size=3)):
+    """(int weight, ref, ref) triples, zero weights and zero operands
+    included; a drawn number of them come again with the factors swapped
+    and the weight negated, so that whole products cancel."""
+    triples = draw(st.lists(st.tuples(st.integers(-3, 3), operands, operands), max_size=5))
+    return triples + [(-w, q, r) for w, r, q in triples[:draw(st.integers(0, len(triples)))]]
+
+
+def ref_sum_products(triples):
+    return ref_clean([pair for w, r, q in triples
+                      for pair in ref_scale(ref_mul(r, q), w).items()])
+
+
+@st.composite
+def tall_monomials(draw):
+    """Monomials whose exponents lie near 2**14, so that a product of two
+    may reach 2**15 in s, a jet or a parameter."""
+    e = st.sampled_from([1, LIMIT // 2 - 1, LIMIT // 2])
+    jets = {j: draw(e) for j in draw(st.lists(st.sampled_from([(U, 0), (V, 1)]),
+                                              max_size=2, unique=True))}
+    return mono(draw(st.sampled_from([0, 1, LIMIT // 2])), jets,
+                {A: draw(e)} if draw(st.booleans()) else {})
+
+
+class TestSumProducts:
+    """``Ring.sum_products`` against the sum of plain ``Poly`` products and
+    against the reference dicts."""
+
+    @EXAMPLES
+    @given(triples=product_triples())
+    def test_equals_the_sum_of_plain_products(self, triples):
+        polys = [(w, Poly(RING, r), Poly(RING, q)) for w, r, q in triples]
+        got = RING.sum_products(iter(polys))
+        check(got, ref_sum_products(triples))
+        assert got == sum((w * (a * b) for w, a, b in polys), RING.zero())
+
+    @EXAMPLES
+    @given(triples=product_triples(st.lists(st.tuples(tall_monomials(), coefficients),
+                                            max_size=3).map(ref_clean)))
+    def test_an_exponent_of_2_15_raises_where_it_survives(self, triples):
+        want = ref_sum_products(triples)
+        polys = [(w, Poly(RING, r), Poly(RING, q)) for w, r, q in triples]
+        if any(e >= LIMIT for s_pow, jets, pars in want
+               for e in (s_pow, *(e for _, e in jets + pars))):
+            with pytest.raises(ExponentOverflow):
+                RING.sum_products(polys)
+        else:
+            check(RING.sum_products(polys), want)
+
+    def test_cancelled_products_and_zero_operands(self):
+        half = single(RING, mono(jets={(V, 1): LIMIT // 2}))
+        x = Poly(RING, {mono(1): Fraction(2, 3), mono(pars={A: 1}): Fraction(-1, 4)})
+        with pytest.raises(ExponentOverflow):
+            RING.sum_products([(1, half, half), (1, x, x)])
+        check(RING.sum_products([(1, half, half), (1, x, x), (-1, half, half)]),
+              as_ref(x * x))
+        check(RING.sum_products([(2, x, half), (-1, half, 2 * x)]), {})
+        check(RING.sum_products([(0, x, x), (5, RING.zero(), x), (3, x, RING.zero())]), {})
+        check(RING.sum_products([]), {})
+
+    def test_mixed_rings_are_refused(self):
+        other = Ring(("u", "v"), ("a",))
+        for a, b in ((RING.s(), other.s()), (other.s(), RING.s()), (other.s(), other.s())):
+            with pytest.raises(ValueError, match="mixed rings"):
+                RING.sum_products([(1, a, b)])
+        assert RING.sum_products([(1, Ring(("u", "v"), ("a", "b")).s(), RING.s())]) == RING.s(2)
+
+
 def test_rule_defined_dependent_above_order_zero_is_refused():
     ring = Ring(("u", "l1", "l2"))
     rules = {"l1": ring.var("u", 1), "l2": ring.var("l1") * ring.var("u")}

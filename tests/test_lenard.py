@@ -184,6 +184,19 @@ class TestIdentities:
         bad = std_seq.with_entry(2, std_seq.ell(2) + u())
         assert not master_identity_residual(bad, 1, 1).is_zero()
 
+    def test_master_returns_the_reference_residual(self, std_seq):
+        """The residual is built only when the check fails, and is then the
+        whole difference; on a pass it is the zero of the ring."""
+        bad = _corrupted_p3()
+        for seq in (std_seq.with_entry(2, std_seq.ell(2) + u()), bad, std_seq):
+            for n in range(3):
+                for m in range(3):
+                    resid = master_identity_residual(seq, n, m)
+                    assert resid == _ref_master(seq, n, m)
+                    assert resid.ring is seq.ring
+        assert sum(not master_identity_residual(bad, n, m).is_zero()
+                   for n in range(3) for m in range(3)) > 0
+
 
 # -- paired routes -----------------------------------------------------------------
 # verify checks two polynomials each by two hand-factored routes: the master

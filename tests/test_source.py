@@ -64,8 +64,8 @@ def test_k_literal_rule_can_fail():
 
 
 # The jetring kernel's hot paths: they work on int numerators only.
-INTEGER_PATHS = ("_accumulate", "_make", "Poly.__add__", "Poly.__mul__",
-                 "Poly.total_derivative", "Poly.rows")
+INTEGER_PATHS = ("_accumulate", "_make", "Ring.sum_products", "Poly.__add__",
+                 "Poly.__mul__", "Poly.total_derivative", "Poly.rows")
 # The renderers: each coefficient is spelled from ints.
 RENDER_INTEGER_PATHS = ("_rows", "_poly_text", "poly_to_obj")
 
@@ -134,7 +134,8 @@ def test_fraction_rule_can_fail():
 
 # Term merging, products and d/ds work on packed int monomials: no
 # container of exponents is rebuilt or sorted per term.
-PACKED_PATHS = ("_accumulate", "Poly.__mul__", "Poly.total_derivative")
+PACKED_PATHS = ("_accumulate", "Ring.sum_products", "Poly.__mul__",
+                "Poly.total_derivative")
 CONTAINER_CALLS = ("sorted", "dict", "tuple")
 
 
@@ -165,9 +166,13 @@ def test_container_rule_can_fail():
               "            yield tuple(sorted(self.terms))\n"
               "        return leibniz_terms\n"
               "    def sorted_terms(self):\n"
-              "        return sorted(self.terms)\n")
+              "        return sorted(self.terms)\n"
+              "class Ring:\n"
+              "    def sum_products(self, triples):\n"
+              "        return [dict(a.terms) for _, a, _ in triples]\n")
     assert _container_calls(ast.parse(sample), PACKED_PATHS) == {
-        "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8]}
+        "_accumulate": [2], "Poly.__mul__": [], "Poly.total_derivative": [8, 8],
+        "Ring.sum_products": [14]}
 
 
 # One slot walk: only ``jetring._occupied`` steps through the slots of a
@@ -341,7 +346,8 @@ def test_packed_layout_rule_can_fail():
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conserved_sigma", "conservation_residual",
                   "build_p3_system"),
-    "lenard": ("omega", "bracket_diagonal", "_factors", "Lattice.__init__",
+    "lenard": ("omega", "_omega_sum", "bracket_diagonal", "_factors",
+               "Lattice.__init__",
                "Lattice.sides", "Lattice.omega_prime", "Lattice._factor",
                "Lattice._take", "Lattice._bracket", "Lattice._run", "Lattice._sum",
                "master_identity_residual", "shift_identity_residual",
@@ -766,6 +772,7 @@ READ_BY_TESTS = {
         "test_records.py::test_record_construction_equality_and_repr",
     "lenard.LenardSequence.with_entry":
         "test_hierarchy.py::TestConservedQuantities::test_tau0_is_minus_omega_kk",
+    "lenard.omega": "test_lenard.py::TestOmega::test_standard_base",
 }
 
 
