@@ -2,15 +2,14 @@
 the Painleve III hierarchy it generates, its constants of motion, and the
 associated Lax-pair coefficient identities."""
 
-from .jetring import (ExponentOverflow, MissingJetValue, Poly, RatExpr, Ring,
-                      ZeroDenominator)
+from .jetring import ExponentOverflow, Poly, RatExpr, Ring, ZeroDenominator
 from .diffpoly import U_RING, NotExactDerivative, ParseError, formal_integral, parse
 from .lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                      closed_form_standard, generate, master_identity_residual,
                      omega, shift_identity_residual, symbolic,
                      transport_residual)
 from .hierarchy import (HierarchySystem, build_p3_system, conservation_residual,
-                        conserved_sigma, conserved_tau, equation_equivalent)
+                        conserved_tau)
 from .laxpair import (LaurentPoly, SeedMismatch, c_relation_residual, build_b,
                       compatibility_residual, derive_a_c)
 from .odesolve import (CompiledSystem, ConstantMismatch, DomainError,

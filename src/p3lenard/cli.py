@@ -25,7 +25,7 @@ from .hierarchy import build_p3_system, conservation_residual, conservation_wind
 from .jetring import Poly, RatExpr, ZeroDenominator
 from .lenard import (Lattice, SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
-                     symbolic)
+                     symbolic, transport_residual)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
 from .odesolve import (ConstantMismatch, SingularMassMatrix, SolverConfig,
                        compile_k1, compile_k2, integrate, write_csv)
@@ -179,9 +179,8 @@ def _transport_checks(seq, max_index: int):
     checks = [(m, n, r) for n in range(max_index + 1) for m in range(max_index)
               for r in range(min(n, max_index + 1 - m) + 1)]
     table = Lattice(seq, checks)
-    for m, n, r in checks:
-        start, end = table.sides(m, n, r)
-        yield start is end or start == end, f"m={m} n={n} r={r}"
+    return ((transport_residual(seq, m, n, r, table=table).is_zero(), f"m={m} n={n} r={r}")
+            for m, n, r in checks)
 
 
 def _conservation_checks(seq, max_index: int):

@@ -12,9 +12,11 @@ which is linear in u:
 
     u = -((l_k^2)'' - 3 (l_k')^2 + tau_0) / (4 l_k^2).
 
-The constants of motion tau_p / sigma_p are sums of brackets
-B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a whole anti-diagonal of a Lenard
-sequence in the u-jet ring.  Omega_{a,b} = Omega_{b,a}, because products
+The constants of motion tau_p and sigma_p = -l_0 l_p + sum_{q<p}
+B_{p-1-q,q} are sums of brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} over a
+whole anti-diagonal of a Lenard sequence in the u-jet ring;
+``conserved_tau`` builds tau_p, and sigma_p enters only through its
+conservation residual.  Omega_{a,b} = Omega_{b,a}, because products
 commute, so ``lenard.bracket_diagonal`` lists the jet products of each
 mirrored pair once, ceil((p+1)/2) Omegas for tau_p and ceil(p/2) + 1 lifts
 l_a l_{b+1}, and sums tau_p in two accumulates, one for its u terms.
@@ -77,18 +79,6 @@ def build_p3_system(k: int) -> HierarchySystem:
     return HierarchySystem(equations, u_expr, ring)
 
 
-def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:
-    """Whether two equations ``e = 0`` cut the same locus.
-
-    Denominators are cleared and the resulting polynomials compared after
-    stripping monomial and rational content, so display forms that differ by
-    a factor like s or 4*l_k**2 compare equal while any change to a
-    coefficient or parameter does not."""
-    a = (e1.num * e2.den).primitive_core()
-    b = (e2.num * e1.den).primitive_core()
-    return a == b
-
-
 # -- constants of motion -------------------------------------------------------
 
 def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
@@ -100,15 +90,6 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
     if len(seq) < k + 2:
         raise IndexOutOfRange(f"sequence must extend through index {k + 1}")
     return -(bracket_diagonal(seq, k, k - p) + seq.ell(k + 1) * seq.ell(k - p))
-
-
-def conserved_sigma(seq: LenardSequence, p: int) -> Poly:
-    """-l_0 l_p + sum_{q=0}^{p-1} (Omega_{p-1-q,q} - l_{p-1-q} l_{q+1})."""
-    if p < 0:
-        raise IndexOutOfRange("sigma index must be nonnegative")
-    if len(seq) < p + 1:
-        raise IndexOutOfRange(f"sequence must extend through index {p}")
-    return bracket_diagonal(seq, p - 1, 0) - seq.ell(0) * seq.ell(p)
 
 
 def conservation_window(k: int, p: int, kind: str) -> tuple:

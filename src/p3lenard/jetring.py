@@ -28,8 +28,8 @@ of (parameter, exponent), every exponent positive.  ``_ordered``, the one
 definition of the monomial order, reads each term's triple and its order
 key, a flat tuple of ints, from one ``_occupied`` walk.  Terms leave the
 kernel as ``rows``, (triple, int numerator over ``den``) sorted on that key,
-so a renderer builds no Fraction; ``sorted_terms`` and ``leading`` give
-Fraction coefficients to the callers that compute with them.
+so neither a renderer nor the code generator builds a Fraction; ``leading``
+gives the Fraction coefficient of the greatest term.
 
 The single-u ring used for Lenard polynomials and the multi-unknown ring
 used for the hierarchy equations are both instances of :class:`Ring`; they
@@ -48,10 +48,6 @@ from operator import or_
 
 class ZeroDenominator(ZeroDivisionError):
     """A rational expression was built with a denominator equal to zero."""
-
-
-class MissingJetValue(KeyError):
-    """Numeric evaluation referenced a jet order beyond the supplied values."""
 
 
 class ExponentOverflow(OverflowError):
@@ -316,10 +312,6 @@ class Poly:
         rows = sorted(_ordered(self.ring, self.terms.items()), reverse=True)
         return [(m, c) for _, m, c in rows]
 
-    def sorted_terms(self):
-        """(monomial, Fraction coefficient) pairs of ``rows``."""
-        return [(m, Fraction(c, self.den)) for m, c in self.rows()]
-
     def leading(self):
         """(monomial, Fraction coefficient) of the greatest monomial, or None
         if zero."""
@@ -505,47 +497,6 @@ class Poly:
                                                  for (m, q, k), c in triples)),
                      self.den * scale)
 
-    # -- content and normalization ---------------------------------------------
-
-    def primitive_core(self) -> "Poly":
-        """Strip monomial and rational content; make the leading coefficient
-        positive.  Two polynomials cut the same zero set away from coordinate
-        hyperplanes iff their cores coincide."""
-        if not self.terms:
-            return self
-        p, = _primitive(self)
-        if p.leading()[1] < 0:
-            p = -p
-        return p
-
-    # -- evaluation -------------------------------------------------------------
-
-    def eval(self,
-             s_value: float,
-             jet_values: Mapping[str, list] | None = None,
-             param_values: Mapping[str, float] | None = None) -> float:
-        """Floating-point evaluation, summed in sorted monomial order."""
-        jet_values = jet_values or {}
-        param_values = param_values or {}
-        total = 0.0
-        for m, c in self.sorted_terms():
-            s_pow, jets, pars = m
-            v = float(c) * s_value ** s_pow
-            for (d, o), e in jets:
-                name = self.ring.dependents[d]
-                vals = jet_values.get(name)
-                if vals is None or o >= len(vals):
-                    raise MissingJetValue(
-                        f"missing value for {name}^({o})")
-                v *= vals[o] ** e
-            for p, e in pars:
-                name = self.ring.params[p]
-                if name not in param_values:
-                    raise MissingJetValue(f"missing value for parameter {name}")
-                v *= param_values[name] ** e
-            total += v
-        return total
-
     # -- display ------------------------------------------------------------------
 
     def __repr__(self):
@@ -633,12 +584,6 @@ class RatExpr:
                                            for e, coeff in parts.items())
                     for parts, top in zip(splits, tops))
         return RatExpr(num * den_pows[tops[1]], den * den_pows[tops[0]])
-
-    def eval(self, s_value, jet_values=None, param_values=None) -> float:
-        d = self.den.eval(s_value, jet_values, param_values)
-        if d == 0.0:
-            raise ZeroDivisionError("denominator vanished at evaluation point")
-        return self.num.eval(s_value, jet_values, param_values) / d
 
     def __repr__(self):
         return f"RatExpr(({self.num!s}) / ({self.den!s}))"

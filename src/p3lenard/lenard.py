@@ -28,7 +28,7 @@ It sums each anti-diagonal c once, G_c(t) = l_t l_{c-t}' plus the B_{c-1-j,j}'
 for j < t that a check spans, so T(m, n, r) = G_{m+n}(m) - G_{m+n}(m+r); it
 drops each entry after its last planned read.  Products commute, so Omega_{n,m} =
 Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a whole
-anti-diagonal (tau_p, sigma_p and the closed form), lists each jet product
+anti-diagonal (tau_p, and sigma_p in the closed form), lists each jet product
 of a mirrored pair once with weight 2, and so each mirrored lift, and sums
 them in one accumulate, with the u terms in one more.  A jet is reused
 only while ``seq.ell(j)`` is the object it was computed from, so replacing
@@ -304,11 +304,12 @@ def transport_residual(seq: LenardSequence, m: int, n: int, r: int, *,
                        table: Lattice | None = None) -> Poly:
     """Residual of moving l_m l_n' a distance r along an anti-diagonal,
     T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}'
-    = G_{m+n}(m) - G_{m+n}(m+r), zero when both are one object, from exactly
-    r B' of ``table``, a fresh ``Lattice`` for this one check by default."""
+    = G_{m+n}(m) - G_{m+n}(m+r), from exactly r B' of ``table``, a fresh
+    ``Lattice`` for this one check by default; the sides are compared before
+    any subtraction, so a passing check subtracts nothing."""
     table = Lattice(seq, [(m, n, r)]) if table is None else table
     start, end = table.sides(m, n, r)
-    return seq.ring.zero() if start is end else start - end
+    return seq.ring.zero() if start is end or start == end else start - end
 
 
 # -- closed-form route for the classical seed ----------------------------------

@@ -110,7 +110,7 @@ class _Emitter:
         product, left to right, of coefficient, power of s and state powers,
         less the no-ops of the class docstring."""
         expr = "0.0"
-        for (s_pow, jets, pars), c in p.sorted_terms():
+        for (s_pow, jets, pars), c in p.rows():
             if pars:
                 raise ValueError("unsubstituted parameter in compiled expression")
             factors = []
@@ -121,7 +121,7 @@ class _Emitter:
                 if key not in self.layout:
                     raise ValueError(f"no state slot for {key}")
                 factors.append(self._power(f"y{self.layout[key]}", e))
-            coef = float(c)
+            coef = c / p.den               # int / int rounds once, correctly
             if factors and abs(coef) == 1.0:
                 sign = "-" if coef < 0 else "+"
             else:

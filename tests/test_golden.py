@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from p3lenard import cli
+from p3lenard.odesolve import _compile_system
 
 CONSTANTS = "--constants=1,-3/4,2,0,5/7,-1"
 CONSTANTS_12 = "--constants=1,-3/4,2,0,5/7,-1,3,-2/9,7/4,1/3,-5,8/3"
@@ -118,6 +119,24 @@ ABORT_GOLDENS = {
 }
 
 
+# SHA-256 of ``_compile_system(k, taus).source``, the generated evaluators:
+# every float repr of a coefficient is in it.  ``int`` is tau_p = p + 1 and
+# ``frac`` tau_p = (p + 3) / 7.
+SOURCE_GOLDENS = {
+    (1, "int"): "9fa64e822ad1f8afb266551c1db075910258b72bda2b0fda671bdeb12a858957",
+    (1, "frac"): "4e818087eb9def51130b793d03c60c20ed26776eb0a82f4e36240fc262dfb9f1",
+    (2, "int"): "2b9cb002462bee0f84854a8ff7fb1e73e1852e08d380ea8872e8ce18cd676b48",
+    (2, "frac"): "60ecf96ce03c20b784a5fd6802de6fc5f25ec45772feaceb4422a9e24c98d067",
+    (3, "int"): "60550008989812e80064a93b77dc312e5c938d06e79f829c9cbaa7a7fb651b64",
+    (3, "frac"): "959b17b13d744f5649ea1c7646204462e43ef6077952585e7105429d0cb8581e",
+    (4, "int"): "ae7344ab7ff1a128792651763badb286bfd3e06db95376eaf59be6f49b0d6f5d",
+    (4, "frac"): "f65b2a1c60cfaa40417667c9b2d6d8cb0ac1874c3c92ca2e5f94d8a387f2d555",
+    (5, "int"): "289aceb53467e3d58fce166917229859514df18b0162d8fe9623cb9ba17d3c98",
+    (5, "frac"): "810f5a0397f1cca99a3de7bd7ee92151c513a73c7b149bd5a0fabdd83c30c75c",
+}
+SOURCE_TAUS = {"int": lambda p: p + 1, "frac": lambda p: Fraction(p + 3, 7)}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -127,6 +146,12 @@ def test_stdout_bytes(capsys, argv):
     code = cli.run(list(argv))
     out = capsys.readouterr().out
     assert (code, _sha256(out.encode())) == (cli.EXIT_OK, STDOUT_GOLDENS[argv])
+
+
+@pytest.mark.parametrize("k, taus", list(SOURCE_GOLDENS), ids=lambda v: str(v))
+def test_generated_source_bytes(k, taus):
+    source = _compile_system(k, tuple(map(SOURCE_TAUS[taus], range(k + 1)))).source
+    assert _sha256(source.encode()) == SOURCE_GOLDENS[k, taus]
 
 
 # the goldens above that the benchmark's emit workload gates on, by its names:

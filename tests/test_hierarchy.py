@@ -8,13 +8,14 @@ from fractions import Fraction
 from p3lenard import hierarchy, jetring, lenard
 from p3lenard.diffpoly import U_RING, s as s_poly
 from p3lenard.hierarchy import (boundary_jet_sequence, build_p3_system,
-                                conservation_residual, conserved_sigma,
-                                conserved_tau, equation_equivalent,
+                                conservation_residual, conserved_tau,
                                 hierarchy_ring)
 from p3lenard.jetring import RatExpr, ZeroDenominator
 from p3lenard.lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                              bracket_diagonal, closed_form_standard, generate, omega,
                              symbolic)
+
+from oracles import conserved_sigma, equation_equivalent
 
 
 def _symbols(ring):

@@ -23,6 +23,8 @@ from p3lenard.lenard import (IndexOutOfRange, SeedCondition, closed_form_standar
                              shift_identity_residual, symbolic,
                              transport_residual)
 
+from oracles import sorted_terms
+
 L1 = u()
 L2 = u(2) + 3 * u() ** 2
 L3 = u(4) + 10 * u() * u(2) + 5 * u(1) ** 2 + 10 * u() ** 3
@@ -103,7 +105,7 @@ class TestGenerate:
         # entry p is graded of weight 2p with u^(i) carrying weight i+2;
         # coefficients are positive integers
         for p in range(1, 5):
-            for (s_pow, jets, _), c in std_seq.ell(p).sorted_terms():
+            for (s_pow, jets, _), c in sorted_terms(std_seq.ell(p)):
                 assert s_pow == 0
                 assert sum(e * (o + 2) for (_, o), e in jets) == 2 * p
                 assert c.denominator == 1 and c > 0

@@ -21,6 +21,8 @@ from p3lenard.render import (_coef_ascii, _coef_latex, _jet_ascii, _jet_latex,
                              _power_latex, latex_symbol, poly_ascii, poly_latex,
                              poly_to_obj)
 
+from oracles import sorted_terms
+
 RINGS = [Ring(("u",)), Ring(("u",), ("a",)), Ring(("u", "l1", "l2"), ("tau0", "tau1"))]
 
 
@@ -31,7 +33,7 @@ def ref_poly_text(poly: Poly, symbol, jet, power, coef, sep: str) -> str:
     deps, params = poly.ring.dependents, poly.ring.params
     jets, pars = {}, {}
     chunks = []
-    for (s_pow, js, ps), c in poly.sorted_terms():
+    for (s_pow, js, ps), c in sorted_terms(poly):
         parts = [power("s", s_pow) if s_pow > 1 else "s"] if s_pow else []
         for de, e in js:
             f = jets.get(de)
@@ -56,7 +58,7 @@ def ref_poly_to_obj(poly: Poly) -> dict:
     deps, pars = poly.ring.dependents, poly.ring.params
     single = len(deps) == 1 and not pars
     terms = []
-    for (s_pow, jets, ps), c in poly.sorted_terms():
+    for (s_pow, jets, ps), c in sorted_terms(poly):
         entry: dict = {"s": s_pow}
         if single:
             entry["jets"] = {str(o): e for (_, o), e in jets}
