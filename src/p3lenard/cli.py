@@ -21,9 +21,9 @@ from types import SimpleNamespace
 
 from . import render
 from .diffpoly import NotExactDerivative, ParseError, parse
-from .hierarchy import build_p3_system, conservation_residual, conservation_window
+from .hierarchy import build_p3_system, conservation_residual
 from .jetring import Poly, RatExpr, ZeroDenominator
-from .lenard import (Lattice, SeedCondition, closed_form_standard, generate,
+from .lenard import (SeedCondition, closed_form_standard, generate,
                      master_identity_residual, shift_identity_residual,
                      symbolic, transport_residual)
 from .laxpair import c_relation_residual, build_b, compatibility_residual, derive_a_c
@@ -162,34 +162,27 @@ def _cmd_gen_lax(args) -> int:
 # -- verify ----------------------------------------------------------------------
 
 def _master_checks(seq, max_index: int):
-    pairs = [(n, m) for n in range(max_index) for m in range(max_index)]
-    table = Lattice(seq, pairs=pairs)
-    return ((master_identity_residual(seq, n, m, table=table).is_zero(), f"n={n} m={m}")
-            for n, m in pairs)
+    return ((master_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
+            for n in range(max_index) for m in range(max_index))
 
 
 def _shift_checks(seq, max_index: int):
-    pairs = [(n, m) for n in range(1, max_index + 1) for m in range(max_index)]
-    table = Lattice(seq, [(m, n, 1) for n, m in pairs])
-    return ((shift_identity_residual(seq, n, m, table=table).is_zero(), f"n={n} m={m}")
-            for n, m in pairs)
+    return ((shift_identity_residual(seq, n, m).is_zero(), f"n={n} m={m}")
+            for n in range(1, max_index + 1) for m in range(max_index))
 
 
 def _transport_checks(seq, max_index: int):
-    checks = [(m, n, r) for n in range(max_index + 1) for m in range(max_index)
-              for r in range(min(n, max_index + 1 - m) + 1)]
-    table = Lattice(seq, checks)
-    return ((transport_residual(seq, m, n, r, table=table).is_zero(), f"m={m} n={n} r={r}")
-            for m, n, r in checks)
+    return ((transport_residual(seq, m, n, r).is_zero(), f"m={m} n={n} r={r}")
+            for n in range(max_index + 1) for m in range(max_index)
+            for r in range(min(n, max_index + 1 - m) + 1))
 
 
 def _conservation_checks(seq, max_index: int):
-    checks = [(k, p, "tau") for k in range(1, max_index + 1) for p in range(k + 1)]
-    checks += [(0, p, "sigma") for p in range(max_index + 2)]
-    table = Lattice(seq, [conservation_window(*check) for check in checks])
-    for k, p, kind in checks:
-        ok = conservation_residual(seq, k, p, kind, table=table).is_zero()
-        yield ok, f"{kind} k={k} p={p}" if kind == "tau" else f"{kind} p={p}"
+    for k in range(1, max_index + 1):
+        for p in range(k + 1):
+            yield conservation_residual(seq, k, p, "tau").is_zero(), f"tau k={k} p={p}"
+    for p in range(max_index + 2):
+        yield conservation_residual(seq, 0, p, "sigma").is_zero(), f"sigma p={p}"
 
 
 def _closedform_checks(seq, max_index: int):

@@ -20,9 +20,10 @@ conservation residual.  Omega_{a,b} = Omega_{b,a}, because products
 commute, so ``lenard.bracket_diagonal`` lists the jet products of each
 mirrored pair once, ceil((p+1)/2) Omegas for tau_p and ceil(p/2) + 1 lifts
 l_a l_{b+1}, and sums tau_p in two accumulates, one for its u terms.
-Each conservation residual is one transport residual T(m, n, r) =
-``transport_residual(seq, m, n, r)`` and vanishes for any seed, by the
-recursion alone:
+Each conservation residual is, up to sign, one transport residual
+T(m, n, r) = ``transport_residual(seq, m, n, r)``, a sum of the r unit
+steps kept on the sequence, and vanishes for any seed, by the recursion
+alone:
 
     D(tau_p) + 2 l_{k-p} D(l_{k+1}) =  T(k-p, k+1, p+1),
     D(sigma_p) + 2 l_p D(l_0)       = -T(0, p, p).
@@ -34,7 +35,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .jetring import Poly, RatExpr, Ring
-from .lenard import (IndexOutOfRange, LenardSequence, Lattice, bracket_diagonal,
+from .lenard import (IndexOutOfRange, LenardSequence, bracket_diagonal,
                      transport_residual)
 
 
@@ -92,21 +93,13 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
     return -(bracket_diagonal(seq, k, k - p) + seq.ell(k + 1) * seq.ell(k - p))
 
 
-def conservation_window(k: int, p: int, kind: str) -> tuple:
-    """(m, n, r) of the T(m, n, r) that ``conservation_residual`` is, up to sign."""
+def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) = T(k-p, k+1, p+1) or D(sigma_p) +
+    2 l_p D(l_0) = -T(0, p, p); zero for every recursion-consistent sequence."""
     if kind == "tau":
         if not 0 <= p <= k:
             raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
-        return k - p, k + 1, p + 1
+        return transport_residual(seq, k - p, k + 1, p + 1)
     if kind == "sigma":
-        return 0, p, p
+        return -transport_residual(seq, 0, p, p)
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str, *,
-                          table: Lattice | None = None) -> Poly:
-    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) = T(k-p, k+1, p+1) or D(sigma_p) +
-    2 l_p D(l_0) = -T(0, p, p), a difference of two sums G_c(t) of ``table``
-    (a fresh ``Lattice`` by default); zero for every recursion-consistent sequence."""
-    resid = transport_residual(seq, *conservation_window(k, p, kind), table=table)
-    return resid if kind == "tau" else -resid

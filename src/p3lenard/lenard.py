@@ -19,28 +19,31 @@ Every derivative below comes from one jet table per sequence,
 ``seq.jet(j, i)`` = D^i(l_j), filled by ``generate`` and ``symbolic``.
 Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
 derivatives are bilinear in the entries and follow by Leibniz from jets with
-i <= 3, so no product is differentiated.  A ``Lattice`` table, owned by one
-run of checks, builds each factor of one index once from l_j's own jets:
-P_j = l_j''' + 4 u l_j' + 4 u' l_j (never l_{j+1}' + 2 u' l_j, which holds
-only where the recursion does), Q_j = l_j''' + 4 u l_j', R_j = Q_j - l_{j+1}',
-so Omega_{n,m}' = l_m P_n + l_n Q_m and B_{a,b}' = l_b P_a + l_a R_b - l_a' l_{b+1}.
-It sums each anti-diagonal c once, G_c(t) = l_t l_{c-t}' plus the B_{c-1-j,j}'
-for j < t that a check spans, so T(m, n, r) = G_{m+n}(m) - G_{m+n}(m+r); it
-drops each entry after its last planned read.  Products commute, so Omega_{n,m} =
-Omega_{m,n}: ``bracket_diagonal``, the one sum of B over a whole
-anti-diagonal (tau_p, and sigma_p in the closed form), lists each jet product
-of a mirrored pair once with weight 2, and so each mirrored lift, and sums
-them in one accumulate, with the u terms in one more.  A jet is reused
-only while ``seq.ell(j)`` is the object it was computed from, so replacing
-an entry, even in place through ``seq.ells[j] = ...``, recomputes its
-jets; ``with_entry`` starts an empty table.  Symbolic rules are fixed when built; the jets of l_j read only
-those of l_1 .. l_j.
+i <= 3, so no product is differentiated.  The factors of one index come from
+l_j's own jets: P_j = l_j''' + 4 u l_j' + 4 u' l_j (never l_{j+1}' + 2 u' l_j,
+which holds only where the recursion does) and Q_j = l_j''' + 4 u l_j', so
+Omega_{n,m}' = l_m P_n + l_n Q_m.  Every lattice residual is a sum of unit
+steps T(m, n, 1) = l_m l_n' + l_{n-1} l_{m+1}' - (l_m P_{n-1} + l_{n-1} Q_m):
+the master residual at (n, m) is T(m, n + 1, 1), the shift residual is
+T(m, n, 1), and the transport residual telescopes, T(m, n, r) = sum_{q<r}
+T(m + q, n - q, 1).  Each step and each (P_j, Q_j) is kept on the sequence
+next to the jets, so the checks on one sequence build each of them once.
+Products commute, so Omega_{n,m} = Omega_{m,n}: ``bracket_diagonal``, the
+one sum of B over a whole anti-diagonal (tau_p, and sigma_p in the closed
+form), lists each jet product of a mirrored pair once with weight 2, and so
+each mirrored lift, and sums them in one accumulate, with the u terms in one
+more.  A jet, a factor pair or a step is reused only while the entries it
+read are the objects it was computed from, so replacing an entry, even in
+place through ``seq.ells[j] = ...``, recomputes what read it; ``with_entry``
+starts empty tables.  Symbolic rules are fixed when built; the jets of l_j
+read only those of l_1 .. l_j.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
+from operator import is_
 
 from .jetring import Poly, Ring
 from .diffpoly import U_RING, NotExactDerivative, formal_integral
@@ -82,7 +85,7 @@ class LenardSequence:
     def __init__(self, ells: list, ring: Ring, rules: dict | None = None):
         self.ells, self.ring = ells, ring
         self.rules = {} if rules is None else rules
-        self._jets = {}
+        self._jets, self._pq, self._steps = {}, {}, {}
         self.u, self.du = ring.var("u", 0), ring.var("u", 1)
 
     def __len__(self):
@@ -107,6 +110,17 @@ class LenardSequence:
             return hit[1]
         value = self.D(self.jet(j, i - 1))
         self._jets[j, i] = (lj, value)
+        return value
+
+    def _kept(self, table: dict, key, reads: tuple, build):
+        """table[key], built by ``build()`` and reused, like a jet, only while
+        the entries l_j, j in ``reads``, are the objects it was built from."""
+        ells = [self.ell(j) for j in reads]
+        hit = table.get(key)
+        if hit is not None and all(map(is_, hit[0], ells)):
+            return hit[1]
+        value = build()
+        table[key] = ells, value
         return value
 
     def recursion_rhs(self, j: int) -> Poly:
@@ -210,106 +224,45 @@ def _factors(seq: LenardSequence, j: int) -> tuple:
     return q + 4 * seq.du * seq.jet(j, 0), q
 
 
-class Lattice(dict):
-    """The factors P_j, Q_j, R_j and sums G_c(t) that the transport residuals
-    (m, n, r) in ``checks`` and the Omega' (n, m) in ``pairs`` read from one
-    sequence, each built once and dropped after its last planned read."""
+def _step(seq: LenardSequence, m: int, n: int) -> Poly:
+    """The unit step T(m, n, 1) = l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}' =
+    l_m l_n' + l_{n-1} l_{m+1}' - (l_m P_{n-1} + l_{n-1} Q_m), kept on ``seq``
+    with the factors it reads; the sides are compared before any subtraction,
+    so a passing step subtracts nothing."""
+    def factor(j: int, i: int) -> Poly:
+        return seq._kept(seq._pq, j, (j,), lambda: _factors(seq, j))[i]
 
-    def __init__(self, seq: LenardSequence, checks=(), pairs=()):
-        self.seq, self.reads, self.runs = seq, Counter(), {}
-        for m, n, r in checks:
-            if not 0 <= r <= n:
-                raise IndexOutOfRange(f"transport distance {r} outside 0..{n}")
-            self.reads.update(((m + n, m), (m + n, m + r)))
-        self.steps = {(m + n, j) for m, n, r in checks for j in range(m, m + r)}
-        for c in {c for c, _ in self.reads}:
-            reads = sorted(t for d, t in self.reads if d == c)
-            self.runs.update(dict.fromkeys([(c, t) for t in reads], self._run(c, reads)))
-        for c, j in self.steps:
-            self.reads.update((("P", c - 1 - j), ("R", j)))
-        self.reads.update(("Q", j) for j in {j for _, j in self.steps})
-        self.reads.update(key for n, m in pairs for key in (("P", n), ("Q", m)))
+    def build() -> Poly:
+        lm, lb = seq.ell(m), seq.ell(n - 1)
+        lhs = lm * seq.jet(n, 1) + lb * seq.jet(m + 1, 1)
+        rhs = lm * factor(n - 1, 0) + lb * factor(m, 1)
+        return seq.ring.zero() if lhs == rhs else lhs - rhs
 
-    def sides(self, m: int, n: int, r: int) -> tuple:
-        """(G_c(m), G_c(m + r)) with c = m + n; T(m, n, r) is their difference."""
-        return self._sum(m + n, m), self._sum(m + n, m + r)
-
-    def omega_prime(self, n: int, m: int) -> Poly:
-        """Omega_{n,m}' = l_m P_n + l_n Q_m; the l'' l' terms cancel."""
-        return (self.seq.ell(m) * self._factor("P", n)
-                + self.seq.ell(n) * self._factor("Q", m))
-
-    def _take(self, key):
-        self.reads[key] -= 1
-        return self[key] if self.reads[key] else self.pop(key)
-
-    def _factor(self, kind: str, j: int) -> Poly:
-        if (kind, j) not in self:
-            if kind == "R":
-                self[kind, j] = self._factor("Q", j) - self.seq.jet(j + 1, 1)
-            else:
-                for name, value in zip("PQ", _factors(self.seq, j)):
-                    if self.reads[name, j]:
-                        self[name, j] = value
-        return self._take((kind, j))
-
-    def _bracket(self, a: int, b: int) -> Poly:
-        """B_{a,b}' in three products of full jets and factors."""
-        seq = self.seq
-        return (seq.ell(b) * self._factor("P", a) + seq.ell(a) * self._factor("R", b)
-                - seq.jet(a, 1) * seq.ell(b + 1))
-
-    def _run(self, c: int, reads: list):
-        """Yield ((c, t), G_c(t)) at the sorted read positions t of diagonal c.
-        Steps no check spans add no B'; a sum equal to the one before is that
-        object, so the sums of a run whose checks pass hold the memory of one."""
-        seq, total, last_sum = self.seq, self.seq.ring.zero(), None
-        for last, t in zip(reads[:1] + reads, reads):
-            if (c, last) in self.steps:
-                for j in range(last, t):
-                    total += self._bracket(c - 1 - j, j)
-            value = total + seq.ell(t) * seq.jet(c - t, 1)
-            last_sum = last_sum if value == last_sum else value
-            yield (c, t), last_sum
-
-    def _sum(self, c: int, t: int) -> Poly:
-        """G_c(t), keeping each G that its run passes on the way."""
-        while (c, t) not in self:
-            key, value = next(self.runs[c, t])
-            del self.runs[key]
-            self[key] = value
-        return self._take((c, t))
+    return seq._kept(seq._steps, (m, n), (m, m + 1, n - 1, n), build)
 
 
-def master_identity_residual(seq: LenardSequence, n: int, m: int, *,
-                             table: Lattice | None = None) -> Poly:
-    """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}'; zero for any recursion-
-    consistent sequence.  Omega' reads P_n and Q_m from ``table``, a fresh
-    ``Lattice`` for this one pair by default."""
-    table = Lattice(seq, pairs=[(n, m)]) if table is None else table
-    lhs = seq.ell(m) * seq.jet(n + 1, 1) + seq.ell(n) * seq.jet(m + 1, 1)
-    rhs = table.omega_prime(n, m)
-    return seq.ring.zero() if lhs == rhs else lhs - rhs
+def master_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
+    """l_m l_{n+1}' + l_n l_{m+1}' - Omega_{n,m}', where Omega_{n,m}' = l_m P_n +
+    l_n Q_m: the unit step T(m, n + 1, 1); zero for any recursion-consistent
+    sequence."""
+    return _step(seq, m, n + 1)
 
 
-def shift_identity_residual(seq: LenardSequence, n: int, m: int, *,
-                            table: Lattice | None = None) -> Poly:
-    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}', the transport residual T(m, n, 1)."""
+def shift_identity_residual(seq: LenardSequence, n: int, m: int) -> Poly:
+    """l_m l_n' - l_{m+1} l_{n-1}' - B_{n-1,m}', the unit step T(m, n, 1)."""
     if n < 1:
         raise IndexOutOfRange("shift identity needs n >= 1")
-    return transport_residual(seq, m, n, 1, table=table)
+    return _step(seq, m, n)
 
 
-def transport_residual(seq: LenardSequence, m: int, n: int, r: int, *,
-                       table: Lattice | None = None) -> Poly:
+def transport_residual(seq: LenardSequence, m: int, n: int, r: int) -> Poly:
     """Residual of moving l_m l_n' a distance r along an anti-diagonal,
-    T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}'
-    = G_{m+n}(m) - G_{m+n}(m+r), from exactly r B' of ``table``, a fresh
-    ``Lattice`` for this one check by default; the sides are compared before
-    any subtraction, so a passing check subtracts nothing."""
-    table = Lattice(seq, [(m, n, r)]) if table is None else table
-    start, end = table.sides(m, n, r)
-    return seq.ring.zero() if start is end or start == end else start - end
+    T(m, n, r) = l_m l_n' - l_{m+r} l_{n-r}' - sum_{q<r} B_{n-q-1,m+q}', which
+    telescopes into the r unit steps T(m + q, n - q, 1)."""
+    if not 0 <= r <= n:
+        raise IndexOutOfRange(f"transport distance {r} outside 0..{n}")
+    seq.ell(m), seq.ell(n)      # refused even at r = 0, where no step reads them
+    return sum((_step(seq, m + q, n - q) for q in range(r)), seq.ring.zero())
 
 
 # -- closed-form route for the classical seed ----------------------------------

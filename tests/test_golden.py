@@ -83,6 +83,8 @@ STDOUT_GOLDENS = {
         "2d3042cb10631e62c0dce1732167eb218bfbc8db3e1bce222cc1b687be7777c9",
     ("verify", "--suite", "all", "--max-index", "8"):
         "f8a9f9473db6716b9b629bcd96622471993c2fe69ff5542d913f7c04ce39ae35",
+    ("verify", "--suite", "all", "--max-index", "10"):
+        "2eb82f69eeb6b210a73a8ebc023c992409ca64dffb67b0a9d900a9e3241e4c1b",
     ("verify", "--suite", "master", "--max-index", "6"):
         "b66f8ac46207db5703935c7cd5211f119e21c2faffe9717b361f4fe2725650f6",
     ("verify", "--suite", "shift", "--max-index", "6"):

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import starmap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -172,9 +171,9 @@ class TestIdentities:
             transport_residual(sym_seq, 0, 2, 3)
         with pytest.raises(IndexOutOfRange):
             transport_residual(sym_seq, 0, 2, -1)
-        for top in (3, -1):
+        for m, n in ((len(sym_seq), 0), (-1, 2), (0, len(sym_seq))):
             with pytest.raises(IndexOutOfRange):
-                lenard.Lattice(sym_seq, [(0, 2, 1), (0, 2, top)])
+                transport_residual(sym_seq, m, n, 0)
 
     def test_identities_hold_on_generated_sequence(self, std_seq):
         # same identities on the explicitly integrated representation
@@ -201,11 +200,11 @@ class TestIdentities:
 
 
 # -- paired routes -----------------------------------------------------------------
-# verify checks two polynomials each by two hand-factored routes: the master
-# residual is the shift residual one index up, since B_{n,m}' = Omega_{n,m}'
-# - l_n' l_{m+1} - l_n l_{m+1}', and the Lax c-relation residual is twice the
-# b-relation (compatibility) residual.  Both are algebra, not recursion, so
-# they hold on sequences that break it: free jets, and a corrupted entry.
+# The master, shift and transport residuals are sums of one unit step, so
+# the route that checks them is an oracle: the unmemoized references below,
+# which differentiate whole products.  The Lax c-relation residual is twice
+# the b-relation (compatibility) residual.  Both are algebra, not recursion,
+# so they hold on sequences that break it: free jets, and a corrupted entry.
 
 def _corrupted_p3():
     seq = symbolic(SeedCondition.painleve3(), 5)
@@ -215,11 +214,20 @@ def _corrupted_p3():
 PAIRED_SEQS = {"free jets": boundary_jet_sequence(6), "corrupted p3": _corrupted_p3()}
 
 
-def master_shift_pairs(seq):
-    """(master(n, m), shift(n + 1, m)) for every n, m the sequence reaches."""
+def oracle_cases(seq):
+    """(name, args) of every master, shift and transport residual the
+    sequence reaches."""
     top = len(seq) - 1
-    return [(master_identity_residual(seq, n, m), shift_identity_residual(seq, n + 1, m))
-            for n in range(top) for m in range(top)]
+    cases = [("master", (n, m)) for n in range(top) for m in range(top)]
+    cases += [("shift", (n, m)) for n in range(1, top + 1) for m in range(top)]
+    return cases + [("transport", (m, n, r)) for m in range(top) for n in range(top + 1)
+                    for r in range(min(n, top - m) + 1)]
+
+
+def oracle_mismatches(seq):
+    """The cases of ``oracle_cases`` whose residual differs from its reference."""
+    return [(name, args) for name, args in oracle_cases(seq)
+            if RESIDUALS[name][0](seq, *args) != RESIDUALS[name][1](seq, *args)]
 
 
 def lax_pairs(seq):
@@ -229,11 +237,15 @@ def lax_pairs(seq):
 
 
 class TestPairedRoutes:
-    @pytest.mark.parametrize("label", sorted(PAIRED_SEQS))
-    def test_master_is_the_shift_one_index_up(self, label):
-        pairs = master_shift_pairs(PAIRED_SEQS[label])
-        assert all(master == shift for master, shift in pairs)
-        assert sum(not master.is_zero() for master, _ in pairs) >= len(pairs) // 2
+    @pytest.mark.parametrize("label, nonzero", [("corrupted p3", 16), ("free jets", 49)],
+                             ids=["corrupted p3", "free jets"])
+    def test_residuals_match_the_references(self, label, nonzero):
+        # a fresh sequence: nothing kept from another test
+        seq = {"free jets": boundary_jet_sequence(6), "corrupted p3": _corrupted_p3()}[label]
+        assert oracle_mismatches(seq) == []
+        top = len(seq) - 1
+        assert sum(not master_identity_residual(seq, n, m).is_zero()
+                   for n in range(top) for m in range(top)) == nonzero
 
     @pytest.mark.parametrize("label", sorted(PAIRED_SEQS))
     def test_c_relation_is_twice_the_b_relation(self, label):
@@ -242,21 +254,18 @@ class TestPairedRoutes:
         assert not any(b_rel.is_zero() for _, b_rel in pairs)
 
     def test_a_bracket_term_verify_cannot_see_breaks_the_pair(self, capsys, monkeypatch):
-        # l_b (l_{a+1}' - recursion_rhs(a)) is zero on every symbolic
-        # sequence, so verify still passes with it added to B'; on free jets
-        # it is not, and the master and shift routes part
-        bracket = lenard.Lattice._bracket
+        # l_m (l_n' - recursion_rhs(n - 1)) is zero on every symbolic
+        # sequence, so verify still passes with it added to the unit step;
+        # on free jets it is not, and the oracle parts from the residuals
+        step = lenard._step
 
-        def widened(table, a, b):
-            seq = table.seq
-            extra = seq.ell(b) * (seq.jet(a + 1, 1) - seq.recursion_rhs(a))
-            return bracket(table, a, b) + extra
+        def widened(seq, m, n):
+            return step(seq, m, n) + seq.ell(m) * (seq.jet(n, 1) - seq.recursion_rhs(n - 1))
 
-        monkeypatch.setattr(lenard.Lattice, "_bracket", widened)
-        assert cli.run(["verify", "--suite", "shift", "--max-index", "2"]) == cli.EXIT_OK
-        capsys.readouterr()
-        pairs = master_shift_pairs(PAIRED_SEQS["free jets"])
-        assert sum(master != shift for master, shift in pairs) > 0
+        monkeypatch.setattr(lenard, "_step", widened)
+        assert cli.run(["verify", "--suite", "all", "--max-index", "3"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("\n195 passed, 0 failed\n")
+        assert len(oracle_mismatches(boundary_jet_sequence(6))) == 238
 
 
 # -- memo ------------------------------------------------------------------------
@@ -323,22 +332,12 @@ class TestMemo:
         if corrupt:
             seq = seq.with_entry(3, seq.ell(3) + seq.u)
         nonzero = 0
-        refs = {}
         for name, args in _lattice_cases():
             memoized, reference = RESIDUALS[name]
             got = memoized(seq, *args)
-            refs[name, args] = reference(seq, *args)
-            assert got == refs[name, args], (name, args)
+            assert got == reference(seq, *args), (name, args)
             nonzero += not got.is_zero()
         assert (nonzero > 0) == corrupt
-        # one table per (m, n) gives every r from one run of the sum
-        for m in range(MAX_INDEX):
-            for n in range(MAX_INDEX + 1):
-                checks = [(m, n, r) for r in range(min(n, MAX_INDEX + 1 - m) + 1)]
-                table = lenard.Lattice(seq, checks)
-                assert [start - end for start, end in starmap(table.sides, checks)] == [
-                    refs["transport", check] for check in checks], (m, n)
-                assert not table
 
     def test_with_entry_starts_an_empty_memo(self):
         seq = symbolic(SEEDS["standard"], 4)
@@ -357,12 +356,19 @@ class TestMemo:
         ("transport", (0, 3, 2), 1)])
     def test_in_place_entry_change_is_recomputed(self, name, args, j):
         memoized, reference = RESIDUALS[name]
-        seq = symbolic(SEEDS["painleve3"], 4)
-        assert memoized(seq, *args).is_zero()
-        seq.ells[j] = seq.ell(j) + seq.u
-        got = memoized(seq, *args)
-        assert not got.is_zero()
-        assert got == reference(seq, *args)
+        # on ``warm`` every lattice suite has run first, so every step and
+        # factor it reads is kept before l_j changes
+        fresh, warm = (symbolic(SEEDS["painleve3"], 4) for _ in range(2))
+        for suite in LATTICE_SUITES:
+            assert all(ok for ok, _ in cli._SUITES[suite][0](warm, 3))
+        for seq in (fresh, warm):
+            assert memoized(seq, *args).is_zero()
+            seq.ells[j] = seq.ell(j) + seq.u
+            got = memoized(seq, *args)
+            assert not got.is_zero()
+            assert got == reference(seq, *args)
+        for suite in LATTICE_SUITES:
+            assert list(cli._SUITES[suite][0](warm, 3)) == _ref_suite(suite, warm, 3)
 
     def test_transport_sweep_derivative_count(self, monkeypatch):
         # The `verify --suite transport --max-index 4` sweep over one seed,
@@ -384,27 +390,34 @@ class TestMemo:
                     assert transport_residual(seq, m, n, r).is_zero()
         assert len(calls) <= 3 * len(seq)
 
+    # Each unit step T(m, n, 1) holds one bracket derivative, B_{n-1,m}'.
     @staticmethod
     def _count_brackets(monkeypatch):
-        calls = []
-        bracket = lenard.Lattice._bracket
+        """(seed, m, n) of every unit step built, not read back from the
+        sequence's table, from here on."""
+        built = []
+        kept = lenard.LenardSequence._kept
 
-        def counted(table, a, b):
-            calls.append((str(table.seq.ell(0)), a, b))
-            return bracket(table, a, b)
+        def counted(seq, table, key, reads, build):
+            def build_counted():
+                built.append((str(seq.ell(0)), *key))
+                return build()
 
-        monkeypatch.setattr(lenard.Lattice, "_bracket", counted)
-        return calls
+            return kept(seq, table, key, reads,
+                        build_counted if table is seq._steps else build)
+
+        monkeypatch.setattr(lenard.LenardSequence, "_kept", counted)
+        return built
 
     def test_transport_suite_takes_one_bracket_per_step(self, monkeypatch):
         # `verify --suite transport --max-index 4` on one seed reads every
-        # (m, n, r) from one table, whose running sums build its 19 distinct
-        # B' once each, not the 66 that one transport_residual per r takes
-        calls = self._count_brackets(monkeypatch)
+        # (m, n, r) from the sequence's steps, 19 distinct ones built once
+        # each, not the 66 reads that its transport residuals sum
+        built = self._count_brackets(monkeypatch)
         seq = symbolic(SeedCondition.painleve3(), 5)
         checks = list(cli._SUITES["transport"][0](seq, 4))
         assert len(checks) == 56 and all(ok for ok, _ in checks)
-        assert len(calls) == len(set(calls)) == 19
+        assert len(built) == len(set(built)) == len(seq._steps) == 19
 
     @pytest.mark.parametrize("suite, max_index, builds", [
         ("transport", 4, 57), ("transport", 8, 213),
@@ -417,77 +430,44 @@ class TestMemo:
         assert code == cli.EXIT_OK
         assert len(built) == len(set(built)) == builds
 
-    def test_table_drops_each_entry_after_its_last_read(self, capsys,
-                                                        monkeypatch):
-        # the transport suite at index 8 reads 87 distinct sums G_c(t) and
-        # 26 factors per seed; dropped after their last read, at most 54 G
-        # and 16 factors are held at once, and nothing is left once the
-        # seed's checks are done
-        tables = []
-
-        class Spy(lenard.Lattice):
-            def __init__(self, seq, checks=(), pairs=()):
-                super().__init__(seq, checks, pairs)
-                self.planned = Counter(isinstance(key[0], int) for key in self.reads)
-                self.live = []
-                tables.append(self)
-
-            def _take(self, key):
-                value = super()._take(key)
-                self.live.append(Counter(isinstance(entry[0], int) for entry in self))
-                return value
-
-        monkeypatch.setattr(cli, "Lattice", Spy)
-        code = cli.run(["verify", "--suite", "transport", "--max-index", "8"])
+    def test_all_suites_build_each_step_once_per_seed(self, capsys, monkeypatch):
+        # master (n, m) is the step (m, n + 1) that shift (n + 1, m) reads,
+        # and transport and conservation sum steps: under --suite all the
+        # four lattice suites share one table per seed, whose 49 steps (m, n)
+        # are m = 0..6 and n = 1..7
+        built = self._count_brackets(monkeypatch)
+        code = cli.run(["verify", "--suite", "all", "--max-index", "6"])
         capsys.readouterr()
-        assert code == cli.EXIT_OK and len(tables) == 3
-        for t in tables:
-            assert t.planned == {True: 87, False: 26}
-            assert max(live[True] for live in t.live) <= 54
-            assert max(live[False] for live in t.live) <= 16
-            assert not t and not t.runs and not +t.reads
+        assert code == cli.EXIT_OK
+        assert len(built) == len(set(built))
+        per_seed = Counter(seed for seed, _, _ in built)
+        assert sorted(per_seed.values()) == [49] * 3
 
-    @pytest.mark.parametrize("suite", ["transport", "shift", "conservation"])
+    @pytest.mark.parametrize("suite", ["master", "transport", "shift", "conservation"])
     def test_a_wrong_table_entry_fails_the_suite(self, capsys, monkeypatch, suite):
-        # B'_{1,1} + l_1 l_1' for the one key every suite reads at index 2:
-        # the checks compare the sums the table adds it into, so each suite
-        # fails
-        bracket = lenard.Lattice._bracket
+        # T(1, 2, 1) + l_1 l_1' for the one step every suite reads at index
+        # 2: master (1, 1), shift (2, 1), transport (1, 2, 1) and tau k=1
+        # p=0 each read it, so each suite fails
+        step = lenard._step
 
-        def wrong(self, a, b):
-            value = bracket(self, a, b)
-            return value + self.seq.ell(1) * self.seq.jet(1, 1) if (a, b) == (1, 1) \
-                else value
+        def wrong(seq, m, n):
+            value = step(seq, m, n)
+            return value + seq.ell(1) * seq.jet(1, 1) if (m, n) == (1, 2) else value
 
-        monkeypatch.setattr(lenard.Lattice, "_bracket", wrong)
+        monkeypatch.setattr(lenard, "_step", wrong)
         code = cli.run(["verify", "--suite", suite, "--max-index", "2"])
         out = capsys.readouterr().out
         assert code == cli.EXIT_VERIFY_FAILED
         assert f"FAIL {suite} " in out
 
-    def test_a_step_no_check_spans_builds_no_bracket(self, monkeypatch):
-        # on the diagonal c = 6 the checks span the steps j = 0, 3 and 4 but
-        # not 1 and 2: the table builds three B', and each residual is the
-        # reference one on a corrupted sequence
-        calls = self._count_brackets(monkeypatch)
-        seq = symbolic(SeedCondition.painleve3(), 6)
-        bad = seq.with_entry(2, seq.ell(2) + seq.u)
-        checks = [(0, 6, 1), (3, 3, 2), (0, 6, 0)]
-        table = lenard.Lattice(bad, checks)
-        got = [start - end for start, end in starmap(table.sides, checks)]
-        assert got == [_ref_transport(bad, *check) for check in checks]
-        assert not all(resid.is_zero() for resid in got)
-        assert [key[1:] for key in calls] == [(5, 0), (2, 3), (1, 4)]
-        assert not table and not table.runs
-
     def test_single_transport_takes_r_brackets(self, monkeypatch):
-        calls = self._count_brackets(monkeypatch)
-        seq = symbolic(SeedCondition.standard(), 6)
+        built = self._count_brackets(monkeypatch)
         for m, n in ((0, 5), (2, 4), (3, 3)):
             for r in range(min(n, 6 - m) + 1):
-                calls.clear()
+                seq = symbolic(SeedCondition.standard(), 6)
+                built.clear()
                 assert transport_residual(seq, m, n, r).is_zero()
-                assert [key[1:] for key in calls] == [(n - q - 1, m + q) for q in range(r)]
+                assert [key[1:] for key in built] == [(m + q, n - q) for q in range(r)]
 
 
 # -- the suites against the references ------------------------------------------------
@@ -531,6 +511,19 @@ def _ref_suite(suite, seq, top):
     return [(ref(seq, *args).is_zero(), desc) for ref, args, desc in cases]
 
 
+def _count_factors(monkeypatch):
+    """(seed, j) of every factor pair (P_j, Q_j) built from here on."""
+    built = []
+    factors = lenard._factors
+
+    def counted(seq, j):
+        built.append((str(seq.ell(0)), j))
+        return factors(seq, j)
+
+    monkeypatch.setattr(lenard, "_factors", counted)
+    return built
+
+
 CORRUPTIONS = {
     "exact": lambda seq: seq,
     "l2+u": lambda seq: seq.with_entry(2, seq.ell(2) + seq.u),
@@ -568,20 +561,38 @@ class TestSuitePath:
             fails[suite] = [sum(not ok for ok, _ in v) for v in (verdicts, got)]
         assert fails == {"transport": [32, 25], "shift": [12, 8]}
 
-    @pytest.mark.parametrize("suite", LATTICE_SUITES)
+    @pytest.mark.parametrize("suite", (*LATTICE_SUITES, "all"))
     def test_suite_builds_each_factor_once_per_seed(self, capsys, monkeypatch, suite):
-        built = []
-        factors = lenard._factors
-
-        def counted(seq, j):
-            built.append((str(seq.ell(0)), j))
-            return factors(seq, j)
-
-        monkeypatch.setattr(lenard, "_factors", counted)
+        # under --suite all, once for the whole run: the suites share the
+        # factors kept on each seed's sequence
+        built = _count_factors(monkeypatch)
         code = cli.run(["verify", "--suite", suite, "--max-index", "6"])
         capsys.readouterr()
         assert code == cli.EXIT_OK
         assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize("corruption", ["l2+u", "l3+u*l2+u'"])
+    def test_all_suites_print_each_suite_alone(self, capsys, monkeypatch, corruption):
+        # the suites of one run share each seed's kept steps and factors,
+        # building each factor once; on corrupted sequences the run prints,
+        # FAIL lines included, what each suite prints alone
+        monkeypatch.setattr(cli, "symbolic", lambda seed, count: CORRUPTIONS[corruption](
+            symbolic(seed, count)))
+        built = _count_factors(monkeypatch)
+
+        def lines(suite):
+            code = cli.run(["verify", "--suite", suite, "--max-index", "4"])
+            *checks, _ = capsys.readouterr().out.splitlines()
+            failed = any(line.startswith("FAIL") for line in checks)
+            assert code == (cli.EXIT_VERIFY_FAILED if failed else cli.EXIT_OK)
+            return checks
+
+        alone = [line for suite in cli.SUITES for line in lines(suite)]
+        built.clear()
+        assert lines("all") == alone
+        assert built and len(built) == len(set(built))
+        assert set(LATTICE_SUITES) <= {line.split()[1] for line in alone
+                                       if line.startswith("FAIL")}
 
 
 # -- the jet table's premise -------------------------------------------------------

@@ -345,10 +345,8 @@ def test_packed_layout_rule_can_fail():
 # ``.jet`` take a derivative, and ``hierarchy`` and ``laxpair`` take none.
 NO_DERIVATIVE_PATHS = {
     "hierarchy": ("conserved_tau", "conservation_residual", "build_p3_system"),
-    "lenard": ("omega", "_omega_sum", "bracket_diagonal", "_factors",
-               "Lattice.__init__",
-               "Lattice.sides", "Lattice.omega_prime", "Lattice._factor",
-               "Lattice._take", "Lattice._bracket", "Lattice._run", "Lattice._sum",
+    "lenard": ("omega", "_omega_sum", "bracket_diagonal", "_factors", "_step",
+               "LenardSequence._kept",
                "master_identity_residual", "shift_identity_residual",
                "transport_residual", "generate", "symbolic",
                "LenardSequence.recursion_rhs"),
@@ -463,6 +461,45 @@ def test_factor_rule_can_fail():
         sample = f"def _factors(seq, j, k=1):\n    return {body}, seq.jet(j, 3)\n"
         assert _foreign_entry_reads(ast.parse(sample), FACTOR_BUILDERS) == {
             "_factors": [2]}, body
+
+
+# One Omega' route: every lattice residual is a sum of unit steps, and only
+# the unit step reads P_j and Q_j, which it keeps on the sequence.
+def _factor_readers(tree):
+    """Sorted names of the functions and methods of ``tree``, nested
+    functions included, and ``<module>`` for its other statements, that
+    refer to ``_factors``, by name or as an attribute."""
+    def reads(node):
+        return ((isinstance(node, ast.Name) and node.id == "_factors")
+                or (isinstance(node, ast.Attribute) and node.attr == "_factors"))
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {name for name, fn in _functions(tree.body)
+             if any(reads(node) for node in ast.walk(fn))}
+    if any(reads(node) for stmt in tree.body if not isinstance(stmt, defs)
+           for node in ast.walk(stmt)):
+        found.add("<module>")
+    return sorted(found)
+
+
+def test_only_the_unit_step_reads_the_factors():
+    tree = ast.parse(Path(lenard.__file__).read_text())
+    assert _factor_readers(tree) == ["_step"]
+
+
+def test_factor_reader_rule_can_fail():
+    sample = ("def _factors(seq, j):\n"
+              "    return seq.jet(j, 3), seq.jet(j, 3)\n"
+              "def _step(seq, m, n):\n"
+              "    return seq._kept(seq._pq, m, (m,), lambda: _factors(seq, m))\n"
+              "def master_identity_residual(seq, n, m):\n"
+              "    return seq.ell(m) * _factors(seq, n)[0]\n"
+              "class LenardSequence:\n"
+              "    def pq(self, j):\n"
+              "        return lenard._factors(self, j)\n"
+              "BUILD = _factors\n")
+    assert _factor_readers(ast.parse(sample)) == [
+        "<module>", "LenardSequence.pq", "_step", "master_identity_residual"]
 
 
 # One content routine: only ``_make``, which normalizes every result, and
