@@ -72,9 +72,12 @@ def primitive_core(p: Poly) -> Poly:
                      if e > low.get(var, 0))
 
     low_s, low_jets, low_pars = min(m[0] for m in monos), least(1), least(2)
-    g = gcd(*(c for _, c in rows)) * (1 if rows[0][1] > 0 else -1)
-    return Poly(p.ring, {(s_pow - low_s, strip(jets, low_jets), strip(pars, low_pars)):
+    g = gcd(*(c for _, c in rows))
+    core = Poly(p.ring, {(s_pow - low_s, strip(jets, low_jets), strip(pars, low_pars)):
                          Fraction(c, g) for (s_pow, jets, pars), c in rows})
+    # Stripping the monomial content can change which term leads, so the
+    # sign is read off the core, not off p.
+    return -core if core.rows()[0][1] < 0 else core
 
 
 def equation_equivalent(e1: RatExpr, e2: RatExpr) -> bool:

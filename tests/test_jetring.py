@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import p3lenard
@@ -395,6 +395,11 @@ class TestSubstitutionAndContent:
 
     @EXAMPLES
     @given(r=refs())
+    # Stripping u moves the lead from s u^2 v (coefficient 1) to s^2 v
+    # (coefficient -1), so the core's sign is not p's.
+    @example(r={(0, (((0, 0), 1),), ()): Fraction(1),
+                (1, (((0, 0), 2), ((1, 0), 1)), ()): Fraction(1),
+                (2, (((0, 0), 1), ((1, 0), 1)), ()): Fraction(-1)})
     def test_primitive_core_and_content(self, r):
         p = Poly(RING, r)
         check(primitive_core(p), ref_primitive_core(r))
