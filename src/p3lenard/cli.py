@@ -143,8 +143,8 @@ def _cmd_gen_lax(args) -> int:
         print("--k must be positive", file=sys.stderr)
         return EXIT_USAGE
     seq = symbolic(SeedCondition.painleve3(), args.k)
-    b = build_b(seq, args.k)
-    a, c = derive_a_c(b, seq)
+    b = build_b(seq)
+    a, c = derive_a_c(seq)
     named = (("a", a), ("b", b), ("c", c))
     if args.format == "latex":
         for label, series in named:
@@ -180,9 +180,9 @@ def _transport_checks(seq, max_index: int):
 def _conservation_checks(seq, max_index: int):
     for k in range(1, max_index + 1):
         for p in range(k + 1):
-            yield conservation_residual(seq, k, p, "tau").is_zero(), f"tau k={k} p={p}"
+            yield conservation_residual(seq, k, p).is_zero(), f"tau k={k} p={p}"
     for p in range(max_index + 2):
-        yield conservation_residual(seq, 0, p, "sigma").is_zero(), f"sigma p={p}"
+        yield transport_residual(seq, 0, p, p).is_zero(), f"sigma p={p}"
 
 
 def _closedform_checks(seq, max_index: int):
@@ -193,9 +193,14 @@ def _closedform_checks(seq, max_index: int):
 
 
 def _lax_checks(seq, max_index: int):
+    # each residual spans the whole sequence, and its z^p coefficient reads
+    # only l_{-p} and l_{-p-1}: truncating it at z^(-(k+1)) gives the check
+    # through l_{k+1}.  A sequence short of l_{N+2} is refused, not cut short.
+    seq.ell(max_index + 2)
+    compat, c_rel = compatibility_residual(seq), c_relation_residual(seq)
     for k in range(1, max_index + 2):
-        yield compatibility_residual(seq, k).is_zero(), f"compat k={k}"
-        yield c_relation_residual(seq, k).is_zero(), f"c-relation k={k}"
+        yield compat.truncate(-k - 1).is_zero(), f"compat k={k}"
+        yield c_rel.truncate(-k - 1).is_zero(), f"c-relation k={k}"
 
 
 # suite: (checks(seq, N) yielding (ok, description), the seeds it reads, and

@@ -23,7 +23,8 @@ l_a l_{b+1}, and sums tau_p in two accumulates, one for its u terms.
 Each conservation residual is, up to sign, one transport residual
 T(m, n, r) = ``transport_residual(seq, m, n, r)``, a sum of the r unit
 steps kept on the sequence, and vanishes for any seed, by the recursion
-alone:
+alone; ``conservation_residual`` is the one for tau_p, and sigma_p's is
+read off ``transport_residual`` itself:
 
     D(tau_p) + 2 l_{k-p} D(l_{k+1}) =  T(k-p, k+1, p+1),
     D(sigma_p) + 2 l_p D(l_0)       = -T(0, p, p).
@@ -93,13 +94,9 @@ def conserved_tau(seq: LenardSequence, k: int, p: int) -> Poly:
     return -(bracket_diagonal(seq, k, k - p) + seq.ell(k + 1) * seq.ell(k - p))
 
 
-def conservation_residual(seq: LenardSequence, k: int, p: int, kind: str) -> Poly:
-    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) = T(k-p, k+1, p+1) or D(sigma_p) +
-    2 l_p D(l_0) = -T(0, p, p); zero for every recursion-consistent sequence."""
-    if kind == "tau":
-        if not 0 <= p <= k:
-            raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
-        return transport_residual(seq, k - p, k + 1, p + 1)
-    if kind == "sigma":
-        return -transport_residual(seq, 0, p, p)
-    raise ValueError(f"unknown kind {kind!r}")
+def conservation_residual(seq: LenardSequence, k: int, p: int) -> Poly:
+    """D(tau_p) + 2 l_{k-p} D(l_{k+1}) = T(k-p, k+1, p+1); zero for every
+    recursion-consistent sequence.  sigma_p's is -T(0, p, p)."""
+    if not 0 <= p <= k:
+        raise IndexOutOfRange(f"tau index {p} outside 0..{k}")
+    return transport_residual(seq, k - p, k + 1, p + 1)

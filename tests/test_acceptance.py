@@ -86,9 +86,9 @@ def test_criterion_4_conservation_residuals():
         seq = symbolic(seed, 5)
         for k in range(1, 4):
             for p in range(k + 1):
-                ok &= conservation_residual(seq, k, p, "tau").is_zero()
+                ok &= conservation_residual(seq, k, p).is_zero()
         for p in range(5):
-            ok &= conservation_residual(seq, 0, p, "sigma").is_zero()
+            ok &= transport_residual(seq, 0, p, p).is_zero()
     elapsed = time.perf_counter() - start
     _report(4, "conservation residuals exactly zero (k <= 3, all p, both "
                f"kinds, 3 seeds, {elapsed:.2f}s < 60s)", ok and elapsed < 60.0)
@@ -109,13 +109,13 @@ def test_criterion_6_lax_coefficient_matching():
     ok = True
     for k in (1, 2, 3):
         seq = symbolic(SeedCondition.painleve3(), k + 1)
-        ok &= compatibility_residual(seq, k).is_zero()
+        ok &= compatibility_residual(seq).is_zero()
     # single corruption lights up exactly the predicted z-power
     seq = symbolic(SeedCondition.painleve3(), 3)
     bad = seq.with_entry(3, seq.ell(3) + seq.ring.s())
-    ok &= compatibility_residual(bad, 2).powers() == [-3]
+    ok &= compatibility_residual(bad).powers() == [-3]
     try:
-        compatibility_residual(symbolic(SeedCondition.standard(), 2), 1)
+        compatibility_residual(symbolic(SeedCondition.standard(), 2))
         ok = False
     except SeedMismatch:
         pass

@@ -13,7 +13,7 @@ from p3lenard.hierarchy import (boundary_jet_sequence, build_p3_system,
 from p3lenard.jetring import RatExpr, ZeroDenominator
 from p3lenard.lenard import (IndexOutOfRange, LenardSequence, SeedCondition,
                              bracket_diagonal, closed_form_standard, generate, omega,
-                             symbolic)
+                             symbolic, transport_residual)
 
 from oracles import conserved_sigma, equation_equivalent
 
@@ -183,18 +183,13 @@ class TestConservationResiduals:
         seq = _seed_sequence(seed, 5)
         for k in range(1, 4):
             for p in range(k + 1):
-                assert conservation_residual(seq, k, p, "tau").is_zero()
+                assert conservation_residual(seq, k, p).is_zero()
 
     @pytest.mark.parametrize("seed", ["standard", "painleve3", "custom"])
     def test_sigma_residual_zero(self, seed):
         seq = _seed_sequence(seed, 5)
         for p in range(5):
-            assert conservation_residual(seq, 0, p, "sigma").is_zero()
-
-    def test_unknown_kind(self):
-        seq = _seed_sequence("standard", 3)
-        with pytest.raises(ValueError):
-            conservation_residual(seq, 1, 0, "rho")
+            assert transport_residual(seq, 0, p, p).is_zero()
 
     def test_index_errors(self):
         # transport with r = 0 is a literal zero, so tau p = -1 must be
@@ -202,9 +197,9 @@ class TestConservationResiduals:
         seq = _seed_sequence("painleve3", 4)
         for k, p in ((2, -1), (2, 3), (0, -1), (0, 1)):
             with pytest.raises(IndexOutOfRange):
-                conservation_residual(seq, k, p, "tau")
+                conservation_residual(seq, k, p)
         with pytest.raises(IndexOutOfRange):
-            conservation_residual(seq, 0, -1, "sigma")
+            transport_residual(seq, 0, -1, -1)
 
     @pytest.mark.parametrize("seed", ["standard", "painleve3", "custom"])
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -217,12 +212,12 @@ class TestConservationResiduals:
         nonzero = 0
         for k in range(5):
             for p in range(k + 1):
-                got = conservation_residual(seq, k, p, "tau")
+                got = conservation_residual(seq, k, p)
                 assert got == _reference_residual(seq, k, p, "tau")
                 assert conserved_tau(seq, k, p) == _reference_tau(seq, k, p)
                 nonzero += not got.is_zero()
         for p in range(6):
-            got = conservation_residual(seq, 0, p, "sigma")
+            got = -transport_residual(seq, 0, p, p)
             assert got == _reference_residual(seq, 0, p, "sigma")
             nonzero += not got.is_zero()
         assert (nonzero > 0) == corrupt
@@ -243,9 +238,9 @@ class TestConservationResiduals:
         seq = symbolic(SeedCondition.painleve3(), max_index + 2)
         for k in range(1, max_index + 1):
             for p in range(k + 1):
-                assert conservation_residual(seq, k, p, "tau").is_zero()
+                assert conservation_residual(seq, k, p).is_zero()
         for p in range(max_index + 2):
-            assert conservation_residual(seq, 0, p, "sigma").is_zero()
+            assert transport_residual(seq, 0, p, p).is_zero()
         assert len(calls) <= 3 * len(seq)
 
 
