@@ -3,7 +3,9 @@
 Subcommands: gen-lenard, gen-hierarchy, gen-lax (expression output, JSON by
 default with LaTeX as an alternate rendering of the same normal form),
 verify (identity suites, one PASS/FAIL line per check), and integrate
-(fixed-step RK4 run written as CSV).
+(fixed-step RK4 run written as CSV).  A JSON document is printed one
+element at a time by ``_print_json``, each polynomial spelled from its int
+rows by ``render.poly_json``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 runtime
 error (a closed stdout included).  Non-interactive by design; no
@@ -38,31 +40,38 @@ EXIT_RUNTIME = 3
 _SEED_LABELS = ("standard", "p3", "custom")
 
 
-def _leaf(value) -> dict:
-    """The JSON-ready dict of a ``Poly`` or ``RatExpr`` in a printed document."""
-    if isinstance(value, RatExpr):
-        return render.ratexpr_to_obj(value)
-    if isinstance(value, Poly):
-        return render.poly_to_obj(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _print_json(doc) -> None:
-    """Print ``doc`` as ``print(json.dumps(doc, default=_leaf))`` would, one
-    element at a time: dicts (with string keys) and lists are walked, and
-    every other value is encoded whole and written before the next one is
-    built, so memory follows the largest element, not the document."""
+    """Print ``doc`` as ``print(json.dumps(doc))`` would, with each ``Poly``
+    and ``RatExpr`` in it encoded as the dicts of ``render.poly_to_obj`` and
+    ``render.ratexpr_to_obj``, one element at a time: dicts (with string
+    keys), lists and tuples are walked, a polynomial is spelled from its rows
+    by ``render``, and every other value is encoded whole; each is written
+    before the next one is built, so memory follows the largest element, not
+    the document.  Dependent and parameter names are quoted once per ring."""
     write = sys.stdout.write
+    quoted = {}                           # (dependents, params) -> JSON strings
+
+    def names(ring):
+        key = ring.dependents, ring.params
+        if key not in quoted:
+            quoted[key] = tuple(tuple(map(json.dumps, side)) for side in key)
+        return quoted[key]
 
     def walk(value):
         if isinstance(value, dict):
             pairs = ((f"{json.dumps(key)}: ", item) for key, item in value.items())
             opening, closing = "{}"
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             pairs = (("", item) for item in value)
             opening, closing = "[]"
+        elif isinstance(value, Poly):
+            write(render.poly_json(value, names(value.ring)))
+            return
+        elif isinstance(value, RatExpr):
+            write(render.ratexpr_json(value, names(value.ring)))
+            return
         else:
-            write(json.dumps(value, default=_leaf))
+            write(json.dumps(value))
             return
         write(opening)
         for i, (key, item) in enumerate(pairs):

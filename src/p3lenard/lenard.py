@@ -16,7 +16,9 @@ representations:
   representation for any seed, including the nonlocal ones.
 
 Every derivative below comes from one jet table per sequence,
-``seq.jet(j, i)`` = D^i(l_j), filled by ``generate`` and ``symbolic``.
+``seq.jet(j, i)`` = D^i(l_j), filled by ``generate`` and ``symbolic``;
+``generate`` drops the jets of l_j once step j has read them, so a later
+``seq.jet(j, i)`` computes them again.
 Omega_{n,m}, the brackets B_{a,b} = Omega_{a,b} - l_a l_{b+1} and their
 derivatives are bilinear in the entries and follow by Leibniz from jets with
 i <= 3, so no product is differentiated.  The factors of one index come from
@@ -149,6 +151,8 @@ def generate(seed: SeedCondition, count: int, constants: list) -> LenardSequence
     seq = LenardSequence([seed.poly], U_RING)
     for j in range(count):
         rhs = seq.recursion_rhs(j)
+        for i in (1, 2, 3):               # no later step reads the jets of l_j
+            seq._jets.pop((j, i), None)
         try:
             nxt = formal_integral(rhs)
         except NotExactDerivative as exc:
@@ -187,10 +191,12 @@ def _omega_sum(seq: LenardSequence, pairs, products=()) -> Poly:
     """Sum of w Omega_{n,m} over the (int w, n, m) of ``pairs`` and of the
     (weight, factor, factor) ``products``: one accumulate of l_n'' l_m -
     l_n' l_m' + l_n l_m'' (2w l_n'' l_n if n = m) and one of u's 4w l_n l_m."""
-    products, u_parts = list(products), []
+    products, u_parts, jets = list(products), [], {}
     for w, n, m in pairs:
-        n0, n1, n2 = (seq.jet(n, i) for i in range(3))
-        m0, m1, m2 = (seq.jet(m, i) for i in range(3))
+        for j in (n, m):
+            if j not in jets:             # (l_j, l_j', l_j''), read once per call
+                jets[j] = seq.jet(j, 0), seq.jet(j, 1), seq.jet(j, 2)
+        (n0, n1, n2), (m0, m1, m2) = jets[n], jets[m]
         products += [(2 * w, n2, n0)] if n == m else [(w, n2, m0), (w, n0, m2)]
         products.append((-w, n1, m1))
         u_parts.append((4 * w, n0, m0))

@@ -7,8 +7,13 @@ CLI and the parser round trip:
                {"s": 0, "jets": {"0": 2}, "coef": "3"}]}
 
 Jet keys are derivative orders as strings; coefficients are exact rational
-strings.  Rings with several unknowns nest jets under the dependent's name.
-Coefficients are spelled from each polynomial's int rows, not Fractions.
+strings.  Rings with several unknowns nest jets under the dependent's name
+and list a term's parameters under ``"params"``.  Coefficients are spelled
+from each polynomial's int rows, not Fractions.  The CLI prints this layout
+with ``poly_json`` and ``ratexpr_json``, which spell the text of
+``json.dumps`` term by term from those rows; ``poly_to_obj`` and
+``ratexpr_to_obj`` build the same layout as dicts, the reference that the
+writers are tested against.
 """
 
 from __future__ import annotations
@@ -149,6 +154,46 @@ def ratexpr_latex(expr: RatExpr) -> str:
     if expr.den == expr.ring.one():
         return poly_latex(expr.num)
     return rf"\frac{{{poly_latex(expr.num)}}}{{{poly_latex(expr.den)}}}"
+
+
+def poly_json(poly: Poly, names: tuple) -> str:
+    """The text of ``json.dumps(poly_to_obj(poly))``, spelled term by term
+    from the int rows with no dict built.  ``names`` is the ring's
+    (dependents, parameters), each name already a JSON string."""
+    deps, pars = names
+    single = len(deps) == 1 and not pars
+    spelled, spelled_params = {}, {}      # jets, params -> their object's body
+    terms = []
+    for (s_pow, js, ps), n, d in _rows(poly):
+        jets = spelled.get(js)
+        if jets is None:
+            if single:
+                jets = ", ".join([f'"{o}": {e}' for (_, o), e in js])
+            else:                         # sorted, so each dependent's jets are a run
+                groups, last = [], None
+                for (dep, o), e in js:
+                    if dep == last:
+                        groups[-1] += f', "{o}": {e}'
+                    else:
+                        groups.append(f'{deps[dep]}: {{"{o}": {e}')
+                        last = dep
+                jets = "}, ".join(groups) + "}" if groups else ""
+            spelled[js] = jets
+        coef = _coef_ascii(n, d)
+        if ps:
+            params = spelled_params.get(ps)
+            if params is None:
+                params = spelled_params[ps] = ", ".join([f"{pars[p]}: {e}" for p, e in ps])
+            terms.append(f'{{"s": {s_pow}, "jets": {{{jets}}}, "params": {{{params}}}, '
+                         f'"coef": "{coef}"}}')
+        else:
+            terms.append(f'{{"s": {s_pow}, "jets": {{{jets}}}, "coef": "{coef}"}}')
+    return f'{{"terms": [{", ".join(terms)}]}}'
+
+
+def ratexpr_json(expr: RatExpr, names: tuple) -> str:
+    """The text of ``json.dumps(ratexpr_to_obj(expr))``, as ``poly_json``."""
+    return f'{{"num": {poly_json(expr.num, names)}, "den": {poly_json(expr.den, names)}}}'
 
 
 def poly_to_obj(poly: Poly) -> dict:

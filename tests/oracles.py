@@ -8,7 +8,7 @@ written against the package's public API: terms are read through
 from fractions import Fraction
 from math import gcd
 
-from p3lenard import lenard
+from p3lenard import lenard, render
 from p3lenard.jetring import Poly, RatExpr
 from p3lenard.lenard import IndexOutOfRange, LenardSequence
 
@@ -16,6 +16,17 @@ from p3lenard.lenard import IndexOutOfRange, LenardSequence
 class MissingJetValue(KeyError):
     """Numeric evaluation referenced a jet order or a parameter with no
     supplied value."""
+
+
+def leaf(value) -> dict:
+    """The ``default=`` of ``json.dumps`` for a document that holds ``Poly``
+    and ``RatExpr`` values: their dicts, which ``cli._print_json`` spells
+    without building."""
+    if isinstance(value, RatExpr):
+        return render.ratexpr_to_obj(value)
+    if isinstance(value, Poly):
+        return render.poly_to_obj(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def sorted_terms(p: Poly) -> list:

@@ -25,7 +25,7 @@ from p3lenard.hierarchy import build_p3_system, hierarchy_ring
 from p3lenard.jetring import ExponentOverflow, RatExpr
 from p3lenard.lenard import IndexOutOfRange
 
-from oracles import equation_equivalent
+from oracles import equation_equivalent, leaf
 from test_odesolve import (_flip_tau_sign, _mutate_loop, _reference_integrate,
                            _reference_write_csv, _run_bits, collect)
 
@@ -752,7 +752,8 @@ class TestStreamedCsv:
 
 class TestJsonWriter:
     """``cli._print_json`` prints a document one element at a time, as
-    ``print(json.dumps(doc, default=cli._leaf))`` would in one piece."""
+    ``print(json.dumps(doc, default=leaf))`` would in one piece, with each
+    polynomial spelled from its rows by ``render.poly_json``."""
 
     @staticmethod
     def documents():
@@ -772,25 +773,25 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, capsys):
         for doc in self.documents():
             cli._print_json(doc)
-            assert capsys.readouterr().out == json.dumps(doc, default=cli._leaf) + "\n"
+            assert capsys.readouterr().out == json.dumps(doc, default=leaf) + "\n"
 
     def test_other_objects_are_refused_as_json_dumps_does(self):
         for doc in (object(), {"x": [object()]}):
             with pytest.raises(TypeError, match="not JSON serializable"):
-                json.dumps(doc, default=cli._leaf)
+                json.dumps(doc, default=leaf)
             with pytest.raises(TypeError, match="not JSON serializable"):
                 cli._print_json(doc)
 
     @staticmethod
     def first_written_before_second_built(monkeypatch) -> bool:
         """Whether ``gen-lenard --count 2`` has written the whole JSON of
-        l_0 when ``render.poly_to_obj`` is called for l_1."""
+        l_0 when ``render.poly_json`` is called for l_1."""
         events = []
-        to_obj = render.poly_to_obj
+        spell = render.poly_json
 
-        def recorded(poly):
+        def recorded(poly, names):
             events.append(None)             # a build
-            return to_obj(poly)
+            return spell(poly, names)
 
         class Sink:
             def write(self, text):
@@ -800,7 +801,7 @@ class TestJsonWriter:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(render, "poly_to_obj", recorded)
+        monkeypatch.setattr(render, "poly_json", recorded)
         monkeypatch.setattr(sys, "stdout", Sink())
         assert cli.run(["gen-lenard", "--count", "2"]) == cli.EXIT_OK
         first = json.dumps(json.loads("".join(e for e in events if e))["ells"][0])
@@ -811,8 +812,13 @@ class TestJsonWriter:
         assert self.first_written_before_second_built(monkeypatch)
 
     def test_order_rule_can_fail(self, monkeypatch):
-        monkeypatch.setattr(cli, "_print_json", lambda doc: print(
-            json.dumps(doc, default=cli._leaf)))
+        """A writer that encodes the whole document, each polynomial by the
+        spelling writer, before it prints."""
+        def whole(doc):
+            print(json.dumps(doc, default=lambda poly: json.loads(
+                render.poly_json(poly, (('"u"',), ())))))
+
+        monkeypatch.setattr(cli, "_print_json", whole)
         assert not self.first_written_before_second_built(monkeypatch)
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])

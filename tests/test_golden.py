@@ -15,6 +15,7 @@ from p3lenard.odesolve import _compile_system
 
 CONSTANTS = "--constants=1,-3/4,2,0,5/7,-1"
 CONSTANTS_12 = "--constants=1,-3/4,2,0,5/7,-1,3,-2/9,7/4,1/3,-5,8/3"
+NEGATIVE_CONSTANTS = "--constants=-1/2,-3/4,-5/3,-7/9,-2/5"
 
 STDOUT_GOLDENS = {
     ("gen-lenard", "--count", "8"):
@@ -29,10 +30,20 @@ STDOUT_GOLDENS = {
         "23b2be76f758a9f6d1251c7b5929c8f8c064c2cdeb30214cee3de3eede84d39d",
     ("gen-lenard", "--count", "12", CONSTANTS_12):
         "95a599c66b63fcb4459e2cc6153a2be3e9f70c3060d0e4c2b395a8f04e3e5f3e",
+    # JSON edge cases: an all-zero sequence ({"terms": []} three times), and
+    # negative fractional coefficients from a seed and from every constant
+    ("gen-lenard", "--seed", "custom", "--custom", "0", "--count", "2"):
+        "1fdfece902031da82922fb90997554549e832d72cbce30456b290d8a080b19f2",
+    ("gen-lenard", "--count", "5", NEGATIVE_CONSTANTS):
+        "126b0f04e9e8e50e4d9168513263596e05eae2e5696948064443a3a9598c2677",
+    ("gen-lenard", "--seed", "custom", "--custom", "-3/2", "--count", "4",
+     "--constants=-1/2,-3/4,-5/3,-7/9"):
+        "c6a0604ec74ad5244971fc55eccc3f27a689713934d4b12ecdc1498d463cb26e",
     ("gen-hierarchy", "--k", "1"):
         "28f93ab0a12a64c500f6a8e910e3ca317b2c075d1a0abddb9fa5ec7c63db676d",
     ("gen-hierarchy", "--k", "1", "--format", "latex"):
         "12923cf2be2f89e37909aa241c0fed008397ebd81248c65101c81f0af5e48bda",
+    # jets nested by dependent, and a params block for tau_0
     ("gen-hierarchy", "--k", "2"):
         "ddb2cbc51d5c8563bc04f282b1af5be8406d72ebe838825fa53641f4bc01092b",
     ("gen-hierarchy", "--k", "2", "--format", "latex"):

@@ -101,6 +101,19 @@ class TestGenerate:
         with pytest.raises(IndexOutOfRange):
             std_seq.ell(99)
 
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_spent_jets_are_released(self, count):
+        """Only the jets of the last entry are kept, D(l_n) from its check,
+        and a jet read afterwards is the D chain of its entry."""
+        seq = generate(SeedCondition.standard(), count,
+                       [Fraction(1 - j, 3) for j in range(count)])
+        assert sorted(seq._jets) == [(count, 1)]
+        for j in range(count + 1):
+            chain = seq.ell(j)
+            for i in range(1, 4):
+                chain = seq.D(chain)
+                assert seq.jet(j, i) == chain
+
     def test_weight_grading(self, std_seq):
         # entry p is graded of weight 2p with u^(i) carrying weight i+2;
         # coefficients are positive integers
@@ -132,6 +145,21 @@ class TestOmega:
         ring = seq.ring
         assert omega(seq, 0, 0) == (ring.s(2) * ring.var("u", 0)
                                     - ring.const(Fraction(1, 4)))
+
+    def test_each_jet_is_read_once_per_sum(self, monkeypatch):
+        """A bracket diagonal reads each (j, i), i <= 2, of its Omegas once."""
+        seq = symbolic(SeedCondition.painleve3(), 7)
+        reads = Counter()
+        jet = LenardSequence.jet
+
+        def counted(self, j, i):
+            reads[j, i] += 1
+            return jet(self, j, i)
+
+        lenard.bracket_diagonal(seq, 6, 0)             # fills the jet table
+        monkeypatch.setattr(LenardSequence, "jet", counted)
+        lenard.bracket_diagonal(seq, 6, 0)
+        assert reads == Counter({(j, i): 1 for j in range(7) for i in range(3)})
 
     def test_symmetry(self, sym_seq):
         for n in range(5):

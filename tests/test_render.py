@@ -5,21 +5,26 @@ one denominator, reduced by one gcd per term.  The renderers below are the
 former ones, which read ``sorted_terms`` and built a ``Fraction`` per term;
 they are the oracle for JSON, ASCII and LaTeX on polynomials with several
 dependents, parameters, negative and +-1 coefficients and a common
-denominator that some numerators share a factor with.
+denominator that some numerators share a factor with.  The JSON text that
+the CLI prints, spelled by ``poly_json`` with no dict built, is checked
+against ``json.dumps`` of the dicts of ``poly_to_obj``.
 """
 
+import json
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p3lenard import render
-from p3lenard.jetring import Poly, Ring
+from p3lenard.diffpoly import U_RING
+from p3lenard.hierarchy import hierarchy_ring
+from p3lenard.jetring import Poly, RatExpr, Ring
 from p3lenard.render import (_coef_ascii, _coef_latex, _jet_ascii, _jet_latex,
                              _power_latex, latex_symbol, poly_ascii, poly_latex,
-                             poly_to_obj)
+                             poly_json, poly_to_obj, ratexpr_json, ratexpr_to_obj)
 
 from oracles import sorted_terms
 
@@ -92,8 +97,8 @@ coefficients = st.one_of(
 
 
 @st.composite
-def polys(draw):
-    ring = draw(st.sampled_from(RINGS))
+def polys(draw, rings=RINGS):
+    ring = draw(st.sampled_from(rings))
     out = ring.zero()
     for _ in range(draw(st.integers(0, 6))):
         term = ring.s(draw(st.integers(0, 3))) * draw(coefficients)
@@ -202,3 +207,68 @@ class TestCheckPower:
                 render.check_power(poly, 10 ** 20)
         for poly in (ring.zero(), ring.one(), ring.const(-1), ring.var("u")):
             render.check_power(poly, 10 ** 20)
+
+
+# the single-u ring of the Lenard entries, the k = 2 hierarchy ring, with
+# several dependents and parameters, and one dependent with a parameter
+JSON_RINGS = [U_RING, hierarchy_ring(2), RINGS[1]]
+
+
+def quoted(ring) -> tuple:
+    """The names ``cli._print_json`` hands the writers: each a JSON string."""
+    return tuple(map(json.dumps, ring.dependents)), tuple(map(json.dumps, ring.params))
+
+
+def spelling_mismatch(writer, poly: Poly) -> bool:
+    """Whether ``writer`` spells ``poly`` other than ``json.dumps`` writes
+    the dict of ``poly_to_obj``, byte for byte."""
+    return writer(poly, quoted(poly.ring)) != json.dumps(poly_to_obj(poly))
+
+
+@st.composite
+def ratexprs(draw):
+    ring = draw(st.sampled_from(JSON_RINGS))
+    num, den = draw(polys([ring])), draw(polys([ring]))
+    assume(not den.is_zero())
+    return RatExpr(num, den)
+
+
+class TestJsonSpelling:
+    """``poly_json`` and ``ratexpr_json`` write the text of ``json.dumps``
+    of the dicts of ``poly_to_obj`` and ``ratexpr_to_obj`` without building
+    them: jets nested by dependent and a params block in the hierarchy ring,
+    common denominators, negative and unit coefficients, and zero."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly=polys(JSON_RINGS))
+    @example(poly=U_RING.zero())
+    @example(poly=hierarchy_ring(2).zero())
+    @example(poly=shared_factor())
+    @example(poly=U_RING.const(Fraction(-3, 4)) - U_RING.var("u", 2))
+    def test_poly_is_spelled_as_its_dict_is_encoded(self, poly):
+        assert not spelling_mismatch(poly_json, poly)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expr=ratexprs())
+    @example(expr=RatExpr(U_RING.zero(), U_RING.var("u") * 3))
+    def test_ratexpr_is_spelled_as_its_dict_is_encoded(self, expr):
+        assert ratexpr_json(expr, quoted(expr.ring)) == json.dumps(ratexpr_to_obj(expr))
+
+    @staticmethod
+    def coef_first(poly, names):
+        terms = json.loads(poly_json(poly, names))["terms"]
+        return json.dumps({"terms": [{"coef": t["coef"], **t} for t in terms]})
+
+    @staticmethod
+    def without_params(poly, names):
+        terms = json.loads(poly_json(poly, names))["terms"]
+        return json.dumps({"terms": [{k: v for k, v in t.items() if k != "params"}
+                                     for t in terms]})
+
+    def test_the_parity_check_can_fail(self):
+        """A writer with the coefficient before the jets, or one without the
+        params block, is told apart on an example the parity test runs."""
+        flat = U_RING.const(Fraction(-3, 4)) - U_RING.var("u", 2)
+        assert spelling_mismatch(self.coef_first, flat)
+        assert spelling_mismatch(self.without_params, shared_factor())
+        assert not spelling_mismatch(self.without_params, flat)

@@ -67,7 +67,7 @@ def test_k_literal_rule_can_fail():
 INTEGER_PATHS = ("_accumulate", "_make", "Ring.sum_products", "Poly.__add__",
                  "Poly.__mul__", "Poly.total_derivative", "Poly.rows")
 # The renderers: each coefficient is spelled from ints.
-RENDER_INTEGER_PATHS = ("_rows", "_poly_text", "poly_to_obj")
+RENDER_INTEGER_PATHS = ("_rows", "_poly_text", "poly_json", "poly_to_obj")
 
 
 def _functions(body, prefix=""):
@@ -790,8 +790,10 @@ def test_cli_import_leaves_startup_heavy_modules_unloaded():
 # by one of the small commands of ``_reach_commands``, or is read by the test
 # named for it here: the one Omega that tests compare the fused sums
 # against, the constructor that builds polynomials from triples, the copy
-# with one entry replaced, and the reprs that pytest prints in assertion
-# output.  A name that a command enters is stale here.  Reference code that
+# with one entry replaced, the reprs that pytest prints in assertion
+# output, and the JSON dicts that the spelled writer is compared against
+# (``perfbench/tracer.py`` wraps them by name, and ``parse`` reads their
+# layout).  A name that a command enters is stale here.  Reference code that
 # only tests run lives in ``oracles.py``, outside the package.
 READ_BY_TESTS = {
     "jetring.Poly.__init__": "test_jetring.py::TestArithmetic::test_mul",
@@ -802,6 +804,10 @@ READ_BY_TESTS = {
     "lenard.LenardSequence.with_entry":
         "test_hierarchy.py::TestConservedQuantities::test_tau0_is_minus_omega_kk",
     "lenard.omega": "test_lenard.py::TestOmega::test_standard_base",
+    "render.poly_to_obj":
+        "test_render.py::TestJsonSpelling::test_poly_is_spelled_as_its_dict_is_encoded",
+    "render.ratexpr_to_obj":
+        "test_render.py::TestJsonSpelling::test_ratexpr_is_spelled_as_its_dict_is_encoded",
 }
 
 
